@@ -5,7 +5,7 @@ elements, and core/tail polarizability terms; everything downstream is a
 deterministic floating-point pipeline with quadrature error propagation.
 """
 
-from .angular import HalfInt, tensor_prefactor_C, triangle_ok, wigner6j
+from .angular import tensor_prefactor_C, triangle_ok, wigner6j
 from .bbr import BBRConditions, au_to_si, bbr_shift_state, clock_bbr_shift
 from .constants import (
     BBR_FIELD_300K,
@@ -62,7 +62,6 @@ __all__ = [
     "DecayChannel",
     "E_A0",
     "HERTZ",
-    "HalfInt",
     "HARTREE_IN_CM",
     "Level",
     "LevelLabel",

@@ -11,12 +11,12 @@ Exit codes: 0 success, 1 usage error, 2 data validation error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from importlib import resources
 from typing import Any, Sequence
 
-from .angular import HalfInt
 from .bbr import BBRConditions, bbr_shift_state, clock_bbr_shift
 from .dataset import (
     NANOSECOND,
@@ -50,6 +50,17 @@ class UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1, not argparse's 2
         raise UsageError(message)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def builtin_dataset_text() -> str:
@@ -89,7 +100,7 @@ def _decay_channels(ds: Dataset, upper: LevelLabel) -> list[DecayChannel]:
         if el.upper != upper:
             continue
         delta_e = energy_difference_au(ds, el.lower, upper).value
-        rate = einstein_A(el.d, delta_e, HalfInt(upper.j2))
+        rate = einstein_A(el.d, delta_e, upper.j2)
         channels.append(DecayChannel(upper, el.lower, rate))
     return channels
 
@@ -199,7 +210,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if delta_e <= 0:
         raise ValueError(f"{upper} does not lie above {lower}")
     tau = Quantity(args.tau_ns, args.tau_unc_ns, NANOSECOND)
-    d = extract_matrix_element(tau, others, delta_e, HalfInt(upper.j2))
+    d = extract_matrix_element(tau, others, delta_e, upper.j2)
     totals: dict[str, Any] = {"d_extracted": quantity_to_dict(d)}
     for el in ds.elements_coupling(upper):
         if el.partner(upper) == lower:
@@ -251,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("bbr", help="blackbody shift of a clock transition")
     p.add_argument("--ground", default="4s1/2")
     p.add_argument("--excited", default="3d5/2")
-    p.add_argument("--temperature", type=float, default=300.0, help="kelvin")
-    p.add_argument("--eta", type=float, default=0.0, help="dynamic correction")
+    p.add_argument("--temperature", type=_finite_float, default=300.0, help="kelvin")
+    p.add_argument("--eta", type=_finite_float, default=0.0, help="dynamic correction")
     _add_common(p)
     p.set_defaults(func=cmd_bbr)
 
@@ -264,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("extract", help="matrix element from a measured lifetime")
     p.add_argument("--upper", required=True)
     p.add_argument("--lower", required=True)
-    p.add_argument("--tau-ns", type=float, required=True, help="measured lifetime, ns")
-    p.add_argument("--tau-unc-ns", type=float, default=0.0, help="lifetime uncertainty, ns")
+    p.add_argument("--tau-ns", type=_finite_float, required=True, help="measured lifetime, ns")
+    p.add_argument("--tau-unc-ns", type=_finite_float, default=0.0, help="lifetime uncertainty, ns")
     _add_common(p)
     p.set_defaults(func=cmd_extract)
 

@@ -84,13 +84,6 @@ class Quantity:
         self._require_same_unit(other)
         return Quantity(self.value - other.value, math.hypot(self.unc, other.unc), self.unit)
 
-    def __neg__(self) -> "Quantity":
-        return Quantity(-self.value, self.unc, self.unit)
-
-    def scaled(self, factor: float) -> "Quantity":
-        """Multiply by an exact scalar (uncertainty scales with |factor|)."""
-        return Quantity(self.value * factor, self.unc * abs(factor), self.unit)
-
     def relative_unc(self) -> float:
         """unc / |value|; zero for a zero value."""
         if self.value == 0.0:
@@ -205,9 +198,6 @@ class Dataset:
             self, "_by_label", {level.label: level for level in self.levels}
         )
 
-    def has_level(self, label: LevelLabel) -> bool:
-        return label in self._by_label
-
     def level(self, label: LevelLabel) -> Level:
         try:
             return self._by_label[label]
@@ -240,10 +230,14 @@ class Dataset:
 
 
 def _parse_number(token: str, what: str) -> float:
+    """A finite float; nan, inf and overflowing literals such as 1e400 are rejected."""
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise DatasetError(f"bad {what} {token!r}") from None
+    if not math.isfinite(value):
+        raise DatasetError(f"non-finite {what} {token!r}")
+    return value
 
 
 def parse_dataset(text: str) -> Dataset:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .angular import HalfInt, tensor_prefactor_C, wigner6j
+from .angular import tensor_prefactor_C, wigner6j
 from .dataset import (
     A0_CUBED,
     E_A0,
@@ -23,9 +23,6 @@ from .dataset import (
     Quantity,
     energy_difference_au,
 )
-
-_ONE = HalfInt(2)
-_TWO = HalfInt(4)
 
 
 @dataclass(frozen=True)
@@ -67,41 +64,39 @@ def _propagated(value: float, d: Quantity) -> Quantity:
     return Quantity(value, 2.0 * abs(value) * d.relative_unc(), A0_CUBED)
 
 
-def scalar_contribution(d: Quantity, delta_e_au: float, j_v: HalfInt) -> Quantity:
-    """Scalar polarizability contribution 2/(3(2j_v+1)) * d^2/deltaE."""
+def scalar_contribution(d: Quantity, delta_e_au: float, j2_v: int) -> Quantity:
+    """Scalar polarizability contribution 2/(3(2j_v+1)) * d^2/deltaE; j2_v = 2j_v."""
     if d.unit != E_A0:
         raise ValueError(f"matrix element must be in {E_A0!r}, got {d.unit!r}")
     if d.value == 0.0:
         return Quantity(0.0, 0.0, A0_CUBED)
     if delta_e_au == 0.0:
         raise ZeroDivisionError("zero energy denominator")
-    value = 2.0 / (3.0 * (j_v.twice + 1)) * d.value**2 / delta_e_au
+    value = 2.0 / (3.0 * (j2_v + 1)) * d.value**2 / delta_e_au
     return _propagated(value, d)
 
 
-def tensor_contribution(
-    d: Quantity, delta_e_au: float, j_v: HalfInt, j_k: HalfInt
-) -> Quantity:
+def tensor_contribution(d: Quantity, delta_e_au: float, j2_v: int, j2_k: int) -> Quantity:
     """Tensor polarizability contribution for one intermediate state.
 
-    -4 C(j_v) (-1)^(j_v+j_k+1) {j_v 1 j_k; 1 j_v 2} d^2/deltaE; identically
-    zero for j_v < 1.
+    -4 C(j_v) (-1)^(j_v+j_k+1) {j_v 1 j_k; 1 j_v 2} d^2/deltaE, with twice-j
+    arguments j2_v = 2j_v and j2_k = 2j_k; identically zero for j_v < 1.
     """
     if d.unit != E_A0:
         raise ValueError(f"matrix element must be in {E_A0!r}, got {d.unit!r}")
-    if j_v.twice < 2:
+    if j2_v < 2:
         return Quantity(0.0, 0.0, A0_CUBED)
     if d.value == 0.0:
         return Quantity(0.0, 0.0, A0_CUBED)
     if delta_e_au == 0.0:
         raise ZeroDivisionError("zero energy denominator")
-    if (j_v.twice + j_k.twice) % 2 != 0:
-        raise ValueError(f"j_v={j_v} and j_k={j_k} differ by a half-integer")
-    phase = -1 if ((j_v.twice + j_k.twice) // 2 + 1) % 2 else 1
-    sixj = wigner6j(j_v, _ONE, j_k, _ONE, j_v, _TWO)
+    if (j2_v + j2_k) % 2 != 0:
+        raise ValueError(f"j_v={j2_v}/2 and j_k={j2_k}/2 differ by a half-integer")
+    phase = -1 if ((j2_v + j2_k) // 2 + 1) % 2 else 1
+    sixj = wigner6j(j2_v, 2, j2_k, 2, j2_v, 4)
     value = (
         -4.0
-        * tensor_prefactor_C(j_v)
+        * tensor_prefactor_C(j2_v)
         * phase
         * sixj
         * d.value**2
@@ -136,20 +131,16 @@ def assemble_breakdown(
     if multipole not in (SCALAR, TENSOR):
         raise ValueError(f"bad multipole {multipole!r}")
     ds.level(state)  # raises UnknownLevelError
-    j_v = HalfInt(state.j2)
-    if multipole == TENSOR and j_v.twice < 2:
-        raise ValueError(f"tensor polarizability vanishes for j={j_v}")
+    j2_v = state.j2
+    if multipole == TENSOR and j2_v < 2:
+        raise ValueError(f"tensor polarizability vanishes for j={j2_v}/2")
 
     rows: list[Contribution] = []
     for el in ds.elements_coupling(state):
         partner = el.partner(state)
         delta_e = energy_difference_au(ds, state, partner).value
-        alpha0 = scalar_contribution(el.d, delta_e, j_v)
-        alpha2 = (
-            tensor_contribution(el.d, delta_e, j_v, HalfInt(partner.j2))
-            if j_v.twice >= 2
-            else None
-        )
+        alpha0 = scalar_contribution(el.d, delta_e, j2_v)
+        alpha2 = tensor_contribution(el.d, delta_e, j2_v, partner.j2) if j2_v >= 2 else None
         rows.append(Contribution(state, partner, el.d, alpha0, alpha2))
     rows.sort(key=lambda c: (c.partner.j2, ds.energy_cm(c.partner), c.partner))
 

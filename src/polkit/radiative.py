@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .angular import HalfInt
 from .constants import RATE_AU_IN_PER_S, SPEED_OF_LIGHT_AU
 from .dataset import E_A0, MEGAHERTZ, NANOSECOND, LevelLabel, Quantity
 
@@ -30,21 +29,24 @@ class DecayChannel:
             raise ValueError(f"decay rate must be positive: {self.A.value}")
 
 
-def _rate_per_d_squared_mhz(delta_e_au: float, j_upper: HalfInt) -> float:
+def _rate_per_d_squared_mhz(delta_e_au: float, j2_upper: int) -> float:
     """A/d^2 in MHz per (e*a0)^2 for a transition of energy delta_e_au."""
-    rate_au = (4.0 / 3.0) * delta_e_au**3 / SPEED_OF_LIGHT_AU**3 / (j_upper.twice + 1)
+    rate_au = (4.0 / 3.0) * delta_e_au**3 / SPEED_OF_LIGHT_AU**3 / (j2_upper + 1)
     return rate_au * RATE_AU_IN_PER_S / 1e6
 
 
-def einstein_A(d: Quantity, delta_e_au: float, j_upper: HalfInt) -> Quantity:
-    """Spontaneous decay rate in MHz for a channel of energy delta_e_au."""
+def einstein_A(d: Quantity, delta_e_au: float, j2_upper: int) -> Quantity:
+    """Spontaneous decay rate in MHz for a channel of energy delta_e_au.
+
+    ``j2_upper`` is twice the upper state's j.
+    """
     if d.unit != E_A0:
         raise ValueError(f"matrix element must be in {E_A0!r}, got {d.unit!r}")
     if delta_e_au <= 0:
         raise ValueError(f"transition energy must be positive: {delta_e_au}")
     if d.value == 0.0:
         return Quantity(0.0, 0.0, MEGAHERTZ)
-    value = _rate_per_d_squared_mhz(delta_e_au, j_upper) * d.value**2
+    value = _rate_per_d_squared_mhz(delta_e_au, j2_upper) * d.value**2
     return Quantity(value, 2.0 * value * d.relative_unc(), MEGAHERTZ)
 
 
@@ -65,14 +67,14 @@ def extract_matrix_element(
     tau_expt: Quantity,
     other_channels: Iterable[DecayChannel],
     delta_e_au: float,
-    j_upper: HalfInt,
+    j2_upper: int,
 ) -> Quantity:
     """Invert a measured lifetime for the remaining channel's matrix element.
 
     The residual rate 1/tau - sum(other A) is attributed to the channel of
-    energy `delta_e_au`; the positive root is returned.  The uncertainty
-    propagates the lifetime error together with the (usually negligible)
-    other-channel uncertainties.
+    energy `delta_e_au` out of an upper state with twice-j `j2_upper`; the
+    positive root is returned.  The uncertainty propagates the lifetime error
+    together with the (usually negligible) other-channel uncertainties.
     """
     if tau_expt.unit != NANOSECOND:
         raise ValueError(f"lifetime must be in {NANOSECOND!r}, got {tau_expt.unit!r}")
@@ -86,7 +88,7 @@ def extract_matrix_element(
             "measured lifetime is inconsistent with the other decay channels "
             f"(residual rate {residual:.6g} MHz)"
         )
-    per_d2 = _rate_per_d_squared_mhz(delta_e_au, j_upper)
+    per_d2 = _rate_per_d_squared_mhz(delta_e_au, j2_upper)
     d = math.sqrt(residual / per_d2)
     rate_unc = math.hypot(
         1000.0 * tau_expt.unc / tau_expt.value**2,

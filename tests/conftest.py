@@ -1,16 +1,12 @@
-import pathlib
-
 import pytest
 
 from polkit import parse_dataset
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-GOLDEN_PATH = REPO_ROOT / "data" / "ca_plus.dat"
+from polkit.cli import builtin_dataset_text
 
 
 @pytest.fixture(scope="session")
 def golden_text() -> str:
-    return GOLDEN_PATH.read_text(encoding="utf-8")
+    return builtin_dataset_text()
 
 
 @pytest.fixture(scope="session")

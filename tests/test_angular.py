@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polkit import HalfInt, tensor_prefactor_C, triangle_ok, wigner6j
+from polkit import tensor_prefactor_C, triangle_ok, wigner6j
 
 
 def brute_racah_6j(a, b, c, d, e, f):
@@ -54,10 +54,6 @@ def brute_racah_6j(a, b, c, d, e, f):
     return sign * math.sqrt(float(pref * total * total))
 
 
-def sixj(*twices):
-    return wigner6j(*(HalfInt(t) for t in twices))
-
-
 def valid_tuples(max_twice, step=1):
     for a in range(0, max_twice + 1, step):
         for b in range(0, max_twice + 1, step):
@@ -93,37 +89,16 @@ def sixj_arguments(draw, max_twice=15):
 
 class TestTriangle:
     def test_half_half_one(self):
-        assert triangle_ok(HalfInt(1), HalfInt(1), HalfInt(2))
+        assert triangle_ok(1, 1, 2)
 
     def test_exceeds_sum(self):
-        assert not triangle_ok(HalfInt(1), HalfInt(1), HalfInt(4))
+        assert not triangle_ok(1, 1, 4)
 
     def test_boundary(self):
-        assert triangle_ok(HalfInt(5), HalfInt(2), HalfInt(3))
+        assert triangle_ok(5, 2, 3)
 
     def test_half_integer_perimeter_rejected(self):
-        assert not triangle_ok(HalfInt(1), HalfInt(1), HalfInt(1))
-
-
-class TestHalfInt:
-    def test_of_coercions(self):
-        assert HalfInt.of(2).twice == 4
-        assert HalfInt.of(2.5).twice == 5
-        assert HalfInt.of(HalfInt(3)) == HalfInt(3)
-        with pytest.raises(ValueError):
-            HalfInt.of(0.3)
-
-    def test_arithmetic_closed(self):
-        assert HalfInt(3) + HalfInt(2) == HalfInt(5)
-        assert HalfInt(5) - HalfInt(2) == HalfInt(3)
-
-    def test_str(self):
-        assert str(HalfInt(5)) == "5/2"
-        assert str(HalfInt(4)) == "2"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            HalfInt(-1)
+        assert not triangle_ok(1, 1, 1)
 
 
 class TestWigner6j:
@@ -133,25 +108,25 @@ class TestWigner6j:
             if (a + b + c) % 2:
                 continue
             expected = (-1) ** ((a + b + c) // 2) / math.sqrt((b + 1) * (c + 1))
-            assert sixj(a, b, c, 0, c, b) == pytest.approx(expected, rel=1e-14)
+            assert wigner6j(a, b, c, 0, c, b) == pytest.approx(expected, rel=1e-14)
 
     def test_one_one_one(self):
-        assert sixj(2, 2, 2, 0, 2, 2) == pytest.approx(-1.0 / 3.0, rel=1e-15)
+        assert wigner6j(2, 2, 2, 0, 2, 2) == pytest.approx(-1.0 / 3.0, rel=1e-15)
 
     def test_racah_oracle_value(self):
-        got = sixj(5, 2, 3, 2, 5, 4)
+        got = wigner6j(5, 2, 3, 2, 5, 4)
         want = brute_racah_6j(*(Fraction(t, 2) for t in (5, 2, 3, 2, 5, 4)))
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_broken_triad_is_zero(self):
-        assert sixj(1, 1, 4, 2, 2, 2) == 0.0
-        assert sixj(2, 2, 2, 2, 2, 5) == 0.0
+        assert wigner6j(1, 1, 4, 2, 2, 2) == 0.0
+        assert wigner6j(2, 2, 2, 2, 2, 5) == 0.0
 
     def test_oracle_equivalence_exhaustive_small(self):
         for args in valid_tuples(6):
-            mine = sixj(*args)
+            mine = wigner6j(*args)
             ref = brute_racah_6j(*(Fraction(t, 2) for t in args))
-            assert mine == pytest.approx(ref, rel=1e-12, abs=1e-15), args
+            assert mine == ref, args
 
     def test_sympy_spot_checks(self):
         sympy = pytest.importorskip("sympy")
@@ -161,7 +136,7 @@ class TestWigner6j:
         pool = list(valid_tuples(15, step=3))
         for args in rng.sample(pool, 40):
             ref = float(wigner_6j(*(sympy.Rational(t, 2) for t in args)))
-            assert sixj(*args) == pytest.approx(ref, rel=1e-12, abs=1e-15), args
+            assert wigner6j(*args) == pytest.approx(ref, rel=1e-12, abs=1e-15), args
 
     @settings(max_examples=200, deadline=None)
     @given(sixj_arguments())
@@ -169,7 +144,7 @@ class TestWigner6j:
         if args is None:
             return
         a, b, c, d, e, f = args
-        base = sixj(a, b, c, d, e, f)
+        base = wigner6j(a, b, c, d, e, f)
         orbit = [
             (b, a, c, e, d, f),
             (c, b, a, f, e, d),
@@ -179,7 +154,7 @@ class TestWigner6j:
             (d, b, f, a, e, c),
         ]
         for other in orbit:
-            assert sixj(*other) == pytest.approx(base, rel=1e-12, abs=1e-14)
+            assert wigner6j(*other) == pytest.approx(base, rel=1e-12, abs=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -190,22 +165,12 @@ class TestWigner6j:
     )
     def test_orthogonality(self, a, b, c, d):
         # sum_x (2x+1) {a b x; c d p} {a b x; c d q} = delta_pq / (2p+1)
-        ps = [
-            p
-            for p in range(0, 17)
-            if triangle_ok(HalfInt(a), HalfInt(d), HalfInt(p))
-            and triangle_ok(HalfInt(c), HalfInt(b), HalfInt(p))
-        ]
-        xs = [
-            x
-            for x in range(0, 17)
-            if triangle_ok(HalfInt(a), HalfInt(b), HalfInt(x))
-            and triangle_ok(HalfInt(c), HalfInt(d), HalfInt(x))
-        ]
+        ps = [p for p in range(0, 17) if triangle_ok(a, d, p) and triangle_ok(c, b, p)]
+        xs = [x for x in range(0, 17) if triangle_ok(a, b, x) and triangle_ok(c, d, x)]
         for p in ps[:3]:
             for q in ps[:3]:
                 acc = sum(
-                    (x + 1) * sixj(a, b, x, c, d, p) * sixj(a, b, x, c, d, q)
+                    (x + 1) * wigner6j(a, b, x, c, d, p) * wigner6j(a, b, x, c, d, q)
                     for x in xs
                 )
                 expected = 1.0 / (p + 1) if p == q else 0.0
@@ -214,15 +179,11 @@ class TestWigner6j:
 
 class TestTensorPrefactor:
     def test_five_halves(self):
-        assert tensor_prefactor_C(HalfInt(5)) == pytest.approx(
-            math.sqrt(50.0 / 1008.0), rel=1e-15
-        )
+        assert tensor_prefactor_C(5) == math.sqrt(50.0 / 1008.0)
 
     def test_three_halves(self):
-        assert tensor_prefactor_C(HalfInt(3)) == pytest.approx(
-            math.sqrt(30.0 / 720.0), rel=1e-15
-        )
+        assert tensor_prefactor_C(3) == math.sqrt(30.0 / 720.0)
 
     def test_vanishes_below_one(self):
-        assert tensor_prefactor_C(HalfInt(1)) == 0.0
-        assert tensor_prefactor_C(HalfInt(0)) == 0.0
+        assert tensor_prefactor_C(1) == 0.0
+        assert tensor_prefactor_C(0) == 0.0

@@ -119,6 +119,21 @@ class TestParse:
         assert "line 1" in str(err.value)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "level 4s1/2 nan",
+            "e1 4s1/2 4p1/2 2.898 nan",
+            "e1 4s1/2 4p1/2 inf 0.1",
+            "core 1e400 0",
+            "core 3.25 -inf",
+            "tail 4s1/2 scalar 0.006 infinity",
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, line):
+        with pytest.raises(DatasetError, match="line 1: non-finite"):
+            parse_dataset(line + "\n")
+
     def test_duplicate_level_rejected(self):
         with pytest.raises(DatasetError, match="duplicate level"):
             parse_dataset(MINIMAL + "level 4s1/2 0.0\n")

@@ -10,7 +10,6 @@ from polkit import (
     SCALAR,
     TENSOR,
     Dataset,
-    HalfInt,
     Level,
     LevelLabel,
     Quantity,
@@ -33,7 +32,7 @@ def d_q(value, unc=0.0):
 class TestScalarContribution:
     def test_ground_state_resonance_line(self, golden):
         de = energy_difference_au(golden, lab("4s1/2"), lab("4p1/2")).value
-        q = scalar_contribution(d_q(2.898, 0.029), de, HalfInt(1))
+        q = scalar_contribution(d_q(2.898, 0.029), de, 1)
         assert q.value == pytest.approx(2.898**2 / (3.0 * de), rel=1e-15)
         assert abs(q.value - 24.4) < 0.05  # published rounding
         assert q.unc == pytest.approx(2.0 * q.value * 0.029 / 2.898, rel=1e-15)
@@ -41,39 +40,39 @@ class TestScalarContribution:
 
     def test_d_state_resonance_line(self, golden):
         de = energy_difference_au(golden, lab("3d5/2"), lab("4p3/2")).value
-        q = scalar_contribution(d_q(3.306, 0.0181), de, HalfInt(5))
+        q = scalar_contribution(d_q(3.306, 0.0181), de, 5)
         assert abs(q.value - 22.78) < 0.01  # one unit in the last printed digit
         assert abs(q.unc - 0.25) < 0.005
 
     def test_zero_coupling(self):
-        q = scalar_contribution(d_q(0.0), 0.1, HalfInt(1))
+        q = scalar_contribution(d_q(0.0), 0.1, 1)
         assert q == Quantity(0.0, 0.0, A0_CUBED)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            scalar_contribution(d_q(1.0), 0.0, HalfInt(1))
+            scalar_contribution(d_q(1.0), 0.0, 1)
 
     def test_downward_transition_is_negative(self, golden):
         de = energy_difference_au(golden, lab("4p1/2"), lab("4s1/2")).value
-        assert scalar_contribution(d_q(2.898), de, HalfInt(1)).value < 0
+        assert scalar_contribution(d_q(2.898), de, 1).value < 0
 
 
 class TestTensorContribution:
     def test_equal_and_opposite_for_d_to_p(self, golden):
         de = energy_difference_au(golden, lab("3d5/2"), lab("4p3/2")).value
-        a0 = scalar_contribution(d_q(3.306, 0.0181), de, HalfInt(5))
-        a2 = tensor_contribution(d_q(3.306, 0.0181), de, HalfInt(5), HalfInt(3))
+        a0 = scalar_contribution(d_q(3.306, 0.0181), de, 5)
+        a2 = tensor_contribution(d_q(3.306, 0.0181), de, 5, 3)
         assert a2.value == pytest.approx(-a0.value, rel=1e-12)
         assert abs(a2.value + 22.78) < 0.01
 
     def test_d_to_f_line(self, golden):
         de = energy_difference_au(golden, lab("3d5/2"), lab("4f7/2")).value
-        a2 = tensor_contribution(d_q(2.309, 0.0256), de, HalfInt(5), HalfInt(7))
+        a2 = tensor_contribution(d_q(2.309, 0.0256), de, 5, 7)
         assert abs(a2.value - (-0.854)) < 0.005
         assert abs(a2.unc - 0.019) < 0.001
 
     def test_vanishes_for_j_half(self):
-        q = tensor_contribution(d_q(2.898), 0.1, HalfInt(1), HalfInt(3))
+        q = tensor_contribution(d_q(2.898), 0.1, 1, 3)
         assert q == Quantity(0.0, 0.0, A0_CUBED)
 
 

@@ -9,7 +9,6 @@ from polkit import (
     MEGAHERTZ,
     NANOSECOND,
     DecayChannel,
-    HalfInt,
     LevelLabel,
     Quantity,
     einstein_A,
@@ -33,7 +32,7 @@ def golden_channel(golden, lower, upper):
     )
     de = energy_difference_au(golden, el.lower, el.upper).value
     return DecayChannel(
-        el.upper, el.lower, einstein_A(el.d, de, HalfInt(el.upper.j2))
+        el.upper, el.lower, einstein_A(el.d, de, el.upper.j2)
     )
 
 
@@ -53,23 +52,23 @@ class TestEinsteinA:
         assert abs(ch.A.value - published) < 0.05
 
     def test_zero_coupling(self):
-        q = einstein_A(Quantity(0.0, 0.0, E_A0), 0.1, HalfInt(1))
+        q = einstein_A(Quantity(0.0, 0.0, E_A0), 0.1, 1)
         assert q == Quantity(0.0, 0.0, MEGAHERTZ)
 
     def test_nonpositive_energy_rejected(self):
         with pytest.raises(ValueError):
-            einstein_A(Quantity(1.0, 0.0, E_A0), -0.1, HalfInt(1))
+            einstein_A(Quantity(1.0, 0.0, E_A0), -0.1, 1)
 
     @given(d=st.floats(0.05, 8.0), de=st.floats(0.01, 1.0))
     def test_quadratic_in_d(self, d, de):
-        one = einstein_A(Quantity(d, 0.0, E_A0), de, HalfInt(3)).value
-        two = einstein_A(Quantity(2.0 * d, 0.0, E_A0), de, HalfInt(3)).value
+        one = einstein_A(Quantity(d, 0.0, E_A0), de, 3).value
+        two = einstein_A(Quantity(2.0 * d, 0.0, E_A0), de, 3).value
         assert two == pytest.approx(4.0 * one, rel=1e-12)
 
     @given(d=st.floats(0.05, 8.0), de=st.floats(0.01, 0.5))
     def test_cubic_in_energy(self, d, de):
-        one = einstein_A(Quantity(d, 0.0, E_A0), de, HalfInt(3)).value
-        eight = einstein_A(Quantity(d, 0.0, E_A0), 2.0 * de, HalfInt(3)).value
+        one = einstein_A(Quantity(d, 0.0, E_A0), de, 3).value
+        eight = einstein_A(Quantity(d, 0.0, E_A0), 2.0 * de, 3).value
         assert eight == pytest.approx(8.0 * one, rel=1e-12)
 
 
@@ -109,7 +108,7 @@ class TestExtraction:
     def test_p_half_element(self, golden):
         others = [golden_channel(golden, "3d3/2", "4p1/2")]
         de = energy_difference_au(golden, lab("4s1/2"), lab("4p1/2")).value
-        d = extract_matrix_element(Quantity(7.098, 0.020, NANOSECOND), others, de, HalfInt(1))
+        d = extract_matrix_element(Quantity(7.098, 0.020, NANOSECOND), others, de, 1)
         assert abs(d.value - 2.849) < 0.001
         assert abs(d.unc - 0.004) < 0.001
 
@@ -119,7 +118,7 @@ class TestExtraction:
             golden_channel(golden, "3d5/2", "4p3/2"),
         ]
         de = energy_difference_au(golden, lab("4s1/2"), lab("4p3/2")).value
-        d = extract_matrix_element(Quantity(6.924, 0.019, NANOSECOND), others, de, HalfInt(3))
+        d = extract_matrix_element(Quantity(6.924, 0.019, NANOSECOND), others, de, 3)
         assert abs(d.value - 4.023) < 0.001
         assert abs(d.unc - 0.006) < 0.001
 
@@ -130,7 +129,7 @@ class TestExtraction:
         ):
             chans = [golden_channel(golden, *pair) for pair in others]
             de = energy_difference_au(golden, lab(lower), lab(upper)).value
-            d = extract_matrix_element(Quantity(tau, 0.0, NANOSECOND), chans, de, HalfInt(lab(upper).j2))
+            d = extract_matrix_element(Quantity(tau, 0.0, NANOSECOND), chans, de, lab(upper).j2)
             theory = next(
                 e.d.value
                 for e in golden.elements
@@ -143,7 +142,7 @@ class TestExtraction:
         others = [channel("4p1/2", "3d3/2", 500.0)]
         de = energy_difference_au(golden, lab("4s1/2"), lab("4p1/2")).value
         with pytest.raises(ValueError, match="residual"):
-            extract_matrix_element(Quantity(7.098, 0.02, NANOSECOND), others, de, HalfInt(1))
+            extract_matrix_element(Quantity(7.098, 0.02, NANOSECOND), others, de, 1)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -156,9 +155,9 @@ class TestExtraction:
         """extract(lifetime(...)) returns the matrix element exactly."""
         upper = {1: "4p1/2", 3: "4p3/2", 5: "3d5/2"}[j2]
         main = DecayChannel(
-            lab(upper), lab("4s1/2"), einstein_A(Quantity(d, 0.0, E_A0), de, HalfInt(j2))
+            lab(upper), lab("4s1/2"), einstein_A(Quantity(d, 0.0, E_A0), de, j2)
         )
         other = channel(upper, "3d3/2", a_other)
         tau = lifetime([main, other])
-        back = extract_matrix_element(tau, [other], de, HalfInt(j2))
+        back = extract_matrix_element(tau, [other], de, j2)
         assert back.value == pytest.approx(d, rel=1e-12)

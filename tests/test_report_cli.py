@@ -135,6 +135,23 @@ class TestCLI:
         assert code == 1
         assert "temperature" in err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--temperature", "nan"), ("--temperature", "inf"), ("--eta", "nan"),
+         ("--tau-ns", "inf"), ("--tau-unc-ns", "nan")],
+    )
+    def test_non_finite_float_flag_is_usage_error(self, capsys, flag, value):
+        command = "extract" if flag.startswith("--tau") else "bbr"
+        argv = [command, flag, value]
+        if command == "extract":
+            argv += ["--upper", "4p1/2", "--lower", "4s1/2"]
+            if flag != "--tau-ns":
+                argv += ["--tau-ns", "7.098"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "not a finite number" in err
+        assert out == ""
+
     def test_bad_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bbr", "--nonsense")
         assert code == 1
@@ -190,7 +207,7 @@ class TestCLI:
         monkeypatch.setenv("POLKIT_DATASET", "/nonexistent.dat")
         golden = str(
             __import__("pathlib").Path(__file__).resolve().parent.parent
-            / "data" / "ca_plus.dat"
+            / "src" / "polkit" / "data" / "ca_plus.dat"
         )
         code, out, _ = run_cli(
             capsys, "bbr", "--dataset", golden, "--format", "machine"
@@ -213,8 +230,3 @@ class TestCLI:
         totals = json.loads(out)["totals"]
         assert "d_extracted" in totals
         assert "d_theory" not in totals and "percent_difference" not in totals
-
-    def test_builtin_dataset_matches_repo_copy(self, golden_text):
-        from polkit.cli import builtin_dataset_text
-
-        assert builtin_dataset_text() == golden_text
