@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -63,6 +64,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def builtin_dataset_text() -> str:
     return resources.files("polkit").joinpath("data/ca_plus.dat").read_text("utf-8")
 
@@ -246,7 +248,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--full-precision", action="store_true", help="disable display rounding")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = _ArgumentParser(
         prog="polkit",
         description="Static polarizabilities, BBR clock shifts, and radiative lifetimes.",
@@ -297,7 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DatasetError as exc:
         print(f"polkit: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"polkit: error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -56,8 +56,9 @@ class UnknownLevelError(KeyError):
 class Quantity:
     """A number with a one-sigma uncertainty and a unit tag.
 
-    Addition and subtraction require identical unit tags and combine
-    uncertainties in quadrature (components are treated as uncorrelated).
+    Value and uncertainty must be finite.  Addition and subtraction require
+    identical unit tags and combine uncertainties in quadrature (components
+    are treated as uncorrelated).
     """
 
     value: float
@@ -65,6 +66,10 @@ class Quantity:
     unit: str = DIMENSIONLESS
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise ValueError(f"non-finite value: {self.value!r} {self.unit}")
+        if not math.isfinite(self.unc):
+            raise ValueError(f"non-finite uncertainty: {self.unc!r} {self.unit}")
         if self.unc < 0:
             raise ValueError(f"negative uncertainty: {self.unc!r}")
 
@@ -91,7 +96,7 @@ class Quantity:
         return self.unc / abs(self.value)
 
 
-_LABEL_RE = re.compile(r"^(\d+)([a-z])(\d+)/2$")
+_LABEL_RE = re.compile(r"([0-9]+)([a-z])([0-9]+)/2")
 
 
 @dataclass(frozen=True, order=True)
@@ -117,7 +122,7 @@ class LevelLabel:
 
     @classmethod
     def parse(cls, text: str) -> "LevelLabel":
-        m = _LABEL_RE.match(text)
+        m = _LABEL_RE.fullmatch(text)
         if m is None or m.group(2) not in L_LETTERS:
             raise DatasetError(f"bad level label {text!r} (expected e.g. '4p3/2')")
         try:

@@ -91,7 +91,7 @@ def extract_matrix_element(
     per_d2 = _rate_per_d_squared_mhz(delta_e_au, j2_upper)
     d = math.sqrt(residual / per_d2)
     rate_unc = math.hypot(
-        1000.0 * tau_expt.unc / tau_expt.value**2,
+        total_rate * tau_expt.unc / tau_expt.value,
         math.sqrt(sum(ch.A.unc**2 for ch in others)),
     )
     return Quantity(d, d * rate_unc / (2.0 * residual), E_A0)

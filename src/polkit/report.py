@@ -71,7 +71,7 @@ class Report:
             "rows": [dict(row) for row in self.rows],
             "totals": dict(self.totals),
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Report":

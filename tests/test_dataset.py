@@ -40,7 +40,9 @@ class TestLevelLabel:
         assert (label.n, label.l, label.j2) == (n, l, j2)
         assert str(label) == text
 
-    @pytest.mark.parametrize("bad", ["9z9/2", "4p5/2", "4s3/2", "p3/2", "4p3", "4p2/2", "0s1/2"])
+    @pytest.mark.parametrize(
+        "bad", ["9z9/2", "4p5/2", "4s3/2", "p3/2", "4p3", "4p2/2", "0s1/2", "\u0664s1/2", "4s1/2\n"]
+    )
     def test_rejects_bad_labels(self, bad):
         with pytest.raises(DatasetError):
             LevelLabel.parse(bad)
@@ -54,6 +56,19 @@ class TestQuantity:
     def test_rejects_negative_uncertainty(self):
         with pytest.raises(ValueError):
             Quantity(1.0, -0.1, A0_CUBED)
+
+    @pytest.mark.parametrize(
+        "value,unc,fragment",
+        [
+            (math.nan, 0.1, "non-finite value"),
+            (-math.inf, 0.1, "non-finite value"),
+            (1.0, math.inf, "non-finite uncertainty"),
+            (1.0, math.nan, "non-finite uncertainty"),
+        ],
+    )
+    def test_rejects_non_finite(self, value, unc, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            Quantity(value, unc, A0_CUBED)
 
     def test_add_combines_in_quadrature(self):
         q = Quantity(1.0, 0.3, A0_CUBED) + Quantity(2.0, 0.4, A0_CUBED)
@@ -111,6 +126,7 @@ class TestParse:
             ("e1 4s1/2 4p1/2 0.0 0.1", "positive"),
             ("wibble 1 2", "unknown directive"),
             ("tail 4s1/2 vector 1 0", "multipole"),
+            ("level \u0664s1/2 0.0", "bad level label"),
         ],
     )
     def test_syntax_errors_carry_line_number(self, line, fragment):

@@ -1,9 +1,19 @@
 import json
+import math
 
 import pytest
 
 from polkit import Report, format_value_unc
-from polkit.cli import main
+from polkit.cli import build_parser, builtin_dataset_text, main
+
+README_COMMANDS = [
+    ["polarizability", "--state", "4s1/2", "--multipole", "scalar"],
+    ["polarizability", "--state", "3d5/2", "--multipole", "tensor"],
+    ["bbr"],
+    ["bbr", "--temperature", "600", "--eta", "0.0"],
+    ["lifetime", "--state", "4p1/2"],
+    ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "7.098", "--tau-unc-ns", "0.020"],
+]
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +62,12 @@ class TestReportModel:
         assert report.to_json() == report.to_json()
         payload = json.loads(report.to_json())
         assert list(payload) == sorted(payload)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_json_refuses_non_finite(self, value):
+        report = Report(kind="x", inputs={}, rows=(), totals={"t": value})
+        with pytest.raises(ValueError):
+            report.to_json()
 
 
 class TestCLI:
@@ -130,6 +146,13 @@ class TestCLI:
         assert code == 1
         assert "label" in err
 
+    @pytest.mark.parametrize("label", ["\u0664s1/2", "4s1/2\n"])
+    def test_non_ascii_digit_or_newline_label_is_usage_error(self, capsys, label):
+        code, out, err = run_cli(capsys, "polarizability", "--state", label)
+        assert code == 1
+        assert "bad level label" in err
+        assert out == ""
+
     def test_zero_temperature_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bbr", "--temperature", "0")
         assert code == 1
@@ -151,6 +174,25 @@ class TestCLI:
         assert code == 1
         assert "not a finite number" in err
         assert out == ""
+
+    @pytest.mark.parametrize("temperature", ["3e79", "1e200"])
+    def test_overflowing_temperature_is_precondition_error(self, capsys, temperature):
+        code, out, err = run_cli(
+            capsys, "bbr", "--temperature", temperature, "--format", "machine"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("polkit: error: ") and err.count("\n") == 1
+
+    def test_tiny_lifetime_does_not_underflow(self, capsys):
+        argv = ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e-300"]
+        code, out, err = run_cli(capsys, *argv, "--format", "machine")
+        assert code == 0 and err == ""
+        d = json.loads(out)["totals"]["d_extracted"]
+        assert math.isfinite(d["value"]) and math.isfinite(d["unc"])
+        code, out, err = run_cli(capsys, *argv, "--tau-unc-ns", "1e-10")
+        assert code == 3 and out == ""
+        assert "non-finite uncertainty" in err
 
     def test_bad_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bbr", "--nonsense")
@@ -230,3 +272,56 @@ class TestCLI:
         totals = json.loads(out)["totals"]
         assert "d_extracted" in totals
         assert "d_theory" not in totals and "percent_difference" not in totals
+
+
+class TestWarmProcess:
+    """Repeated ``main`` calls in one process give the output of fresh ones."""
+
+    def _steps(self, tmp_path, golden_text):
+        syntax = tmp_path / "syntax.dat"
+        syntax.write_text(golden_text + "core 3.25\n")
+        semantic = tmp_path / "semantic.dat"
+        semantic.write_text(golden_text.replace("core 3.25", "core -3.25"))
+        user = tmp_path / "user.dat"
+        user_argv = ["polarizability", "--state", "4s1/2", "--dataset", str(user)]
+        return [
+            *README_COMMANDS,
+            ["bbr", "--nonsense"],
+            ["bbr", "--dataset", str(syntax)],
+            ["lifetime", "--state", "4p1/2", "--dataset", str(semantic), "--format", "machine"],
+            (user, golden_text),
+            user_argv,
+            (user, golden_text.replace("core 3.25", "core 4.25")),
+            user_argv,
+        ]
+
+    def _run(self, capsys, steps, fresh):
+        results = []
+        for step in steps:
+            if isinstance(step, tuple):
+                path, text = step
+                path.write_text(text)  # rewritten in place between calls
+                continue
+            if fresh:
+                build_parser.cache_clear()
+                builtin_dataset_text.cache_clear()
+            results.append(run_cli(capsys, *step))
+        return results
+
+    def test_cached_parser_changes_no_output(self, tmp_path, capsys, golden_text):
+        steps = self._steps(tmp_path, golden_text)
+        warm = self._run(capsys, steps, fresh=False) + self._run(capsys, steps, fresh=False)
+        fresh = self._run(capsys, steps, fresh=True) + self._run(capsys, steps, fresh=True)
+        assert warm == fresh
+        assert build_parser() is build_parser()
+
+        n = len(warm) // 2
+        assert warm[:n] == warm[n:]
+        assert [code for code, _, _ in warm[: len(README_COMMANDS)]] == [0] * len(README_COMMANDS)
+        usage, syntax, semantic, before, after = warm[len(README_COMMANDS) : n]
+        assert usage[0] == 1
+        assert syntax[0] == 2 and "line" in syntax[2]
+        assert semantic[0] == 2 and "core polarizability must be positive" in semantic[2]
+        assert (before[0], after[0]) == (0, 0)
+        assert before[1].splitlines()[-1].split() == ["total", "76.1(1.1)"]
+        assert after[1].splitlines()[-1].split() == ["total", "77.1(1.1)"]
