@@ -33,6 +33,7 @@ from .dataset import (
     ReducedE1,
     UnitMismatchError,
     UnknownLevelError,
+    builtin_dataset_text,
     energy_difference_au,
     parse_dataset,
     validate,
@@ -42,10 +43,9 @@ from .polarizability import (
     PolarizabilityBreakdown,
     assemble_breakdown,
     scalar_contribution,
-    scale_tail,
     tensor_contribution,
 )
-from .radiative import DecayChannel, einstein_A, extract_matrix_element, lifetime
+from .radiative import DecayChannel, decay_channels, einstein_A, extract_matrix_element, lifetime
 from .report import Report, format_quantity, format_value_unc, render_table
 
 __version__ = "0.1.0"
@@ -82,7 +82,9 @@ __all__ = [
     "assemble_breakdown",
     "au_to_si",
     "bbr_shift_state",
+    "builtin_dataset_text",
     "clock_bbr_shift",
+    "decay_channels",
     "einstein_A",
     "energy_difference_au",
     "extract_matrix_element",
@@ -92,7 +94,6 @@ __all__ = [
     "parse_dataset",
     "render_table",
     "scalar_contribution",
-    "scale_tail",
     "tensor_contribution",
     "tensor_prefactor_C",
     "triangle_ok",

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .constants import BBR_FIELD_300K, POLARIZABILITY_AU_IN_SI
-from .dataset import A0_CUBED, HERTZ, SI_POLARIZABILITY, Quantity
+from .dataset import A0_CUBED, HERTZ, SI_POLARIZABILITY, Quantity, require_unit
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ class BBRConditions:
 
 def au_to_si(alpha: Quantity) -> Quantity:
     """Convert a polarizability from a0^3 to Hz/(V/m)^2."""
-    if alpha.unit != A0_CUBED:
-        raise ValueError(f"expected {A0_CUBED!r}, got {alpha.unit!r}")
+    require_unit(alpha, A0_CUBED, "polarizability")
     return Quantity(
         alpha.value * POLARIZABILITY_AU_IN_SI,
         alpha.unc * POLARIZABILITY_AU_IN_SI,
@@ -49,7 +48,15 @@ def au_to_si(alpha: Quantity) -> Quantity:
 
 def _shift_per_si_alpha(cond: BBRConditions) -> float:
     """Shift in Hz per unit of alpha/h [Hz/(V/m)^2], temperature included."""
-    return -0.5 * cond.reference_field**2 * (cond.temperature / 300.0) ** 4
+    try:
+        factor = -0.5 * cond.reference_field**2 * (cond.temperature / 300.0) ** 4
+    except OverflowError:
+        factor = -math.inf
+    if not math.isfinite(factor):
+        raise ValueError(
+            f"temperature {cond.temperature!r} K is out of range: the (T/300)^4 factor overflows"
+        )
+    return factor
 
 
 def bbr_shift_state(alpha0: Quantity, cond: BBRConditions) -> Quantity:

@@ -2,7 +2,9 @@
 
 Subcommands: ``polarizability``, ``bbr``, ``lifetime``, ``extract``.
 The dataset is taken from ``--dataset``, else the ``POLKIT_DATASET``
-environment variable, else the packaged Ca+ reference file.
+environment variable, else the packaged Ca+ reference file.  Each command
+parses its arguments, calls one report builder of :mod:`polkit.report` and
+renders the result.
 
 Exit codes: 0 success, 1 usage error, 2 data validation error,
 3 computation precondition failure.
@@ -15,25 +17,26 @@ import functools
 import math
 import os
 import sys
-from importlib import resources
-from typing import Any, Sequence
+from typing import Sequence
 
-from .bbr import BBRConditions, bbr_shift_state, clock_bbr_shift
 from .dataset import (
-    NANOSECOND,
     SCALAR,
     TENSOR,
     Dataset,
     DatasetError,
     LevelLabel,
-    Quantity,
     UnknownLevelError,
-    energy_difference_au,
+    builtin_dataset_text,
     parse_dataset,
 )
-from .polarizability import assemble_breakdown
-from .radiative import DecayChannel, einstein_A, extract_matrix_element, lifetime
-from .report import Report, quantity_to_dict, render_table
+from .report import (
+    Report,
+    bbr_report,
+    extract_report,
+    lifetime_report,
+    polarizability_report,
+    render_table,
+)
 
 ENV_DATASET = "POLKIT_DATASET"
 BUILTIN_DATASET = "<builtin ca_plus.dat>"
@@ -64,11 +67,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-@functools.cache
-def builtin_dataset_text() -> str:
-    return resources.files("polkit").joinpath("data/ca_plus.dat").read_text("utf-8")
-
-
 def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
     path = args.dataset or os.environ.get(ENV_DATASET)
     if path:
@@ -96,105 +94,22 @@ def _emit(report: Report, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _decay_channels(ds: Dataset, upper: LevelLabel) -> list[DecayChannel]:
-    channels = []
-    for el in ds.elements_coupling(upper):
-        if el.upper != upper:
-            continue
-        delta_e = energy_difference_au(ds, el.lower, upper).value
-        rate = einstein_A(el.d, delta_e, upper.j2)
-        channels.append(DecayChannel(upper, el.lower, rate))
-    return channels
-
-
 def cmd_polarizability(args: argparse.Namespace) -> int:
     ds, path = _load_dataset(args)
-    state = _parse_label(args.state)
-    breakdown = assemble_breakdown(ds, state, args.multipole)
-    rows = []
-    for contrib in breakdown.main:
-        row: dict[str, Any] = {
-            "transition": contrib.transition,
-            "d": quantity_to_dict(contrib.d),
-            "alpha0": quantity_to_dict(contrib.alpha0),
-        }
-        if contrib.alpha2 is not None:
-            row["alpha2"] = quantity_to_dict(contrib.alpha2)
-        rows.append(row)
-    report = Report(
-        kind="polarizability",
-        inputs={"dataset": path, "state": str(state), "multipole": args.multipole},
-        rows=tuple(rows),
-        totals={
-            "tail": quantity_to_dict(breakdown.tail),
-            "core": quantity_to_dict(breakdown.core),
-            "total": quantity_to_dict(breakdown.total),
-        },
-    )
-    return _emit(report, args)
+    return _emit(polarizability_report(ds, path, _parse_label(args.state), args.multipole), args)
 
 
 def cmd_bbr(args: argparse.Namespace) -> int:
     if args.temperature <= 0:
         raise UsageError(f"temperature must be positive, got {args.temperature}")
     ds, path = _load_dataset(args)
-    ground = _parse_label(args.ground)
-    excited = _parse_label(args.excited)
-    cond = BBRConditions(temperature=args.temperature, eta=args.eta)
-    alpha_g = assemble_breakdown(ds, ground, SCALAR).total
-    alpha_e = assemble_breakdown(ds, excited, SCALAR).total
-    rows = []
-    for state, alpha in ((ground, alpha_g), (excited, alpha_e)):
-        rows.append(
-            {
-                "state": str(state),
-                "alpha0": quantity_to_dict(alpha),
-                "shift": quantity_to_dict(bbr_shift_state(alpha, cond)),
-            }
-        )
-    report = Report(
-        kind="bbr",
-        inputs={
-            "dataset": path,
-            "ground": str(ground),
-            "excited": str(excited),
-            "temperature": args.temperature,
-            "eta": args.eta,
-        },
-        rows=tuple(rows),
-        totals={
-            "clock": quantity_to_dict(clock_bbr_shift(alpha_g, alpha_e, cond)),
-            "clock_core_correlated": quantity_to_dict(
-                clock_bbr_shift(alpha_g, alpha_e, cond, ds.core_alpha.unc)
-            ),
-        },
-    )
-    return _emit(report, args)
+    ground, excited = _parse_label(args.ground), _parse_label(args.excited)
+    return _emit(bbr_report(ds, path, ground, excited, args.temperature, args.eta), args)
 
 
 def cmd_lifetime(args: argparse.Namespace) -> int:
     ds, path = _load_dataset(args)
-    state = _parse_label(args.state)
-    ds.level(state)
-    channels = _decay_channels(ds, state)
-    if not channels:
-        raise ValueError(f"state {state} has no decay channels in the dataset")
-    tau = lifetime(channels)
-    rows = tuple(
-        {
-            "upper": str(ch.upper),
-            "lower": str(ch.lower),
-            "A": quantity_to_dict(ch.A),
-        }
-        for ch in channels
-    )
-    report = Report(
-        kind="lifetime",
-        inputs={"dataset": path, "state": str(state)},
-        rows=rows,
-        totals={"lifetime": quantity_to_dict(tau)},
-    )
-    return _emit(report, args)
+    return _emit(lifetime_report(ds, path, _parse_label(args.state)), args)
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -203,43 +118,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if args.tau_unc_ns < 0:
         raise UsageError(f"lifetime uncertainty must be non-negative, got {args.tau_unc_ns}")
     ds, path = _load_dataset(args)
-    upper = _parse_label(args.upper)
-    lower = _parse_label(args.lower)
-    ds.level(upper)
-    ds.level(lower)
-    others = [ch for ch in _decay_channels(ds, upper) if ch.lower != lower]
-    delta_e = energy_difference_au(ds, lower, upper).value
-    if delta_e <= 0:
-        raise ValueError(f"{upper} does not lie above {lower}")
-    tau = Quantity(args.tau_ns, args.tau_unc_ns, NANOSECOND)
-    d = extract_matrix_element(tau, others, delta_e, upper.j2)
-    totals: dict[str, Any] = {"d_extracted": quantity_to_dict(d)}
-    for el in ds.elements_coupling(upper):
-        if el.partner(upper) == lower:
-            totals["d_theory"] = quantity_to_dict(el.d)
-            totals["percent_difference"] = (el.d.value - d.value) / d.value * 100.0
-            break
-    rows = tuple(
-        {
-            "upper": str(ch.upper),
-            "lower": str(ch.lower),
-            "A": quantity_to_dict(ch.A),
-        }
-        for ch in others
-    )
-    report = Report(
-        kind="extract",
-        inputs={
-            "dataset": path,
-            "upper": str(upper),
-            "lower": str(lower),
-            "tau_ns": args.tau_ns,
-            "tau_unc_ns": args.tau_unc_ns,
-        },
-        rows=rows,
-        totals=totals,
-    )
-    return _emit(report, args)
+    upper, lower = _parse_label(args.upper), _parse_label(args.lower)
+    return _emit(extract_report(ds, path, upper, lower, args.tau_ns, args.tau_unc_ns), args)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

@@ -15,6 +15,7 @@ unrestricted concurrent reads.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -96,6 +97,12 @@ class Quantity:
         return self.unc / abs(self.value)
 
 
+def require_unit(q: Quantity, unit: str, what: str) -> None:
+    """Raise ValueError unless `q` carries the unit tag `unit`."""
+    if q.unit != unit:
+        raise ValueError(f"{what} must be in {unit!r}, got {q.unit!r}")
+
+
 _LABEL_RE = re.compile(r"([0-9]+)([a-z])([0-9]+)/2")
 
 
@@ -160,8 +167,7 @@ class ReducedE1:
     d: Quantity
 
     def __post_init__(self) -> None:
-        if self.d.unit != E_A0:
-            raise ValueError(f"matrix element must be in {E_A0!r}, got {self.d.unit!r}")
+        require_unit(self.d, E_A0, "matrix element")
         if self.d.value <= 0:
             raise ValueError(f"matrix element magnitude must be positive: {self.d.value}")
 
@@ -318,6 +324,14 @@ def parse_dataset(text: str) -> Dataset:
     if violations:
         raise DatasetError("; ".join(violations))
     return ds
+
+
+@functools.cache
+def builtin_dataset_text() -> str:
+    """Text of the packaged Ca+ reference dataset, read once per process."""
+    from importlib import resources  # here, so that `import polkit` does not load it
+
+    return resources.files("polkit").joinpath("data/ca_plus.dat").read_text("utf-8")
 
 
 def validate(ds: Dataset) -> list[str]:

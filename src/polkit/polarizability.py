@@ -8,7 +8,6 @@ exact, so each contribution's uncertainty is 2*alpha*(dd/d).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +21,7 @@ from .dataset import (
     LevelLabel,
     Quantity,
     energy_difference_au,
+    require_unit,
 )
 
 
@@ -66,8 +66,7 @@ def _propagated(value: float, d: Quantity) -> Quantity:
 
 def scalar_contribution(d: Quantity, delta_e_au: float, j2_v: int) -> Quantity:
     """Scalar polarizability contribution 2/(3(2j_v+1)) * d^2/deltaE; j2_v = 2j_v."""
-    if d.unit != E_A0:
-        raise ValueError(f"matrix element must be in {E_A0!r}, got {d.unit!r}")
+    require_unit(d, E_A0, "matrix element")
     if d.value == 0.0:
         return Quantity(0.0, 0.0, A0_CUBED)
     if delta_e_au == 0.0:
@@ -82,8 +81,7 @@ def tensor_contribution(d: Quantity, delta_e_au: float, j2_v: int, j2_k: int) ->
     -4 C(j_v) (-1)^(j_v+j_k+1) {j_v 1 j_k; 1 j_v 2} d^2/deltaE, with twice-j
     arguments j2_v = 2j_v and j2_k = 2j_k; identically zero for j_v < 1.
     """
-    if d.unit != E_A0:
-        raise ValueError(f"matrix element must be in {E_A0!r}, got {d.unit!r}")
+    require_unit(d, E_A0, "matrix element")
     if j2_v < 2:
         return Quantity(0.0, 0.0, A0_CUBED)
     if d.value == 0.0:
@@ -103,20 +101,6 @@ def tensor_contribution(d: Quantity, delta_e_au: float, j2_v: int, j2_k: int) ->
         / delta_e_au
     )
     return _propagated(value, d)
-
-
-def scale_tail(df_tail: Quantity, overestimate_factor: float) -> Quantity:
-    """Rescale a mean-field tail estimate known to overestimate the sum.
-
-    The scaled value is df_tail/factor; the difference between the raw and
-    scaled values is taken as its uncertainty, combined in quadrature with
-    the raw estimate's own (scaled) uncertainty.
-    """
-    if overestimate_factor <= 0:
-        raise ValueError(f"overestimate factor must be positive: {overestimate_factor}")
-    value = df_tail.value / overestimate_factor
-    unc = math.hypot(df_tail.value - value, df_tail.unc / overestimate_factor)
-    return Quantity(value, unc, df_tail.unit)
 
 
 def assemble_breakdown(

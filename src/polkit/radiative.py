@@ -11,7 +11,16 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .constants import RATE_AU_IN_PER_S, SPEED_OF_LIGHT_AU
-from .dataset import E_A0, MEGAHERTZ, NANOSECOND, LevelLabel, Quantity
+from .dataset import (
+    E_A0,
+    MEGAHERTZ,
+    NANOSECOND,
+    Dataset,
+    LevelLabel,
+    Quantity,
+    energy_difference_au,
+    require_unit,
+)
 
 
 @dataclass(frozen=True)
@@ -23,8 +32,7 @@ class DecayChannel:
     A: Quantity
 
     def __post_init__(self) -> None:
-        if self.A.unit != MEGAHERTZ:
-            raise ValueError(f"rate must be in {MEGAHERTZ!r}, got {self.A.unit!r}")
+        require_unit(self.A, MEGAHERTZ, "rate")
         if self.A.value <= 0:
             raise ValueError(f"decay rate must be positive: {self.A.value}")
 
@@ -40,14 +48,28 @@ def einstein_A(d: Quantity, delta_e_au: float, j2_upper: int) -> Quantity:
 
     ``j2_upper`` is twice the upper state's j.
     """
-    if d.unit != E_A0:
-        raise ValueError(f"matrix element must be in {E_A0!r}, got {d.unit!r}")
+    require_unit(d, E_A0, "matrix element")
     if delta_e_au <= 0:
         raise ValueError(f"transition energy must be positive: {delta_e_au}")
     if d.value == 0.0:
         return Quantity(0.0, 0.0, MEGAHERTZ)
     value = _rate_per_d_squared_mhz(delta_e_au, j2_upper) * d.value**2
     return Quantity(value, 2.0 * value * d.relative_unc(), MEGAHERTZ)
+
+
+def decay_channels(ds: Dataset, upper: LevelLabel) -> list[DecayChannel]:
+    """Every channel from `upper` down to a level it shares an E1 element with.
+
+    Raises :class:`UnknownLevelError` when `upper` is not in the dataset; a
+    state with no lower partner (the ground state) has no channels.
+    """
+    ds.level(upper)
+    channels = []
+    for el in ds.elements_coupling(upper):
+        if el.upper == upper:
+            delta_e = energy_difference_au(ds, el.lower, upper).value
+            channels.append(DecayChannel(upper, el.lower, einstein_A(el.d, delta_e, upper.j2)))
+    return channels
 
 
 def lifetime(channels: Sequence[DecayChannel]) -> Quantity:
@@ -76,8 +98,7 @@ def extract_matrix_element(
     positive root is returned.  The uncertainty propagates the lifetime error
     together with the (usually negligible) other-channel uncertainties.
     """
-    if tau_expt.unit != NANOSECOND:
-        raise ValueError(f"lifetime must be in {NANOSECOND!r}, got {tau_expt.unit!r}")
+    require_unit(tau_expt, NANOSECOND, "lifetime")
     if tau_expt.value <= 0:
         raise ValueError(f"lifetime must be positive: {tau_expt.value}")
     others = list(other_channels)

@@ -1,9 +1,13 @@
-"""Deterministic report model and rendering.
+"""Deterministic report model, report builders and rendering.
 
-Every command produces a :class:`Report`; the same report renders either
-as a fixed-width table or as JSON (the machine format, which round-trips
-through :func:`Report.from_json`).  All display rounding happens here and
-uses round-half-even, so repeated runs are byte-identical.
+Each report kind (``polarizability``, ``bbr``, ``lifetime``, ``extract``)
+has a builder that computes a :class:`Report` from a dataset, next to the
+renderer of its table.  Every builder takes the dataset and ``source``, the
+name echoed as the report's ``dataset`` input (a path, or the builtin tag).
+The same report renders either as a fixed-width table or as JSON (the
+machine format, which round-trips through :func:`Report.from_json`).  All
+display rounding happens here and uses round-half-even, so repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,9 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from .dataset import Quantity
+from .bbr import BBRConditions, bbr_shift_state, clock_bbr_shift
+from .dataset import NANOSECOND, SCALAR, Dataset, LevelLabel, Quantity, energy_difference_au
+from .polarizability import assemble_breakdown
+from .radiative import DecayChannel, decay_channels, extract_matrix_element, lifetime
 
 
 def _fmt_value(value: float, decimals: int) -> str:
@@ -29,9 +36,12 @@ def format_value_unc(value: float, unc: float) -> str:
     The uncertainty is shown to two significant digits when its leading
     digit is 1 or 2, otherwise one; the value is rounded to the same
     decimal place, capped at three decimals.  An uncertainty that rounds
-    to zero at that precision is omitted.
+    to zero at that precision is omitted.  A non-finite value or
+    uncertainty is a ValueError.
     """
-    if unc <= 0.0 or not math.isfinite(unc):
+    if not (math.isfinite(value) and math.isfinite(unc)):
+        raise ValueError(f"cannot render non-finite {value!r}({unc!r})")
+    if unc <= 0.0:
         return _fmt_value(value, 3)
     exponent = math.floor(math.log10(unc))
     sig = 2 if unc / 10.0**exponent < 3.0 else 1
@@ -55,9 +65,19 @@ def quantity_to_dict(q: Quantity) -> dict[str, Any]:
     return {"value": q.value, "unc": q.unc, "unit": q.unit}
 
 
+def _quantity_from_dict(obj: dict[str, Any]) -> Any:
+    if obj.keys() == {"value", "unc", "unit"}:
+        return Quantity(obj["value"], obj["unc"], obj["unit"])
+    return obj
+
+
 @dataclass(frozen=True)
 class Report:
-    """A command's result: echoed inputs, ordered rows, and totals."""
+    """A command's result: echoed inputs, ordered rows, and totals.
+
+    Rows and totals hold :class:`Quantity` values; JSON writes each as a
+    ``{"value", "unc", "unit"}`` object and reads it back as a Quantity.
+    """
 
     kind: str
     inputs: Mapping[str, Any]
@@ -71,26 +91,19 @@ class Report:
             "rows": [dict(row) for row in self.rows],
             "totals": dict(self.totals),
         }
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return (
+            json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=quantity_to_dict)
+            + "\n"
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
-        payload = json.loads(text)
+        payload = json.loads(text, object_hook=_quantity_from_dict)
         return cls(
             kind=payload["kind"],
             inputs=payload["inputs"],
             rows=tuple(payload["rows"]),
             totals=payload["totals"],
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Report):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and dict(self.inputs) == dict(other.inputs)
-            and [dict(r) for r in self.rows] == [dict(r) for r in other.rows]
-            and dict(self.totals) == dict(other.totals)
         )
 
 
@@ -115,87 +128,179 @@ def render_grid(rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def _fq(entry: Mapping[str, Any], full: bool) -> str:
-    return format_quantity(
-        Quantity(entry["value"], entry["unc"], entry["unit"]), full_precision=full
+# A renderer gets the report and a Quantity formatter; it returns the title
+# line, the grid rows and the lines after the grid.
+_Format = Callable[[Quantity], str]
+_Table = tuple[str, list[list[str]], list[str]]
+
+
+def polarizability_report(ds: Dataset, source: str, state: LevelLabel, multipole: str) -> Report:
+    """Per-transition breakdown of one state's scalar or tensor polarizability."""
+    breakdown = assemble_breakdown(ds, state, multipole)
+    rows = []
+    for contrib in breakdown.main:
+        row = {"transition": contrib.transition, "d": contrib.d, "alpha0": contrib.alpha0}
+        if contrib.alpha2 is not None:
+            row["alpha2"] = contrib.alpha2
+        rows.append(row)
+    return Report(
+        kind="polarizability",
+        inputs={"dataset": source, "state": str(state), "multipole": multipole},
+        rows=tuple(rows),
+        totals={"tail": breakdown.tail, "core": breakdown.core, "total": breakdown.total},
     )
+
+
+def _render_polarizability(report: Report, fq: _Format) -> _Table:
+    multipole = report.inputs["multipole"]
+    alpha_key = "alpha0" if multipole == SCALAR else "alpha2"
+    grid = [["contribution", "d [e*a0]", f"{alpha_key} [a0^3]"]]
+    grid += [[row["transition"], fq(row["d"]), fq(row[alpha_key])] for row in report.rows]
+    totals = ("tail", "core", "total") if multipole == SCALAR else ("tail", "total")
+    grid += [[key, "", fq(report.totals[key])] for key in totals]
+    return f"# polarizability  state={report.inputs['state']}  multipole={multipole}", grid, []
+
+
+def bbr_report(
+    ds: Dataset,
+    source: str,
+    ground: LevelLabel,
+    excited: LevelLabel,
+    temperature: float,
+    eta: float,
+) -> Report:
+    """BBR shifts of the two clock states and of the transition between them."""
+    cond = BBRConditions(temperature=temperature, eta=eta)
+    alpha_g = assemble_breakdown(ds, ground, SCALAR).total
+    alpha_e = assemble_breakdown(ds, excited, SCALAR).total
+    rows = tuple(
+        {"state": str(state), "alpha0": alpha, "shift": bbr_shift_state(alpha, cond)}
+        for state, alpha in ((ground, alpha_g), (excited, alpha_e))
+    )
+    return Report(
+        kind="bbr",
+        inputs={
+            "dataset": source,
+            "ground": str(ground),
+            "excited": str(excited),
+            "temperature": temperature,
+            "eta": eta,
+        },
+        rows=rows,
+        totals={
+            "clock": clock_bbr_shift(alpha_g, alpha_e, cond),
+            "clock_core_correlated": clock_bbr_shift(alpha_g, alpha_e, cond, ds.core_alpha.unc),
+        },
+    )
+
+
+def _render_bbr(report: Report, fq: _Format) -> _Table:
+    inputs, totals = report.inputs, report.totals
+    grid = [["state", "alpha0 [a0^3]", "shift [Hz]"]]
+    grid += [[row["state"], fq(row["alpha0"]), fq(row["shift"])] for row in report.rows]
+    title = (
+        f"# bbr  clock={inputs['ground']} -> {inputs['excited']}"
+        f"  T={inputs['temperature']} K  eta={inputs['eta']}"
+    )
+    return title, grid, [
+        f"clock shift [Hz]: {fq(totals['clock'])}  (quadrature)",
+        f"clock shift [Hz]: {fq(totals['clock_core_correlated'])}  (core-correlated)",
+    ]
+
+
+def _channel_rows(channels: Sequence[DecayChannel]) -> tuple[dict[str, Any], ...]:
+    return tuple({"upper": str(ch.upper), "lower": str(ch.lower), "A": ch.A} for ch in channels)
+
+
+def _channel_grid(report: Report, first: str, fq: _Format) -> list[list[str]]:
+    return [[first, "A [MHz]"]] + [
+        [f"{row['upper']} -> {row['lower']}", fq(row["A"])] for row in report.rows
+    ]
+
+
+def lifetime_report(ds: Dataset, source: str, state: LevelLabel) -> Report:
+    """Decay channels and radiative lifetime of one state."""
+    channels = decay_channels(ds, state)
+    if not channels:
+        raise ValueError(f"state {state} has no decay channels in the dataset")
+    return Report(
+        kind="lifetime",
+        inputs={"dataset": source, "state": str(state)},
+        rows=_channel_rows(channels),
+        totals={"lifetime": lifetime(channels)},
+    )
+
+
+def _render_lifetime(report: Report, fq: _Format) -> _Table:
+    return (
+        f"# lifetime  state={report.inputs['state']}",
+        _channel_grid(report, "channel", fq),
+        [f"lifetime [ns]: {fq(report.totals['lifetime'])}"],
+    )
+
+
+def extract_report(
+    ds: Dataset, source: str, upper: LevelLabel, lower: LevelLabel, tau_ns: float, tau_unc_ns: float
+) -> Report:
+    """Matrix element of upper -> lower from a measured lifetime of `upper`.
+
+    When the dataset holds that element, the totals also carry it as
+    ``d_theory`` with its ``percent_difference`` from the extracted value.
+    """
+    ds.level(upper)
+    ds.level(lower)
+    others = [ch for ch in decay_channels(ds, upper) if ch.lower != lower]
+    delta_e = energy_difference_au(ds, lower, upper).value
+    if delta_e <= 0:
+        raise ValueError(f"{upper} does not lie above {lower}")
+    tau = Quantity(tau_ns, tau_unc_ns, NANOSECOND)
+    d = extract_matrix_element(tau, others, delta_e, upper.j2)
+    totals: dict[str, Any] = {"d_extracted": d}
+    for el in ds.elements_coupling(upper):
+        if el.partner(upper) == lower:
+            totals["d_theory"] = el.d
+            totals["percent_difference"] = (el.d.value - d.value) / d.value * 100.0
+            break
+    return Report(
+        kind="extract",
+        inputs={
+            "dataset": source,
+            "upper": str(upper),
+            "lower": str(lower),
+            "tau_ns": tau_ns,
+            "tau_unc_ns": tau_unc_ns,
+        },
+        rows=_channel_rows(others),
+        totals=totals,
+    )
+
+
+def _render_extract(report: Report, fq: _Format) -> _Table:
+    inputs, totals = report.inputs, report.totals
+    lines = [f"extracted d [e*a0]: {fq(totals['d_extracted'])}"]
+    if "d_theory" in totals:
+        lines.append(f"dataset d [e*a0]:   {fq(totals['d_theory'])}")
+        lines.append(f"difference from dataset value: {totals['percent_difference']:.2f} %")
+    title = (
+        f"# extract  transition={inputs['upper']} -> {inputs['lower']}"
+        f"  tau={inputs['tau_ns']}({inputs['tau_unc_ns']}) ns"
+    )
+    return title, _channel_grid(report, "other channel", fq), lines
+
+
+_RENDERERS = {
+    "polarizability": _render_polarizability,
+    "bbr": _render_bbr,
+    "lifetime": _render_lifetime,
+    "extract": _render_extract,
+}
 
 
 def render_table(report: Report, full_precision: bool = False) -> str:
     """Render a report as the human-readable table for its kind."""
-    if report.kind == "polarizability":
-        return _render_polarizability(report, full_precision)
-    if report.kind == "bbr":
-        return _render_bbr(report, full_precision)
-    if report.kind == "lifetime":
-        return _render_lifetime(report, full_precision)
-    if report.kind == "extract":
-        return _render_extract(report, full_precision)
-    raise ValueError(f"unknown report kind {report.kind!r}")
-
-
-def _render_polarizability(report: Report, full: bool) -> str:
-    multipole = report.inputs["multipole"]
-    alpha_key = "alpha0" if multipole == "scalar" else "alpha2"
-    header = [
-        f"# polarizability  state={report.inputs['state']}  multipole={multipole}",
-        f"# dataset: {report.inputs['dataset']}",
-    ]
-    grid: list[list[str]] = [["contribution", "d [e*a0]", f"{alpha_key} [a0^3]"]]
-    for row in report.rows:
-        grid.append([row["transition"], _fq(row["d"], full), _fq(row[alpha_key], full)])
-    grid.append(["tail", "", _fq(report.totals["tail"], full)])
-    if multipole == "scalar":
-        grid.append(["core", "", _fq(report.totals["core"], full)])
-    grid.append(["total", "", _fq(report.totals["total"], full)])
-    return "\n".join(header) + "\n" + render_grid(grid) + "\n"
-
-
-def _render_bbr(report: Report, full: bool) -> str:
-    inputs = report.inputs
-    header = [
-        f"# bbr  clock={inputs['ground']} -> {inputs['excited']}"
-        f"  T={inputs['temperature']} K  eta={inputs['eta']}",
-        f"# dataset: {inputs['dataset']}",
-    ]
-    grid: list[list[str]] = [["state", "alpha0 [a0^3]", "shift [Hz]"]]
-    for row in report.rows:
-        grid.append([row["state"], _fq(row["alpha0"], full), _fq(row["shift"], full)])
-    lines = [
-        f"clock shift [Hz]: {_fq(report.totals['clock'], full)}  (quadrature)",
-        "clock shift [Hz]: "
-        f"{_fq(report.totals['clock_core_correlated'], full)}  (core-correlated)",
-    ]
-    return "\n".join(header) + "\n" + render_grid(grid) + "\n" + "\n".join(lines) + "\n"
-
-
-def _render_lifetime(report: Report, full: bool) -> str:
-    header = [
-        f"# lifetime  state={report.inputs['state']}",
-        f"# dataset: {report.inputs['dataset']}",
-    ]
-    grid: list[list[str]] = [["channel", "A [MHz]"]]
-    for row in report.rows:
-        grid.append([f"{row['upper']} -> {row['lower']}", _fq(row["A"], full)])
-    tau = _fq(report.totals["lifetime"], full)
-    return "\n".join(header) + "\n" + render_grid(grid) + f"\nlifetime [ns]: {tau}\n"
-
-
-def _render_extract(report: Report, full: bool) -> str:
-    inputs = report.inputs
-    header = [
-        f"# extract  transition={inputs['upper']} -> {inputs['lower']}"
-        f"  tau={inputs['tau_ns']}({inputs['tau_unc_ns']}) ns",
-        f"# dataset: {inputs['dataset']}",
-    ]
-    grid: list[list[str]] = [["other channel", "A [MHz]"]]
-    for row in report.rows:
-        grid.append([f"{row['upper']} -> {row['lower']}", _fq(row["A"], full)])
-    lines = [f"extracted d [e*a0]: {_fq(report.totals['d_extracted'], full)}"]
-    if "d_theory" in report.totals:
-        lines.append(f"dataset d [e*a0]:   {_fq(report.totals['d_theory'], full)}")
-        lines.append(
-            "difference from dataset value: "
-            f"{report.totals['percent_difference']:.2f} %"
-        )
-    return "\n".join(header) + "\n" + render_grid(grid) + "\n" + "\n".join(lines) + "\n"
+    render = _RENDERERS.get(report.kind)
+    if render is None:
+        raise ValueError(f"unknown report kind {report.kind!r}")
+    title, grid, lines = render(report, lambda q: format_quantity(q, full_precision))
+    dataset = f"# dataset: {report.inputs['dataset']}"
+    return "\n".join([title, dataset, render_grid(grid), *lines]) + "\n"

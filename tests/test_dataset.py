@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -8,18 +9,26 @@ from polkit import (
     A0_CUBED,
     E_A0,
     HARTREE_IN_CM,
+    HERTZ,
     Dataset,
     DatasetError,
+    DecayChannel,
     Level,
     LevelLabel,
     Quantity,
     ReducedE1,
     UnitMismatchError,
     UnknownLevelError,
+    au_to_si,
+    einstein_A,
     energy_difference_au,
+    extract_matrix_element,
     parse_dataset,
+    scalar_contribution,
+    tensor_contribution,
     validate,
 )
+from polkit.dataset import require_unit
 
 MINIMAL = """\
 # tiny two-level system
@@ -89,6 +98,31 @@ class TestQuantity:
                 a + b
             with pytest.raises(UnitMismatchError):
                 a - b
+
+
+S_HALF, P_HALF = LevelLabel.parse("4s1/2"), LevelLabel.parse("4p1/2")
+
+
+class TestRequireUnit:
+    def test_matching_unit_passes(self):
+        require_unit(Quantity(1.0, 0.0, A0_CUBED), A0_CUBED, "polarizability")
+
+    @pytest.mark.parametrize(
+        "call,what,unit",
+        [
+            (lambda q: ReducedE1(S_HALF, P_HALF, q), "matrix element", E_A0),
+            (lambda q: DecayChannel(P_HALF, S_HALF, q), "rate", "MHz"),
+            (lambda q: einstein_A(q, 0.1, 1), "matrix element", E_A0),
+            (lambda q: scalar_contribution(q, 0.1, 1), "matrix element", E_A0),
+            (lambda q: tensor_contribution(q, 0.1, 5, 3), "matrix element", E_A0),
+            (lambda q: extract_matrix_element(q, [], 0.1, 1), "lifetime", "ns"),
+            (au_to_si, "polarizability", A0_CUBED),
+        ],
+    )
+    def test_every_site_names_quantity_and_units(self, call, what, unit):
+        message = f"{what} must be in {unit!r}, got 'Hz'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(Quantity(1.0, 0.0, HERTZ))
 
 
 class TestParse:

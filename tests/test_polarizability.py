@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +16,6 @@ from polkit import (
     assemble_breakdown,
     energy_difference_au,
     scalar_contribution,
-    scale_tail,
     tensor_contribution,
 )
 
@@ -74,28 +71,6 @@ class TestTensorContribution:
     def test_vanishes_for_j_half(self):
         q = tensor_contribution(d_q(2.898), 0.1, 1, 3)
         assert q == Quantity(0.0, 0.0, A0_CUBED)
-
-
-class TestScaleTail:
-    def test_mean_field_overestimate(self):
-        q = scale_tail(Quantity(2.72, 0.0, A0_CUBED), 1.6)
-        assert q.value == pytest.approx(1.70, rel=1e-12)
-        assert q.unc == pytest.approx(1.02, rel=1e-12)
-
-    def test_unit_factor_is_identity(self):
-        q = scale_tail(Quantity(2.72, 0.05, A0_CUBED), 1.0)
-        assert q == Quantity(2.72, 0.05, A0_CUBED)
-
-    def test_zero_tail(self):
-        assert scale_tail(Quantity(0.0, 0.0, A0_CUBED), 1.6) == Quantity(0.0, 0.0, A0_CUBED)
-
-    def test_raw_uncertainty_enters_quadrature(self):
-        q = scale_tail(Quantity(2.72, 0.8, A0_CUBED), 1.6)
-        assert q.unc == pytest.approx(math.hypot(1.02, 0.5), rel=1e-12)
-
-    def test_nonpositive_factor_rejected(self):
-        with pytest.raises(ValueError):
-            scale_tail(Quantity(1.0, 0.0, A0_CUBED), 0.0)
 
 
 class TestAssembleBreakdown:

@@ -11,6 +11,8 @@ from polkit import (
     DecayChannel,
     LevelLabel,
     Quantity,
+    UnknownLevelError,
+    decay_channels,
     einstein_A,
     energy_difference_au,
     extract_matrix_element,
@@ -70,6 +72,23 @@ class TestEinsteinA:
         one = einstein_A(Quantity(d, 0.0, E_A0), de, 3).value
         eight = einstein_A(Quantity(d, 0.0, E_A0), 2.0 * de, 3).value
         assert eight == pytest.approx(8.0 * one, rel=1e-12)
+
+
+class TestDecayChannels:
+    def test_p_half_channels(self, golden):
+        channels = decay_channels(golden, lab("4p1/2"))
+        assert sorted(channels, key=lambda ch: ch.lower) == [
+            golden_channel(golden, "3d3/2", "4p1/2"),
+            golden_channel(golden, "4s1/2", "4p1/2"),
+        ]
+        assert abs(lifetime(channels).value - 6.87) < 0.005
+
+    def test_ground_state_has_none(self, golden):
+        assert decay_channels(golden, lab("4s1/2")) == []
+
+    def test_unknown_upper_rejected(self, golden):
+        with pytest.raises(UnknownLevelError):
+            decay_channels(golden, lab("9g9/2"))
 
 
 class TestLifetime:

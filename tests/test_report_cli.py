@@ -1,10 +1,12 @@
 import json
 import math
+import pathlib
 
 import pytest
 
-from polkit import Report, format_value_unc
-from polkit.cli import build_parser, builtin_dataset_text, main
+from polkit import LevelLabel, Quantity, Report, format_value_unc
+from polkit.cli import BUILTIN_DATASET, build_parser, builtin_dataset_text, main
+from polkit.report import bbr_report, extract_report, lifetime_report, polarizability_report
 
 README_COMMANDS = [
     ["polarizability", "--state", "4s1/2", "--multipole", "scalar"],
@@ -14,6 +16,24 @@ README_COMMANDS = [
     ["lifetime", "--state", "4p1/2"],
     ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "7.098", "--tau-unc-ns", "0.020"],
 ]
+
+
+GOLDEN_CLI = json.loads(
+    pathlib.Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8")
+)
+
+
+def readme_reports(ds):
+    """The report of each README command, built by the library in the same order."""
+    lab = LevelLabel.parse
+    return [
+        polarizability_report(ds, BUILTIN_DATASET, lab("4s1/2"), "scalar"),
+        polarizability_report(ds, BUILTIN_DATASET, lab("3d5/2"), "tensor"),
+        bbr_report(ds, BUILTIN_DATASET, lab("4s1/2"), lab("3d5/2"), 300.0, 0.0),
+        bbr_report(ds, BUILTIN_DATASET, lab("4s1/2"), lab("3d5/2"), 600.0, 0.0),
+        lifetime_report(ds, BUILTIN_DATASET, lab("4p1/2")),
+        extract_report(ds, BUILTIN_DATASET, lab("4p1/2"), lab("4s1/2"), 7.098, 0.020),
+    ]
 
 
 def run_cli(capsys, *argv):
@@ -46,16 +66,36 @@ class TestFormatting:
     def test_value_unc_rendering(self, value, unc, expected):
         assert format_value_unc(value, unc) == expected
 
+    @pytest.mark.parametrize(
+        "value,unc",
+        [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf)],
+    )
+    def test_non_finite_rejected(self, value, unc):
+        with pytest.raises(ValueError, match="non-finite"):
+            format_value_unc(value, unc)
+
 
 class TestReportModel:
     def test_json_roundtrip(self):
         report = Report(
             kind="bbr",
             inputs={"dataset": "x.dat", "temperature": 300.0},
-            rows=({"state": "4s1/2", "alpha0": {"value": 76.06, "unc": 1.1, "unit": "a0^3"}},),
-            totals={"clock": {"value": 0.3796, "unc": 0.0132, "unit": "Hz"}},
+            rows=({"state": "4s1/2", "alpha0": Quantity(76.06, 1.1, "a0^3")},),
+            totals={"clock": Quantity(0.3796, 0.0132, "Hz")},
         )
         assert Report.from_json(report.to_json()) == report
+        clock = json.loads(report.to_json())["totals"]["clock"]
+        assert clock == {"value": 0.3796, "unc": 0.0132, "unit": "Hz"}
+
+    def test_readme_reports_hold_quantities_and_roundtrip(self, golden, capsys):
+        for argv, report in zip(README_COMMANDS, readme_reports(golden)):
+            code, out, _ = run_cli(capsys, *argv, "--format", "machine")
+            assert (code, out) == (0, report.to_json())
+            assert Report.from_json(out) == report
+            for row in report.rows:
+                assert {type(v) for v in row.values()} <= {str, Quantity}
+            for key, value in report.totals.items():
+                assert type(value) is (float if key == "percent_difference" else Quantity)
 
     def test_json_is_sorted_and_stable(self):
         report = Report(kind="x", inputs={"b": 1, "a": 2}, rows=(), totals={})
@@ -183,6 +223,7 @@ class TestCLI:
         assert code == 3
         assert out == ""
         assert err.startswith("polkit: error: ") and err.count("\n") == 1
+        assert "temperature" in err
 
     def test_tiny_lifetime_does_not_underflow(self, capsys):
         argv = ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e-300"]
@@ -325,3 +366,12 @@ class TestWarmProcess:
         assert (before[0], after[0]) == (0, 0)
         assert before[1].splitlines()[-1].split() == ["total", "76.1(1.1)"]
         assert after[1].splitlines()[-1].split() == ["total", "77.1(1.1)"]
+
+
+class TestGoldenSnapshot:
+    """The README commands (table, machine, full precision) and four error paths
+    give the recorded stdout, stderr and exit code byte for byte."""
+
+    @pytest.mark.parametrize("case", GOLDEN_CLI, ids=lambda case: " ".join(case["argv"]))
+    def test_replay(self, capsys, case):
+        assert run_cli(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
