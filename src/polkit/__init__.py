@@ -16,7 +16,6 @@ from .constants import (
 )
 from .dataset import (
     A0_CUBED,
-    CM_INV,
     DIMENSIONLESS,
     E_A0,
     HERTZ,
@@ -54,7 +53,6 @@ __all__ = [
     "A0_CUBED",
     "BBRConditions",
     "BBR_FIELD_300K",
-    "CM_INV",
     "Contribution",
     "DIMENSIONLESS",
     "Dataset",

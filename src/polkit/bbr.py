@@ -47,7 +47,7 @@ def au_to_si(alpha: Quantity) -> Quantity:
 
 
 def _shift_per_si_alpha(cond: BBRConditions) -> float:
-    """Shift in Hz per unit of alpha/h [Hz/(V/m)^2], temperature included."""
+    """Shift in Hz per unit of alpha/h [Hz/(V/m)^2]: -1/2 E^2 (T/300)^4 (1 + eta)."""
     try:
         factor = -0.5 * cond.reference_field**2 * (cond.temperature / 300.0) ** 4
     except OverflowError:
@@ -56,12 +56,15 @@ def _shift_per_si_alpha(cond: BBRConditions) -> float:
         raise ValueError(
             f"temperature {cond.temperature!r} K is out of range: the (T/300)^4 factor overflows"
         )
+    factor *= 1.0 + cond.eta
+    if not math.isfinite(factor):
+        raise ValueError(f"eta {cond.eta!r} is out of range: the (1 + eta) factor overflows")
     return factor
 
 
 def bbr_shift_state(alpha0: Quantity, cond: BBRConditions) -> Quantity:
     """BBR shift in Hz of a single state of scalar polarizability alpha0."""
-    factor = _shift_per_si_alpha(cond) * (1.0 + cond.eta)
+    factor = _shift_per_si_alpha(cond)
     shifted = au_to_si(alpha0)
     return Quantity(factor * shifted.value, abs(factor) * shifted.unc, HERTZ)
 
@@ -79,7 +82,9 @@ def clock_bbr_shift(
     contribution is removed from both before combining, since it cancels in
     the difference.
     """
-    factor = _shift_per_si_alpha(cond) * (1.0 + cond.eta) * POLARIZABILITY_AU_IN_SI
+    require_unit(alpha_ground, A0_CUBED, "ground polarizability")
+    require_unit(alpha_excited, A0_CUBED, "excited polarizability")
+    factor = _shift_per_si_alpha(cond) * POLARIZABILITY_AU_IN_SI
     diff = alpha_excited.value - alpha_ground.value
     var = alpha_ground.unc**2 + alpha_excited.unc**2 - 2.0 * shared_core_unc**2
     return Quantity(factor * diff, abs(factor) * math.sqrt(max(var, 0.0)), HERTZ)

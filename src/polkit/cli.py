@@ -14,20 +14,22 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
+import re
 import sys
 from typing import Sequence
 
 from .dataset import (
     SCALAR,
     TENSOR,
+    UNSIGNED_NUMBER,
     Dataset,
     DatasetError,
     LevelLabel,
     UnknownLevelError,
     builtin_dataset_text,
     parse_dataset,
+    parse_number,
 )
 from .report import (
     Report,
@@ -52,19 +54,24 @@ class UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponents, so `--eta -1e-3` would read
+        # as a missing value; no option string here looks like a number.
+        self._negative_number_matcher = re.compile(
+            rf"-(?:{UNSIGNED_NUMBER})\Z", re.ASCII | re.IGNORECASE
+        )
+
     def error(self, message: str) -> None:  # exit 1, not argparse's 2
         raise UsageError(message)
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of the float flags: nan and inf are usage errors."""
+    """argparse type of the float flags: the dataset number grammar, exit 1."""
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+        return parse_number(text, "number")
+    except DatasetError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
@@ -73,7 +80,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
         try:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DatasetError(f"cannot read dataset {path!r}: {exc}") from exc
         return parse_dataset(text), path
     return parse_dataset(builtin_dataset_text()), BUILTIN_DATASET

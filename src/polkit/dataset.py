@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .constants import HARTREE_IN_CM
 
@@ -33,7 +33,6 @@ MULTIPOLES = (SCALAR, TENSOR)
 # Unit tags carried by Quantity.
 A0_CUBED = "a0^3"               # polarizability, atomic units
 E_A0 = "e*a0"                   # reduced E1 matrix element
-CM_INV = "cm^-1"                # level energy
 HERTZ = "Hz"
 MEGAHERTZ = "MHz"
 NANOSECOND = "ns"
@@ -46,7 +45,7 @@ class DatasetError(ValueError):
 
 
 class UnitMismatchError(ValueError):
-    """Quantity arithmetic attempted across different unit tags."""
+    """A Quantity does not carry the unit tag its use requires."""
 
 
 class UnknownLevelError(KeyError):
@@ -57,9 +56,9 @@ class UnknownLevelError(KeyError):
 class Quantity:
     """A number with a one-sigma uncertainty and a unit tag.
 
-    Value and uncertainty must be finite.  Addition and subtraction require
-    identical unit tags and combine uncertainties in quadrature (components
-    are treated as uncorrelated).
+    Value and uncertainty must be finite.  Addition requires identical unit
+    tags and combines uncertainties in quadrature (components are treated as
+    uncorrelated).
     """
 
     value: float
@@ -74,21 +73,11 @@ class Quantity:
         if self.unc < 0:
             raise ValueError(f"negative uncertainty: {self.unc!r}")
 
-    def _require_same_unit(self, other: "Quantity") -> None:
-        if not isinstance(other, Quantity):
-            raise TypeError(f"expected Quantity, got {type(other).__name__}")
-        if self.unit != other.unit:
-            raise UnitMismatchError(
-                f"cannot combine quantities in {self.unit!r} and {other.unit!r}"
-            )
-
     def __add__(self, other: "Quantity") -> "Quantity":
-        self._require_same_unit(other)
+        if not isinstance(other, Quantity):
+            return NotImplemented
+        require_unit(other, self.unit, "addend")
         return Quantity(self.value + other.value, math.hypot(self.unc, other.unc), self.unit)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        self._require_same_unit(other)
-        return Quantity(self.value - other.value, math.hypot(self.unc, other.unc), self.unit)
 
     def relative_unc(self) -> float:
         """unc / |value|; zero for a zero value."""
@@ -98,9 +87,12 @@ class Quantity:
 
 
 def require_unit(q: Quantity, unit: str, what: str) -> None:
-    """Raise ValueError unless `q` carries the unit tag `unit`."""
+    """The one unit-tag check: raise UnitMismatchError unless `q` is in `unit`."""
     if q.unit != unit:
-        raise ValueError(f"{what} must be in {unit!r}, got {q.unit!r}")
+        raise UnitMismatchError(f"{what} must be in {unit!r}, got {q.unit!r}")
+
+
+ZERO_A0_CUBED = Quantity(0.0, 0.0, A0_CUBED)
 
 
 _LABEL_RE = re.compile(r"([0-9]+)([a-z])([0-9]+)/2")
@@ -220,7 +212,7 @@ class Dataset:
 
     def tail(self, label: LevelLabel, multipole: str) -> Quantity:
         """Tail term for (state, multipole); 0(0) when none is declared."""
-        return self.tails.get((label, multipole), Quantity(0.0, 0.0, A0_CUBED))
+        return self.tails.get((label, multipole), ZERO_A0_CUBED)
 
     def elements_coupling(self, label: LevelLabel) -> Iterator[ReducedE1]:
         for element in self.elements:
@@ -240,15 +232,34 @@ class Dataset:
         return "\n".join(lines) + "\n"
 
 
-def _parse_number(token: str, what: str) -> float:
-    """A finite float; nan, inf and overflowing literals such as 1e400 are rejected."""
-    try:
-        value = float(token)
-    except ValueError:
-        raise DatasetError(f"bad {what} {token!r}") from None
+# A number is an ASCII decimal literal with an optional exponent: no '_'
+# separators, no non-ASCII digits.  nan and inf are matched only so that they
+# are refused as non-finite rather than as unparseable.
+UNSIGNED_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|nan|inf|infinity"
+_NUMBER_RE = re.compile(rf"[+-]?(?:{UNSIGNED_NUMBER})", re.ASCII | re.IGNORECASE)
+
+
+def parse_number(token: str, what: str) -> float:
+    """The finite value of a number literal; anything else is a DatasetError."""
+    if _NUMBER_RE.fullmatch(token) is None:
+        raise DatasetError(f"bad {what} {token!r}")
+    value = float(token)
     if not math.isfinite(value):
         raise DatasetError(f"non-finite {what} {token!r}")
     return value
+
+
+# Usage line of each directive; its arity is the number of fields after the name.
+_DIRECTIVES = {
+    "level": "level <label> <energy_cm>",
+    "e1": "e1 <lower> <upper> <value> <unc>",
+    "core": "core <value> <unc>",
+    "tail": "tail <label> <scalar|tensor> <value> <unc>",
+}
+
+
+def _quantity(value: str, unc: str, what: str, unit: str) -> Quantity:
+    return Quantity(parse_number(value, what), parse_number(unc, "uncertainty"), unit)
 
 
 def parse_dataset(text: str) -> Dataset:
@@ -266,39 +277,25 @@ def parse_dataset(text: str) -> Dataset:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        kind, args = fields[0], fields[1:]
+        kind, *args = line.split()
         try:
+            usage = _DIRECTIVES.get(kind)
+            if usage is None:
+                raise DatasetError(f"unknown directive {kind!r}")
+            if len(args) != usage.count(" "):
+                raise DatasetError(f"expected: {usage}")
             if kind == "level":
-                if len(args) != 2:
-                    raise DatasetError("expected: level <label> <energy_cm>")
-                levels.append(
-                    Level(LevelLabel.parse(args[0]), _parse_number(args[1], "energy"))
-                )
+                levels.append(Level(LevelLabel.parse(args[0]), parse_number(args[1], "energy")))
             elif kind == "e1":
-                if len(args) != 4:
-                    raise DatasetError("expected: e1 <lower> <upper> <value> <unc>")
-                d = Quantity(
-                    _parse_number(args[2], "matrix element"),
-                    _parse_number(args[3], "uncertainty"),
-                    E_A0,
-                )
+                d = _quantity(args[2], args[3], "matrix element", E_A0)
                 elements.append(
                     ReducedE1(LevelLabel.parse(args[0]), LevelLabel.parse(args[1]), d)
                 )
             elif kind == "core":
-                if len(args) != 2:
-                    raise DatasetError("expected: core <value> <unc>")
                 if core is not None:
                     raise DatasetError("duplicate core entry")
-                core = Quantity(
-                    _parse_number(args[0], "core polarizability"),
-                    _parse_number(args[1], "uncertainty"),
-                    A0_CUBED,
-                )
-            elif kind == "tail":
-                if len(args) != 4:
-                    raise DatasetError("expected: tail <label> <scalar|tensor> <value> <unc>")
+                core = _quantity(args[0], args[1], "core polarizability", A0_CUBED)
+            else:
                 label = LevelLabel.parse(args[0])
                 multipole = args[1]
                 if multipole not in MULTIPOLES:
@@ -306,14 +303,8 @@ def parse_dataset(text: str) -> Dataset:
                 key = (label, multipole)
                 if key in tails:
                     raise DatasetError(f"duplicate tail entry for {label} {multipole}")
-                tails[key] = Quantity(
-                    _parse_number(args[2], "tail polarizability"),
-                    _parse_number(args[3], "uncertainty"),
-                    A0_CUBED,
-                )
-            else:
-                raise DatasetError(f"unknown directive {kind!r}")
-        except (DatasetError, ValueError) as exc:
+                tails[key] = _quantity(args[2], args[3], "tail polarizability", A0_CUBED)
+        except ValueError as exc:
             raise DatasetError(f"line {lineno}: {exc}") from None
 
     if core is None:

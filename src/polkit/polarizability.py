@@ -9,7 +9,7 @@ exact, so each contribution's uncertainty is 2*alpha*(dd/d).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .angular import tensor_prefactor_C, wigner6j
 from .dataset import (
@@ -17,6 +17,7 @@ from .dataset import (
     E_A0,
     SCALAR,
     TENSOR,
+    ZERO_A0_CUBED,
     Dataset,
     LevelLabel,
     Quantity,
@@ -59,20 +60,25 @@ class PolarizabilityBreakdown:
     total: Quantity
 
 
-def _propagated(value: float, d: Quantity) -> Quantity:
-    """alpha is proportional to d^2, so d(alpha) = 2 alpha dd/d."""
+def _term(d: Quantity, delta_e_au: float, angular: Optional[Callable[[], float]]) -> Quantity:
+    """One sum-over-states term angular * d^2/deltaE in a0^3.
+
+    alpha is proportional to d^2, so d(alpha) = 2 |alpha| dd/d.  `angular` is
+    None for a term that vanishes identically and is called only when d and
+    deltaE are nonzero.
+    """
+    require_unit(d, E_A0, "matrix element")
+    if angular is None or d.value == 0.0:
+        return ZERO_A0_CUBED
+    if delta_e_au == 0.0:
+        raise ZeroDivisionError("zero energy denominator")
+    value = angular() * d.value**2 / delta_e_au
     return Quantity(value, 2.0 * abs(value) * d.relative_unc(), A0_CUBED)
 
 
 def scalar_contribution(d: Quantity, delta_e_au: float, j2_v: int) -> Quantity:
     """Scalar polarizability contribution 2/(3(2j_v+1)) * d^2/deltaE; j2_v = 2j_v."""
-    require_unit(d, E_A0, "matrix element")
-    if d.value == 0.0:
-        return Quantity(0.0, 0.0, A0_CUBED)
-    if delta_e_au == 0.0:
-        raise ZeroDivisionError("zero energy denominator")
-    value = 2.0 / (3.0 * (j2_v + 1)) * d.value**2 / delta_e_au
-    return _propagated(value, d)
+    return _term(d, delta_e_au, lambda: 2.0 / (3.0 * (j2_v + 1)))
 
 
 def tensor_contribution(d: Quantity, delta_e_au: float, j2_v: int, j2_k: int) -> Quantity:
@@ -81,26 +87,14 @@ def tensor_contribution(d: Quantity, delta_e_au: float, j2_v: int, j2_k: int) ->
     -4 C(j_v) (-1)^(j_v+j_k+1) {j_v 1 j_k; 1 j_v 2} d^2/deltaE, with twice-j
     arguments j2_v = 2j_v and j2_k = 2j_k; identically zero for j_v < 1.
     """
-    require_unit(d, E_A0, "matrix element")
-    if j2_v < 2:
-        return Quantity(0.0, 0.0, A0_CUBED)
-    if d.value == 0.0:
-        return Quantity(0.0, 0.0, A0_CUBED)
-    if delta_e_au == 0.0:
-        raise ZeroDivisionError("zero energy denominator")
+    return _term(d, delta_e_au, None if j2_v < 2 else lambda: _tensor_angular(j2_v, j2_k))
+
+
+def _tensor_angular(j2_v: int, j2_k: int) -> float:
     if (j2_v + j2_k) % 2 != 0:
         raise ValueError(f"j_v={j2_v}/2 and j_k={j2_k}/2 differ by a half-integer")
     phase = -1 if ((j2_v + j2_k) // 2 + 1) % 2 else 1
-    sixj = wigner6j(j2_v, 2, j2_k, 2, j2_v, 4)
-    value = (
-        -4.0
-        * tensor_prefactor_C(j2_v)
-        * phase
-        * sixj
-        * d.value**2
-        / delta_e_au
-    )
-    return _propagated(value, d)
+    return -4.0 * tensor_prefactor_C(j2_v) * phase * wigner6j(j2_v, 2, j2_k, 2, j2_v, 4)
 
 
 def assemble_breakdown(
@@ -129,9 +123,9 @@ def assemble_breakdown(
     rows.sort(key=lambda c: (c.partner.j2, ds.energy_cm(c.partner), c.partner))
 
     tail = ds.tail(state, multipole)
-    core = ds.core_alpha if multipole == SCALAR else Quantity(0.0, 0.0, A0_CUBED)
+    core = ds.core_alpha if multipole == SCALAR else ZERO_A0_CUBED
 
-    total = Quantity(0.0, 0.0, A0_CUBED)
+    total = ZERO_A0_CUBED
     for row in rows:
         total = total + row.value(multipole)
     total = total + tail + core

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,15 @@ class TestStateShift:
         base = bbr_shift_state(alpha(76.1), BBRConditions())
         corrected = bbr_shift_state(alpha(76.1), BBRConditions(eta=eta))
         assert corrected.value == pytest.approx((1.0 + eta) * base.value, rel=1e-14)
+
+    @pytest.mark.parametrize("eta", [1e308, -1e308])
+    def test_overflowing_eta_is_named(self, eta):
+        cond = BBRConditions(eta=eta)
+        message = re.escape(f"eta {eta!r} is out of range")
+        with pytest.raises(ValueError, match=message):
+            bbr_shift_state(alpha(76.1), cond)
+        with pytest.raises(ValueError, match=message):
+            clock_bbr_shift(alpha(76.1), alpha(32.0), cond)
 
 
 class TestClockShift:

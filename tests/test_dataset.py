@@ -2,7 +2,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polkit import (
@@ -10,6 +10,7 @@ from polkit import (
     E_A0,
     HARTREE_IN_CM,
     HERTZ,
+    BBRConditions,
     Dataset,
     DatasetError,
     DecayChannel,
@@ -20,6 +21,8 @@ from polkit import (
     UnitMismatchError,
     UnknownLevelError,
     au_to_si,
+    builtin_dataset_text,
+    clock_bbr_shift,
     einstein_A,
     energy_difference_au,
     extract_matrix_element,
@@ -28,7 +31,7 @@ from polkit import (
     tensor_contribution,
     validate,
 )
-from polkit.dataset import require_unit
+from polkit.dataset import parse_number, require_unit
 
 MINIMAL = """\
 # tiny two-level system
@@ -92,12 +95,15 @@ class TestQuantity:
         a, b = Quantity(1.0, 0.1, u1), Quantity(2.0, 0.2, u2)
         if u1 == u2:
             assert (a + b).unit == u1
-            assert (a - b).unit == u1
         else:
             with pytest.raises(UnitMismatchError):
                 a + b
-            with pytest.raises(UnitMismatchError):
-                a - b
+
+    def test_add_non_quantity_is_type_error(self):
+        q = Quantity(1.0, 0.1, A0_CUBED)
+        assert q.__add__(1.0) is NotImplemented
+        with pytest.raises(TypeError):
+            q + 1.0
 
 
 S_HALF, P_HALF = LevelLabel.parse("4s1/2"), LevelLabel.parse("4p1/2")
@@ -117,12 +123,49 @@ class TestRequireUnit:
             (lambda q: tensor_contribution(q, 0.1, 5, 3), "matrix element", E_A0),
             (lambda q: extract_matrix_element(q, [], 0.1, 1), "lifetime", "ns"),
             (au_to_si, "polarizability", A0_CUBED),
+            (lambda q: clock_bbr_shift(q, q, BBRConditions()), "ground polarizability", A0_CUBED),
+            (
+                lambda q: clock_bbr_shift(Quantity(1.0, 0.1, A0_CUBED), q, BBRConditions()),
+                "excited polarizability",
+                A0_CUBED,
+            ),
         ],
     )
     def test_every_site_names_quantity_and_units(self, call, what, unit):
         message = f"{what} must be in {unit!r}, got 'Hz'"
         with pytest.raises(ValueError, match=re.escape(message)):
             call(Quantity(1.0, 0.0, HERTZ))
+
+    def test_mismatch_is_a_unit_mismatch_value_error(self):
+        with pytest.raises(UnitMismatchError) as err:
+            require_unit(Quantity(1.0, 0.0, HERTZ), A0_CUBED, "polarizability")
+        assert isinstance(err.value, ValueError)
+        with pytest.raises(UnitMismatchError, match="addend must be in 'Hz', got 'ns'"):
+            Quantity(1.0, 0.0, HERTZ) + Quantity(1.0, 0.0, "ns")
+
+
+class TestParseNumber:
+    @pytest.mark.parametrize(
+        "token,value",
+        [("300", 300.0), ("-1e-3", -0.001), ("+2.5E+3", 2500.0), ("1.", 1.0), (".5", 0.5),
+         ("-0.0", 0.0), ("1e-320", 1e-320), ("0025191.51", 25191.51)],
+    )
+    def test_ascii_decimal_literals(self, token, value):
+        assert parse_number(token, "energy") == value
+
+    @pytest.mark.parametrize(
+        "token",
+        ["2_9", "1_000.0", "\u0663\u0660\u0660", "\uff11", "4\u0665", " 300", "300\n", "",
+         "0x10", "1e", "e5", ".", "--5", "+-1", "1e5.0", "1,5", "\u0131nf"],
+    )
+    def test_other_text_is_refused(self, token):
+        with pytest.raises(DatasetError, match=re.escape(f"bad energy {token!r}")):
+            parse_number(token, "energy")
+
+    @pytest.mark.parametrize("token", ["nan", "-inf", "+Infinity", "NaN", "1e400", "-1e309"])
+    def test_non_finite_is_refused(self, token):
+        with pytest.raises(DatasetError, match=re.escape(f"non-finite energy {token!r}")):
+            parse_number(token, "energy")
 
 
 class TestParse:
@@ -161,6 +204,8 @@ class TestParse:
             ("wibble 1 2", "unknown directive"),
             ("tail 4s1/2 vector 1 0", "multipole"),
             ("level \u0664s1/2 0.0", "bad level label"),
+            ("e1 4s1/2 4p1/2 2_898 0.029", "bad matrix element '2_898'"),
+            ("level 4p1/2 \u0662\u0665\u0661\u0669\u0661.\u0665\u0661", "bad energy"),
         ],
     )
     def test_syntax_errors_carry_line_number(self, line, fragment):
@@ -282,3 +327,40 @@ class TestEnergyDifference:
     def test_all_stored_elements_point_upward(self, golden):
         for el in golden.elements:
             assert energy_difference_au(golden, el.lower, el.upper).value > 0
+
+
+PACKAGED_LINES = builtin_dataset_text().splitlines()
+EDGE_TOKENS = [
+    "nan", "inf", "1e400", "-1e-3", "2_9", "\u0663", "\uff11", "0", "-0.0", "1e-320",
+    "4s1/2", "\u0664s1/2", "9g9/2", "#", "scalar", "tensor", "level", "e1", "core", "tail",
+]
+
+
+@st.composite
+def dataset_texts(draw):
+    """The packaged dataset with a few lines dropped, edited or inserted."""
+    lines = list(PACKAGED_LINES)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["drop", "edit", "insert"]))
+        if action == "insert" or i == len(lines):
+            junk = st.text(max_size=30) | st.lists(st.sampled_from(EDGE_TOKENS), max_size=6).map(" ".join)
+            lines.insert(i, draw(st.sampled_from(PACKAGED_LINES) | junk))
+        elif action == "drop":
+            del lines[i]
+        elif fields := lines[i].split():
+            j = draw(st.integers(0, len(fields) - 1))
+            fields[j] = draw(st.sampled_from(EDGE_TOKENS) | st.text(max_size=8))
+            lines[i] = " ".join(fields)
+    return "\n".join(lines)
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(text=dataset_texts())
+    def test_parse_roundtrips_or_raises_dataset_error(self, text):
+        try:
+            ds = parse_dataset(text)
+        except DatasetError:
+            return
+        assert parse_dataset(ds.to_text()) == ds

@@ -17,6 +17,8 @@ from polkit import (
     energy_difference_au,
     scalar_contribution,
     tensor_contribution,
+    tensor_prefactor_C,
+    wigner6j,
 )
 
 lab = LevelLabel.parse
@@ -71,6 +73,23 @@ class TestTensorContribution:
     def test_vanishes_for_j_half(self):
         q = tensor_contribution(d_q(2.898), 0.1, 1, 3)
         assert q == Quantity(0.0, 0.0, A0_CUBED)
+
+    def test_vanishing_term_checks_unit_but_not_denominator(self):
+        assert tensor_contribution(d_q(2.898), 0.0, 1, 3) == Quantity(0.0, 0.0, A0_CUBED)
+        with pytest.raises(ValueError, match="matrix element must be in"):
+            tensor_contribution(Quantity(2.898, 0.0, A0_CUBED), 0.1, 1, 3)
+
+    def test_zero_coupling_precedes_angular_checks(self):
+        assert tensor_contribution(d_q(0.0), 0.1, 5, 2) == Quantity(0.0, 0.0, A0_CUBED)
+        with pytest.raises(ValueError, match="half-integer"):
+            tensor_contribution(d_q(1.0), 0.1, 5, 2)
+
+    def test_terms_keep_the_operation_order(self):
+        d, de = 3.306, 0.0533
+        assert scalar_contribution(d_q(d), de, 5).value == 2.0 / (3.0 * 6) * d**2 / de
+        sixj = wigner6j(5, 2, 3, 2, 5, 4)
+        expected = -4.0 * tensor_prefactor_C(5) * -1 * sixj * d**2 / de
+        assert tensor_contribution(d_q(d), de, 5, 3).value == expected
 
 
 class TestAssembleBreakdown:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polkit import LevelLabel, Quantity, Report, format_value_unc
 from polkit.cli import BUILTIN_DATASET, build_parser, builtin_dataset_text, main
@@ -212,8 +216,27 @@ class TestCLI:
                 argv += ["--tau-ns", "7.098"]
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
-        assert "not a finite number" in err
+        assert "non-finite number" in err
         assert out == ""
+
+    @pytest.mark.parametrize("value", ["3_00", "\u0663\u0660\u0660", "\uff13\uff10\uff10"])
+    def test_float_flag_takes_ascii_decimal_only(self, capsys, value):
+        code, out, err = run_cli(capsys, "bbr", "--temperature", value)
+        assert code == 1
+        assert f"argument --temperature: bad number {value!r}" in err
+        assert out == ""
+
+    def test_negative_exponent_flag_value(self, capsys):
+        for fmt in ([], ["--format", "machine"]):
+            code, out, err = run_cli(capsys, "bbr", "--eta", "-1e-3", *fmt)
+            assert (code, err) == (0, "")
+            assert out == run_cli(capsys, "bbr", "--eta", "-0.001", *fmt)[1]
+
+    def test_overflowing_eta_is_precondition_error_naming_eta(self, capsys):
+        code, out, err = run_cli(capsys, "bbr", "--eta", "1e308")
+        assert code == 3
+        assert out == ""
+        assert err == "polkit: error: eta 1e+308 is out of range: the (1 + eta) factor overflows\n"
 
     @pytest.mark.parametrize("temperature", ["3e79", "1e200"])
     def test_overflowing_temperature_is_precondition_error(self, capsys, temperature):
@@ -263,6 +286,14 @@ class TestCLI:
         code, _, err = run_cli(capsys, "bbr", "--dataset", "/nonexistent.dat")
         assert code == 2
         assert "cannot read dataset" in err
+
+    def test_non_utf8_dataset_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.dat"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, "bbr", "--dataset", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"polkit: error: cannot read dataset {str(path)!r}: ")
 
     def test_corrupt_dataset_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.dat"
@@ -366,6 +397,56 @@ class TestWarmProcess:
         assert (before[0], after[0]) == (0, 0)
         assert before[1].splitlines()[-1].split() == ["total", "76.1(1.1)"]
         assert after[1].splitlines()[-1].split() == ["total", "77.1(1.1)"]
+
+
+LABELS = ["4s1/2", "4p1/2", "4p3/2", "3d3/2", "3d5/2", "9g9/2", "\u0664s1/2", "7x1/2"]
+NUMBERS = ["nan", "1e400", "-1e-3", "2_9", "\u0663", "0", "-5", "300", "7.098", "0.02", "1e308",
+           "1e-300"]
+FLAG_VALUES = {
+    "--state": LABELS, "--ground": LABELS, "--excited": LABELS, "--upper": LABELS,
+    "--lower": LABELS, "--temperature": NUMBERS, "--eta": NUMBERS, "--tau-ns": NUMBERS,
+    "--tau-unc-ns": NUMBERS, "--multipole": ["scalar", "tensor", "vector"],
+    "--format": ["table", "machine", "json"], "--full-precision": [],
+}
+COMMAND_FLAGS = {
+    "polarizability": ["--state", "--multipole"],
+    "bbr": ["--ground", "--excited", "--temperature", "--eta"],
+    "lifetime": ["--state"],
+    "extract": ["--upper", "--lower", "--tau-ns", "--tau-unc-ns"],
+}
+
+
+@pytest.fixture(scope="module")
+def dataset_paths(tmp_path_factory):
+    """The packaged dataset, a file that is not UTF-8, a directory and a missing file."""
+    root = tmp_path_factory.mktemp("datasets")
+    (root / "binary.dat").write_bytes(b"\x7fELF\x02\x01\xff\xfe\x00")
+    packaged = pathlib.Path(__file__).resolve().parent.parent / "src/polkit/data/ca_plus.dat"
+    return [str(packaged), str(root / "binary.dat"), str(root), str(root / "missing.dat")]
+
+
+@st.composite
+def argvs(draw, dataset_paths):
+    """A subcommand with some of its flags (edge values among the values) and stray tokens."""
+    values = {**FLAG_VALUES, "--dataset": dataset_paths}
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    for flag in COMMAND_FLAGS[command] + ["--dataset", "--format", "--full-precision"]:
+        if draw(st.booleans()):
+            argv.append(flag)
+            if values[flag]:
+                argv.append(draw(st.sampled_from(values[flag])))
+    anything = st.sampled_from(sorted(values) + sorted({v for vs in values.values() for v in vs}))
+    return argv + draw(st.lists(anything, max_size=1))
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_main_returns_documented_exit_code(self, dataset_paths, data):
+        argv = data.draw(argvs(dataset_paths))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2, 3)
 
 
 class TestGoldenSnapshot:
