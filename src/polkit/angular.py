@@ -69,7 +69,7 @@ def wigner6j(j2_1: int, j2_2: int, j2_3: int, j2_4: int, j2_5: int, j2_6: int) -
     return -magnitude if s < 0 else magnitude
 
 
-# The kernel's historical name, under which criterion 6 and perfbench import it.
+# The kernel's historical name; only the benchmark (perfbench) still imports it.
 _wigner6j_twice = wigner6j
 
 

@@ -179,6 +179,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # raised only by the -h/--help action, after printing
+        return exc.code
     except UsageError as exc:
         print(f"polkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,20 +35,19 @@ def format_value_unc(value: float, unc: float) -> str:
 
     The uncertainty is shown to two significant digits when its leading
     digit is 1 or 2, otherwise one; the value is rounded to the same
-    decimal place, capped at three decimals.  An uncertainty that rounds
-    to zero at that precision is omitted.  A non-finite value or
+    decimal place, capped at three decimals.  An uncertainty that is not
+    positive at three decimals is omitted.  A non-finite value or
     uncertainty is a ValueError.
     """
     if not (math.isfinite(value) and math.isfinite(unc)):
         raise ValueError(f"cannot render non-finite {value!r}({unc!r})")
-    if unc <= 0.0:
+    # Checked before the log: 10.0**exponent underflows to 0 for a subnormal unc.
+    if round(unc, 3) <= 0.0:
         return _fmt_value(value, 3)
     exponent = math.floor(math.log10(unc))
     sig = 2 if unc / 10.0**exponent < 3.0 else 1
     decimals = min(3, max(0, sig - 1 - exponent))
     unc_rounded = round(unc, decimals)
-    if unc_rounded == 0.0:
-        return _fmt_value(value, 3)
     text = _fmt_value(value, decimals)
     if unc_rounded >= 1.0:
         return f"{text}({unc_rounded:.{decimals}f})"

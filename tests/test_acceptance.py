@@ -11,7 +11,6 @@ the last printed digit; totals must reproduce the printed digits exactly.
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -32,8 +31,8 @@ from polkit import (
     energy_difference_au,
     extract_matrix_element,
     lifetime,
+    wigner6j,
 )
-from polkit.angular import _wigner6j_twice
 from polkit.dataset import MEGAHERTZ, NANOSECOND
 
 lab = LevelLabel.parse
@@ -233,22 +232,20 @@ def test_criterion_5_inverse_extraction(golden):
     _passed(5, "extracted elements " + ", ".join(summary))
 
 
-def _orbit(args):
-    a, b, c, d, e, f = args
-    cols = ((a, d), (b, e), (c, f))
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    swaps = [(), (0, 1), (0, 2), (1, 2)]
-    for p in perms:
-        ordered = [cols[i] for i in p]
-        for sw in swaps:
-            flipped = [
-                (up, lo) if i not in sw else (lo, up)
-                for i, (up, lo) in enumerate(ordered)
-            ]
-            yield (
-                flipped[0][0], flipped[1][0], flipped[2][0],
-                flipped[0][1], flipped[1][1], flipped[2][1],
-            )
+def _orbit_key(a, b, c, d, e, f):
+    """Least member of the 24-element symmetry orbit of {a b c; d e f}: the
+    columns permuted, upper and lower swapped in no column or in two.  For
+    each of the 4 swap patterns the sorted columns are the least member."""
+    keys = []
+    for cols in (
+        ((a, d), (b, e), (c, f)),
+        ((d, a), (e, b), (c, f)),
+        ((d, a), (b, e), (f, c)),
+        ((a, d), (e, b), (f, c)),
+    ):
+        (u0, l0), (u1, l1), (u2, l2) = sorted(cols)
+        keys.append((u0, u1, u2, l0, l1, l2))
+    return min(keys)
 
 
 def test_criterion_6_angular_identities():
@@ -257,8 +254,8 @@ def test_criterion_6_angular_identities():
     orbit_values: dict[tuple, tuple] = {}
     checked = 0
     for args in valid_tuples(15):
-        value = _wigner6j_twice(*args)
-        key = min(_orbit(args))
+        value = wigner6j(*args)
+        key = _orbit_key(*args)
         seen = orbit_values.get(key)
         if seen is None:
             orbit_values[key] = (value, args)
@@ -270,7 +267,7 @@ def test_criterion_6_angular_identities():
     # oracle: one brute-force Racah evaluation per orbit closes the loop
     oracle_checked = 0
     for key, (value, _) in orbit_values.items():
-        ref = brute_racah_6j(*(Fraction(t, 2) for t in key))
+        ref = brute_racah_6j(*key)
         assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (key, value, ref)
         oracle_checked += 1
 
@@ -298,8 +295,8 @@ def test_criterion_6_angular_identities():
                             for x in xs:
                                 acc += (
                                     (x + 1)
-                                    * _wigner6j_twice(a, b, x, c, d, p)
-                                    * _wigner6j_twice(a, b, x, c, d, q)
+                                    * wigner6j(a, b, x, c, d, p)
+                                    * wigner6j(a, b, x, c, d, q)
                                 )
                             expected = 1.0 / (p + 1) if p == q else 0.0
                             assert abs(acc - expected) <= 1e-12, (a, b, c, d, p, q)

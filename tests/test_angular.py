@@ -12,17 +12,17 @@ from polkit import tensor_prefactor_C, triangle_ok, wigner6j
 def brute_racah_6j(a, b, c, d, e, f):
     """Independent brute-force Racah sum over Fractions (test oracle).
 
-    Arguments are spin values as Fractions.  No precomputed summation
-    bounds: every term with a negative factorial argument is skipped.
+    Arguments are twice-j ints.  No precomputed summation bounds: every term
+    with a negative or half-integer factorial argument is skipped.
     """
 
-    def fact(x):
-        if x != int(x) or x < 0:
+    def fact(n2):
+        if n2 % 2 or n2 < 0:
             return None
-        return math.factorial(int(x))
+        return math.factorial(n2 // 2)
 
     def tri(x, y, z):
-        parts = [fact(x + y - z), fact(x - y + z), fact(-x + y + z), fact(x + y + z + 1)]
+        parts = [fact(x + y - z), fact(x - y + z), fact(-x + y + z), fact(x + y + z + 2)]
         if None in parts:
             return None
         return Fraction(parts[0] * parts[1] * parts[2], parts[3])
@@ -31,15 +31,15 @@ def brute_racah_6j(a, b, c, d, e, f):
     if None in triangles:
         return 0.0
     total = Fraction(0)
-    for t in range(0, int(a + b + c + d + e + f) + 2):
+    for t in range(0, (a + b + c + d + e + f) // 2 + 2):
         denoms = [
-            fact(t - a - b - c),
-            fact(t - a - e - f),
-            fact(t - d - b - f),
-            fact(t - d - e - c),
-            fact(a + b + d + e - t),
-            fact(b + c + e + f - t),
-            fact(a + c + d + f - t),
+            fact(2 * t - a - b - c),
+            fact(2 * t - a - e - f),
+            fact(2 * t - d - b - f),
+            fact(2 * t - d - e - c),
+            fact(a + b + d + e - 2 * t),
+            fact(b + c + e + f - 2 * t),
+            fact(a + c + d + f - 2 * t),
         ]
         if None in denoms:
             continue
@@ -115,7 +115,7 @@ class TestWigner6j:
 
     def test_racah_oracle_value(self):
         got = wigner6j(5, 2, 3, 2, 5, 4)
-        want = brute_racah_6j(*(Fraction(t, 2) for t in (5, 2, 3, 2, 5, 4)))
+        want = brute_racah_6j(5, 2, 3, 2, 5, 4)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_broken_triad_is_zero(self):
@@ -125,7 +125,7 @@ class TestWigner6j:
     def test_oracle_equivalence_exhaustive_small(self):
         for args in valid_tuples(6):
             mine = wigner6j(*args)
-            ref = brute_racah_6j(*(Fraction(t, 2) for t in args))
+            ref = brute_racah_6j(*args)
             assert mine == ref, args
 
     def test_sympy_spot_checks(self):

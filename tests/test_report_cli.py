@@ -65,6 +65,8 @@ class TestFormatting:
             (136.037, 2.72, "136.0(2.7)"),
             (5.0, 0.0, "5.000"),
             (-0.0001, 0.00002, "0.000"),
+            (3.25, 5e-324, "3.250"),
+            (3.25, 1e-323, "3.250"),
         ],
     )
     def test_value_unc_rendering(self, value, unc, expected):
@@ -258,6 +260,13 @@ class TestCLI:
         assert code == 3 and out == ""
         assert "non-finite uncertainty" in err
 
+    @pytest.mark.parametrize("argv", [["--help"], ["bbr", "-h"]])
+    def test_help_returns_zero(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: polkit")
+        assert err == ""
+
     def test_bad_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bbr", "--nonsense")
         assert code == 1
@@ -328,6 +337,20 @@ class TestCLI:
         )
         assert code == 0
         assert json.loads(out)["inputs"]["dataset"] == golden
+
+    def test_subnormal_uncertainty_renders(self, tmp_path, capsys):
+        path = tmp_path / "subnormal.dat"
+        path.write_text(
+            "level 4s1/2 0.0\nlevel 4p1/2 25191.51\n"
+            "e1 4s1/2 4p1/2 2.898 0.029\ncore 3.25 5e-324\n"
+        )
+        code, out, err = run_cli(
+            capsys, "polarizability", "--state", "4s1/2", "--dataset", str(path)
+        )
+        assert code == 0 and err == ""
+        assert [line.split() for line in out.splitlines() if line.startswith("core")] == [
+            ["core", "3.250"]
+        ]
 
     def test_extract_without_dataset_element_omits_comparison(self, tmp_path, capsys):
         path = tmp_path / "mini.dat"
@@ -406,7 +429,7 @@ FLAG_VALUES = {
     "--state": LABELS, "--ground": LABELS, "--excited": LABELS, "--upper": LABELS,
     "--lower": LABELS, "--temperature": NUMBERS, "--eta": NUMBERS, "--tau-ns": NUMBERS,
     "--tau-unc-ns": NUMBERS, "--multipole": ["scalar", "tensor", "vector"],
-    "--format": ["table", "machine", "json"], "--full-precision": [],
+    "--format": ["table", "machine", "json"], "--full-precision": [], "-h": [], "--help": [],
 }
 COMMAND_FLAGS = {
     "polarizability": ["--state", "--multipole"],
