@@ -12,14 +12,12 @@ shift is the difference of the two state shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .constants import BBR_FIELD_300K, POLARIZABILITY_AU_IN_SI
-from .dataset import A0_CUBED, HERTZ, SI_POLARIZABILITY, Quantity, require_unit
+from .dataset import A0_CUBED, HERTZ, SI_POLARIZABILITY, Quantity, Record, _set, require_unit
 
 
-@dataclass(frozen=True)
-class BBRConditions:
+class BBRConditions(Record):
     """Ambient conditions for a blackbody shift evaluation.
 
     The reference field is the 300 K blackbody RMS field and is fixed;
@@ -27,13 +25,15 @@ class BBRConditions:
     as the trivial zero-field limit.
     """
 
-    temperature: float = 300.0
-    eta: float = 0.0
-    reference_field: float = field(default=BBR_FIELD_300K, init=False)
+    __slots__ = ("temperature", "eta")
+    _fields = (*__slots__, "reference_field")
+    reference_field = BBR_FIELD_300K
 
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError(f"negative temperature: {self.temperature}")
+    def __init__(self, temperature: float = 300.0, eta: float = 0.0) -> None:
+        if temperature < 0:
+            raise ValueError(f"negative temperature: {temperature}")
+        _set(self, "temperature", temperature)
+        _set(self, "eta", eta)
 
 
 def au_to_si(alpha: Quantity) -> Quantity:

@@ -75,8 +75,10 @@ def _finite_float(text: str) -> float:
 
 
 def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
-    path = args.dataset or os.environ.get(ENV_DATASET)
-    if path:
+    path = args.dataset
+    if path is None:
+        path = os.environ.get(ENV_DATASET) or None  # an empty variable is unset
+    if path is not None:
         try:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()

@@ -18,9 +18,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .constants import HARTREE_IN_CM
 
@@ -52,8 +51,43 @@ class UnknownLevelError(KeyError):
     """A level label is not declared in the dataset."""
 
 
-@dataclass(frozen=True)
-class Quantity:
+# Records set each field once, in __init__, past their own refusing __setattr__.
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the immutable slotted records: a subclass names its fields in ``_fields``
+    and sets each once in ``__init__`` with ``_set``; ==, hash and repr follow them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        for name, value in state[1].items():  # copy and pickle restore the slots
+            _set(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Quantity(Record):
     """A number with a one-sigma uncertainty and a unit tag.
 
     Value and uncertainty must be finite.  Addition requires identical unit
@@ -61,17 +95,18 @@ class Quantity:
     uncorrelated).
     """
 
-    value: float
-    unc: float = 0.0
-    unit: str = DIMENSIONLESS
+    __slots__ = _fields = ("value", "unc", "unit")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite value: {self.value!r} {self.unit}")
-        if not math.isfinite(self.unc):
-            raise ValueError(f"non-finite uncertainty: {self.unc!r} {self.unit}")
-        if self.unc < 0:
-            raise ValueError(f"negative uncertainty: {self.unc!r}")
+    def __init__(self, value: float, unc: float = 0.0, unit: str = DIMENSIONLESS) -> None:
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value: {value!r} {unit}")
+        if not math.isfinite(unc):
+            raise ValueError(f"non-finite uncertainty: {unc!r} {unit}")
+        if unc < 0:
+            raise ValueError(f"negative uncertainty: {unc!r}")
+        _set(self, "value", value)
+        _set(self, "unc", unc)
+        _set(self, "unit", unit)
 
     def __add__(self, other: "Quantity") -> "Quantity":
         if not isinstance(other, Quantity):
@@ -98,26 +133,21 @@ ZERO_A0_CUBED = Quantity(0.0, 0.0, A0_CUBED)
 _LABEL_RE = re.compile(r"([0-9]+)([a-z])([0-9]+)/2")
 
 
-@dataclass(frozen=True, order=True)
-class LevelLabel:
-    """Spectroscopic state label: n, orbital l, and twice the total j."""
+class LevelLabel(NamedTuple("LevelLabel", [("n", int), ("l", int), ("j2", int)])):
+    """Spectroscopic state label: n, orbital l, and twice the total j; sorts by (n, l, j2)."""
 
-    n: int
-    l: int
-    j2: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"principal quantum number must be positive: {self.n}")
-        if not 0 <= self.l < len(L_LETTERS):
-            raise ValueError(f"orbital angular momentum out of range 0..4: {self.l}")
-        if self.j2 < 1 or self.j2 % 2 == 0:
-            raise ValueError(f"twice-j must be a positive odd integer: {self.j2}")
-        allowed = (1,) if self.l == 0 else (2 * self.l - 1, 2 * self.l + 1)
-        if self.j2 not in allowed:
-            raise ValueError(
-                f"j={self.j2}/2 incompatible with l={L_LETTERS[self.l]!r}"
-            )
+    def __new__(cls, n: int, l: int, j2: int) -> "LevelLabel":
+        if n < 1:
+            raise ValueError(f"principal quantum number must be positive: {n}")
+        if not 0 <= l < len(L_LETTERS):
+            raise ValueError(f"orbital angular momentum out of range 0..4: {l}")
+        if j2 < 1 or j2 % 2 == 0:
+            raise ValueError(f"twice-j must be a positive odd integer: {j2}")
+        if j2 not in ((1,) if l == 0 else (2 * l - 1, 2 * l + 1)):
+            raise ValueError(f"j={j2}/2 incompatible with l={L_LETTERS[l]!r}")
+        return tuple.__new__(cls, (n, l, j2))
 
     @classmethod
     def parse(cls, text: str) -> "LevelLabel":
@@ -133,20 +163,19 @@ class LevelLabel:
         return f"{self.n}{L_LETTERS[self.l]}{self.j2}/2"
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(Record):
     """An atomic level: label plus its energy above the ground state."""
 
-    label: LevelLabel
-    energy_cm: float
+    __slots__ = _fields = ("label", "energy_cm")
 
-    def __post_init__(self) -> None:
-        if self.energy_cm < 0:
-            raise ValueError(f"negative level energy: {self.energy_cm}")
+    def __init__(self, label: LevelLabel, energy_cm: float) -> None:
+        if energy_cm < 0:
+            raise ValueError(f"negative level energy: {energy_cm}")
+        _set(self, "label", label)
+        _set(self, "energy_cm", energy_cm)
 
 
-@dataclass(frozen=True)
-class ReducedE1:
+class ReducedE1(Record):
     """A reduced electric-dipole matrix element between two levels.
 
     Stored as a positive magnitude in e*a0; every formula in this package
@@ -154,14 +183,15 @@ class ReducedE1:
     stored with the energetically lower level first.
     """
 
-    lower: LevelLabel
-    upper: LevelLabel
-    d: Quantity
+    __slots__ = _fields = ("lower", "upper", "d")
 
-    def __post_init__(self) -> None:
-        require_unit(self.d, E_A0, "matrix element")
-        if self.d.value <= 0:
-            raise ValueError(f"matrix element magnitude must be positive: {self.d.value}")
+    def __init__(self, lower: LevelLabel, upper: LevelLabel, d: Quantity) -> None:
+        require_unit(d, E_A0, "matrix element")
+        if d.value <= 0:
+            raise ValueError(f"matrix element magnitude must be positive: {d.value}")
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "d", d)
 
     def couples(self, label: LevelLabel) -> bool:
         return label == self.lower or label == self.upper
@@ -179,8 +209,7 @@ def e1_selection_ok(a: LevelLabel, b: LevelLabel) -> bool:
     return abs(a.l - b.l) == 1 and abs(a.j2 - b.j2) <= 2
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Validated collection of levels, matrix elements, core and tail terms.
 
     The sole physics input of the package.  Construction is permissive;
@@ -188,18 +217,21 @@ class Dataset:
     refuses to return a dataset that has any.
     """
 
-    levels: tuple[Level, ...]
-    elements: tuple[ReducedE1, ...]
-    core_alpha: Quantity
-    tails: Mapping[tuple[LevelLabel, str], Quantity]
+    _fields = ("levels", "elements", "core_alpha", "tails")
+    __slots__ = (*_fields, "_by_label")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(self.levels))
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "tails", MappingProxyType(dict(self.tails)))
-        object.__setattr__(
-            self, "_by_label", {level.label: level for level in self.levels}
-        )
+    def __init__(
+        self,
+        levels: Iterable[Level],
+        elements: Iterable[ReducedE1],
+        core_alpha: Quantity,
+        tails: Mapping[tuple[LevelLabel, str], Quantity],
+    ) -> None:
+        _set(self, "levels", tuple(levels))
+        _set(self, "elements", tuple(elements))
+        _set(self, "core_alpha", core_alpha)
+        _set(self, "tails", MappingProxyType(dict(tails)))
+        _set(self, "_by_label", {level.label: level for level in self.levels})
 
     def level(self, label: LevelLabel) -> Level:
         try:

@@ -8,8 +8,7 @@ exact, so each contribution's uncertainty is 2*alpha*(dd/d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .angular import tensor_prefactor_C, wigner6j
 from .dataset import (
@@ -26,8 +25,7 @@ from .dataset import (
 )
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(NamedTuple):
     """One intermediate state's contribution to a polarizability sum."""
 
     state: LevelLabel
@@ -48,8 +46,7 @@ class Contribution:
         return self.alpha2
 
 
-@dataclass(frozen=True)
-class PolarizabilityBreakdown:
+class PolarizabilityBreakdown(NamedTuple):
     """Main contributions plus tail and core, with the quadrature total."""
 
     state: LevelLabel

@@ -7,7 +7,6 @@ UPPER state.  Rates are reported in MHz and lifetimes in ns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .constants import RATE_AU_IN_PER_S, SPEED_OF_LIGHT_AU
@@ -18,23 +17,25 @@ from .dataset import (
     Dataset,
     LevelLabel,
     Quantity,
+    Record,
+    _set,
     energy_difference_au,
     require_unit,
 )
 
 
-@dataclass(frozen=True)
-class DecayChannel:
+class DecayChannel(Record):
     """One spontaneous-emission channel of an upper state."""
 
-    upper: LevelLabel
-    lower: LevelLabel
-    A: Quantity
+    __slots__ = _fields = ("upper", "lower", "A")
 
-    def __post_init__(self) -> None:
-        require_unit(self.A, MEGAHERTZ, "rate")
-        if self.A.value <= 0:
-            raise ValueError(f"decay rate must be positive: {self.A.value}")
+    def __init__(self, upper: LevelLabel, lower: LevelLabel, A: Quantity) -> None:
+        require_unit(A, MEGAHERTZ, "rate")
+        if A.value <= 0:
+            raise ValueError(f"decay rate must be positive: {A.value}")
+        _set(self, "upper", upper)
+        _set(self, "lower", lower)
+        _set(self, "A", A)
 
 
 def _rate_per_d_squared_mhz(delta_e_au: float, j2_upper: int) -> float:

@@ -12,13 +12,12 @@ are byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from .bbr import BBRConditions, bbr_shift_state, clock_bbr_shift
-from .dataset import NANOSECOND, SCALAR, Dataset, LevelLabel, Quantity, energy_difference_au
+from .dataset import NANOSECOND, SCALAR, Dataset, LevelLabel, Quantity, Record, _set
+from .dataset import e1_selection_ok, energy_difference_au
 from .polarizability import assemble_breakdown
 from .radiative import DecayChannel, decay_channels, extract_matrix_element, lifetime
 
@@ -70,20 +69,27 @@ def _quantity_from_dict(obj: dict[str, Any]) -> Any:
     return obj
 
 
-@dataclass(frozen=True)
-class Report:
+_Map = Mapping[str, Any]
+
+
+class Report(Record):
     """A command's result: echoed inputs, ordered rows, and totals.
 
     Rows and totals hold :class:`Quantity` values; JSON writes each as a
     ``{"value", "unc", "unit"}`` object and reads it back as a Quantity.
     """
 
-    kind: str
-    inputs: Mapping[str, Any]
-    rows: tuple[Mapping[str, Any], ...]
-    totals: Mapping[str, Any]
+    __slots__ = _fields = ("kind", "inputs", "rows", "totals")
+
+    def __init__(self, kind: str, inputs: _Map, rows: tuple[_Map, ...], totals: _Map) -> None:
+        _set(self, "kind", kind)
+        _set(self, "inputs", inputs)
+        _set(self, "rows", rows)
+        _set(self, "totals", totals)
 
     def to_json(self) -> str:
+        import json  # here, so that table output does not load it
+
         payload = {
             "kind": self.kind,
             "inputs": dict(self.inputs),
@@ -97,6 +103,8 @@ class Report:
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
+        import json
+
         payload = json.loads(text, object_hook=_quantity_from_dict)
         return cls(
             kind=payload["kind"],
@@ -252,6 +260,8 @@ def extract_report(
     delta_e = energy_difference_au(ds, lower, upper).value
     if delta_e <= 0:
         raise ValueError(f"{upper} does not lie above {lower}")
+    if not e1_selection_ok(upper, lower):
+        raise ValueError(f"{upper} -> {lower} violates E1 selection rules")
     tau = Quantity(tau_ns, tau_unc_ns, NANOSECOND)
     d = extract_matrix_element(tau, others, delta_e, upper.j2)
     totals: dict[str, Any] = {"d_extracted": d}

@@ -2,12 +2,16 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polkit
 from polkit import LevelLabel, Quantity, Report, format_value_unc
 from polkit.cli import BUILTIN_DATASET, build_parser, builtin_dataset_text, main
 from polkit.report import bbr_report, extract_report, lifetime_report, polarizability_report
@@ -160,6 +164,13 @@ class TestCLI:
         assert "extracted d [e*a0]: 2.849(4)" in out
         assert "1.74 %" in out
 
+    def test_extract_e1_forbidden_pair_is_precondition_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "extract", "--upper", "4p1/2", "--lower", "3d5/2", "--tau-ns", "5"
+        )
+        assert (code, out) == (3, "")
+        assert err == "polkit: error: 4p1/2 -> 3d5/2 violates E1 selection rules\n"
+
     def test_machine_format_roundtrips(self, capsys):
         code, out, _ = run_cli(
             capsys, "polarizability", "--state", "3d5/2", "--format", "machine"
@@ -296,6 +307,25 @@ class TestCLI:
         assert code == 2
         assert "cannot read dataset" in err
 
+    @pytest.mark.parametrize("env_dataset", [None, "packaged"])
+    def test_empty_dataset_flag_is_data_error(self, capsys, monkeypatch, golden_text, tmp_path,
+                                              env_dataset):
+        if env_dataset:
+            path = tmp_path / "packaged.dat"
+            path.write_text(golden_text)
+            monkeypatch.setenv("POLKIT_DATASET", str(path))
+        else:
+            monkeypatch.delenv("POLKIT_DATASET", raising=False)
+        code, out, err = run_cli(capsys, "bbr", "--dataset", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("polkit: error: cannot read dataset '': ")
+
+    def test_empty_env_var_is_unset(self, capsys, monkeypatch):
+        monkeypatch.setenv("POLKIT_DATASET", "")
+        code, out, _ = run_cli(capsys, "bbr", "--format", "machine")
+        assert code == 0
+        assert json.loads(out)["inputs"]["dataset"] == BUILTIN_DATASET
+
     def test_non_utf8_dataset_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "binary.dat"
         path.write_bytes(b"\xff\xfe")
@@ -367,6 +397,21 @@ class TestCLI:
         totals = json.loads(out)["totals"]
         assert "d_extracted" in totals
         assert "d_theory" not in totals and "percent_difference" not in totals
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    """Table output needs none of them; a fresh interpreter shows what `polkit.cli` loads."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(polkit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "import sys; before = set(sys.modules); import polkit.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert child.stdout.split() == []
 
 
 class TestWarmProcess:
