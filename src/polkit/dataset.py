@@ -150,6 +150,10 @@ class LevelLabel(NamedTuple("LevelLabel", [("n", int), ("l", int), ("j2", int)])
         return tuple.__new__(cls, (n, l, j2))
 
     @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "LevelLabel":  # so that _replace validates too
+        return cls(*iterable)
+
+    @classmethod
     def parse(cls, text: str) -> "LevelLabel":
         m = _LABEL_RE.fullmatch(text)
         if m is None or m.group(2) not in L_LETTERS:

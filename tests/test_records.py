@@ -208,6 +208,14 @@ def test_level_labels_sort_by_n_l_j2():
     assert LevelLabel(4, 1, 1) < LevelLabel(4, 1, 3) <= LevelLabel(4, 1, 3) < LevelLabel(5, 0, 1)
 
 
+def test_level_label_validates_every_construction():
+    label = LevelLabel(4, 1, 1)
+    assert label._replace(j2=3) == LevelLabel._make((4, 1, 3)) == LevelLabel(4, 1, 3)
+    for build in (lambda: label._replace(j2=5), lambda: LevelLabel._make((4, 1, 5))):
+        with pytest.raises(ValueError, match="incompatible with l='p'"):
+            build()
+
+
 def test_dataset_copies_its_inputs():
     levels, tails = [Level(S, 0.0), Level(P, 25191.51)], {(P, "scalar"): ZERO}
     ds = Dataset(levels, [ReducedE1(S, P, D)], ALPHA, tails)
