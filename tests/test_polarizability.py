@@ -132,6 +132,28 @@ class TestAssembleBreakdown:
         assert ratios[5][0] == pytest.approx(8.0 / 7.0, rel=1e-12)
         assert ratios[7][0] == pytest.approx(-5.0 / 14.0, rel=1e-12)
 
+    def test_rows_keep_the_operation_order(self, golden):
+        row = assemble_breakdown(golden, lab("3d5/2"), TENSOR).main[0]
+        assert str(row.partner) == "4p3/2"
+        d = row.d.value
+        de = energy_difference_au(golden, lab("3d5/2"), lab("4p3/2")).value
+        assert row.alpha0.value == 2.0 / (3.0 * 6) * d**2 / de
+        sixj = wigner6j(5, 2, 3, 2, 5, 4)
+        assert row.alpha2.value == -4.0 * tensor_prefactor_C(5) * -1 * sixj * d**2 / de
+
+    def test_downward_rows_are_negative(self, golden):
+        rows = {str(c.partner): c for c in assemble_breakdown(golden, lab("4p1/2"), SCALAR).main}
+        assert rows["4s1/2"].alpha0.value < 0
+        assert rows["3d3/2"].alpha0.value < 0
+        assert all(c.alpha2 is None for c in rows.values())  # no tensor part for j = 1/2
+
+    def test_zero_energy_denominator_raises(self, golden):
+        levels = (Level(lab("4s1/2"), 0.0), Level(lab("4p1/2"), 0.0))
+        element = ReducedE1(lab("4s1/2"), lab("4p1/2"), d_q(2.898, 0.029))
+        ds = Dataset(levels, (element,), golden.core_alpha, {})
+        with pytest.raises(ZeroDivisionError, match="zero energy denominator"):
+            assemble_breakdown(ds, lab("4s1/2"), SCALAR)
+
     def test_unknown_state_raises(self, golden):
         with pytest.raises(UnknownLevelError):
             assemble_breakdown(golden, lab("9g9/2"), SCALAR)
