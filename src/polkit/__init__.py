@@ -41,8 +41,6 @@ from .polarizability import (
     Contribution,
     PolarizabilityBreakdown,
     assemble_breakdown,
-    scalar_contribution,
-    tensor_contribution,
 )
 from .radiative import DecayChannel, decay_channels, einstein_A, extract_matrix_element, lifetime
 from .report import Report, format_quantity, format_value_unc, render_table
@@ -91,8 +89,6 @@ __all__ = [
     "lifetime",
     "parse_dataset",
     "render_table",
-    "scalar_contribution",
-    "tensor_contribution",
     "tensor_prefactor_C",
     "triangle_ok",
     "validate",

@@ -12,7 +12,6 @@ return 0 by convention.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 def triangle_ok(ta: int, tb: int, tc: int) -> bool:
@@ -20,9 +19,6 @@ def triangle_ok(ta: int, tb: int, tc: int) -> bool:
     return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
 
 
-# The physics path needs a handful of distinct symbols and the orthogonality
-# sums reuse at most a few hundred; a cold sweep repeats none.
-@lru_cache(maxsize=1 << 10)
 def wigner6j(j2_1: int, j2_2: int, j2_3: int, j2_4: int, j2_5: int, j2_6: int) -> float:
     """Wigner 6j symbol {j1 j2 j3; j4 j5 j6} of twice-j ints; 0 for broken triangles."""
     triads = ((j2_1, j2_2, j2_3), (j2_1, j2_5, j2_6), (j2_4, j2_2, j2_6), (j2_4, j2_5, j2_3))

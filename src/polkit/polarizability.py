@@ -8,12 +8,12 @@ exact, so each contribution's uncertainty is 2*alpha*(dd/d).
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+import functools
+from typing import NamedTuple, Optional
 
 from .angular import tensor_prefactor_C, wigner6j
 from .dataset import (
     A0_CUBED,
-    E_A0,
     SCALAR,
     TENSOR,
     ZERO_A0_CUBED,
@@ -21,7 +21,6 @@ from .dataset import (
     LevelLabel,
     Quantity,
     energy_difference_au,
-    require_unit,
 )
 
 
@@ -57,39 +56,14 @@ class PolarizabilityBreakdown(NamedTuple):
     total: Quantity
 
 
-def _term(d: Quantity, delta_e_au: float, angular: Optional[Callable[[], float]]) -> Quantity:
-    """One sum-over-states term angular * d^2/deltaE in a0^3.
-
-    alpha is proportional to d^2, so d(alpha) = 2 |alpha| dd/d.  `angular` is
-    None for a term that vanishes identically and is called only when d and
-    deltaE are nonzero.
-    """
-    require_unit(d, E_A0, "matrix element")
-    if angular is None or d.value == 0.0:
-        return ZERO_A0_CUBED
-    if delta_e_au == 0.0:
-        raise ZeroDivisionError("zero energy denominator")
-    value = angular() * d.value**2 / delta_e_au
+def _term(value: float, d: Quantity) -> Quantity:
+    """A term proportional to d^2, in a0^3: its uncertainty is 2 |alpha| dd/d."""
     return Quantity(value, 2.0 * abs(value) * d.relative_unc(), A0_CUBED)
 
 
-def scalar_contribution(d: Quantity, delta_e_au: float, j2_v: int) -> Quantity:
-    """Scalar polarizability contribution 2/(3(2j_v+1)) * d^2/deltaE; j2_v = 2j_v."""
-    return _term(d, delta_e_au, lambda: 2.0 / (3.0 * (j2_v + 1)))
-
-
-def tensor_contribution(d: Quantity, delta_e_au: float, j2_v: int, j2_k: int) -> Quantity:
-    """Tensor polarizability contribution for one intermediate state.
-
-    -4 C(j_v) (-1)^(j_v+j_k+1) {j_v 1 j_k; 1 j_v 2} d^2/deltaE, with twice-j
-    arguments j2_v = 2j_v and j2_k = 2j_k; identically zero for j_v < 1.
-    """
-    return _term(d, delta_e_au, None if j2_v < 2 else lambda: _tensor_angular(j2_v, j2_k))
-
-
+@functools.cache  # labels stop at l = 4, so at most 5 x 5 spin pairs
 def _tensor_angular(j2_v: int, j2_k: int) -> float:
-    if (j2_v + j2_k) % 2 != 0:
-        raise ValueError(f"j_v={j2_v}/2 and j_k={j2_k}/2 differ by a half-integer")
+    """-4 C(j_v) (-1)^(j_v+j_k+1) {j_v 1 j_k; 1 j_v 2} of twice-j ints, j_v >= 1."""
     phase = -1 if ((j2_v + j2_k) // 2 + 1) % 2 else 1
     return -4.0 * tensor_prefactor_C(j2_v) * phase * wigner6j(j2_v, 2, j2_k, 2, j2_v, 4)
 
@@ -110,12 +84,18 @@ def assemble_breakdown(
     if multipole == TENSOR and j2_v < 2:
         raise ValueError(f"tensor polarizability vanishes for j={j2_v}/2")
 
+    # Each term is an angular factor times d^2/deltaE: 2/(3(2j_v+1)) for the
+    # scalar part; the tensor part vanishes identically for j_v < 1.
+    scalar = 2.0 / (3.0 * (j2_v + 1))
     rows: list[Contribution] = []
     for el in ds.elements_coupling(state):
         partner = el.partner(state)
-        delta_e = energy_difference_au(ds, state, partner).value
-        alpha0 = scalar_contribution(el.d, delta_e, j2_v)
-        alpha2 = tensor_contribution(el.d, delta_e, j2_v, partner.j2) if j2_v >= 2 else None
+        de = energy_difference_au(ds, state, partner).value
+        if de == 0.0:
+            raise ZeroDivisionError("zero energy denominator")
+        d2 = el.d.value**2
+        alpha0 = _term(scalar * d2 / de, el.d)
+        alpha2 = _term(_tensor_angular(j2_v, partner.j2) * d2 / de, el.d) if j2_v >= 2 else None
         rows.append(Contribution(state, partner, el.d, alpha0, alpha2))
     rows.sort(key=lambda c: (c.partner.j2, ds.energy_cm(c.partner), c.partner))
 

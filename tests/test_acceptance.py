@@ -289,15 +289,13 @@ def test_criterion_6_angular_identities():
                     xs = range(max(abs(a - b), abs(c - d)), min(a + b, c + d) + 1, 2)
                     if (a + b + xs.start) % 2:
                         xs = range(xs.start + 1, xs.stop, 2)
+                    # each symbol once per p, summed in the order of x
+                    sixj = {p: [wigner6j(a, b, x, c, d, p) for x in xs] for p in ps}
                     for p in ps:
                         for q in ps:
                             acc = 0.0
-                            for x in xs:
-                                acc += (
-                                    (x + 1)
-                                    * wigner6j(a, b, x, c, d, p)
-                                    * wigner6j(a, b, x, c, d, q)
-                                )
+                            for x, u, v in zip(xs, sixj[p], sixj[q]):
+                                acc += (x + 1) * u * v
                             expected = 1.0 / (p + 1) if p == q else 0.0
                             assert abs(acc - expected) <= 1e-12, (a, b, c, d, p, q)
                             ortho_checked += 1

@@ -27,8 +27,6 @@ from polkit import (
     energy_difference_au,
     extract_matrix_element,
     parse_dataset,
-    scalar_contribution,
-    tensor_contribution,
     validate,
 )
 from polkit.dataset import parse_number, require_unit
@@ -119,8 +117,6 @@ class TestRequireUnit:
             (lambda q: ReducedE1(S_HALF, P_HALF, q), "matrix element", E_A0),
             (lambda q: DecayChannel(P_HALF, S_HALF, q), "rate", "MHz"),
             (lambda q: einstein_A(q, 0.1, 1), "matrix element", E_A0),
-            (lambda q: scalar_contribution(q, 0.1, 1), "matrix element", E_A0),
-            (lambda q: tensor_contribution(q, 0.1, 5, 3), "matrix element", E_A0),
             (lambda q: extract_matrix_element(q, [], 0.1, 1), "lifetime", "ns"),
             (au_to_si, "polarizability", A0_CUBED),
             (lambda q: clock_bbr_shift(q, q, BBRConditions()), "ground polarizability", A0_CUBED),
