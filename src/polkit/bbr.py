@@ -30,6 +30,10 @@ class BBRConditions(Record):
     reference_field = BBR_FIELD_300K
 
     def __init__(self, temperature: float = 300.0, eta: float = 0.0) -> None:
+        if not math.isfinite(temperature):
+            raise ValueError(f"non-finite temperature: {temperature!r}")
+        if not math.isfinite(eta):
+            raise ValueError(f"non-finite eta: {eta!r}")
         if temperature < 0:
             raise ValueError(f"negative temperature: {temperature}")
         _set(self, "temperature", temperature)

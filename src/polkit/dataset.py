@@ -173,6 +173,8 @@ class Level(Record):
     __slots__ = _fields = ("label", "energy_cm")
 
     def __init__(self, label: LevelLabel, energy_cm: float) -> None:
+        if not math.isfinite(energy_cm):
+            raise ValueError(f"non-finite level energy: {energy_cm!r}")
         if energy_cm < 0:
             raise ValueError(f"negative level energy: {energy_cm}")
         _set(self, "label", label)

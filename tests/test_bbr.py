@@ -54,6 +54,12 @@ class TestConditions:
         with pytest.raises(ValueError):
             BBRConditions(temperature=-1.0)
 
+    @pytest.mark.parametrize("field", ["temperature", "eta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite {field}: {value!r}")):
+            BBRConditions(**{field: value})
+
 
 class TestStateShift:
     def test_ground_state_shift(self):

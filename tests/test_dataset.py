@@ -62,6 +62,13 @@ class TestLevelLabel:
             assert LevelLabel.parse(str(level.label)) == level.label
 
 
+class TestLevel:
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_rejected(self, energy):
+        with pytest.raises(ValueError, match="non-finite level energy"):
+            Level(LevelLabel.parse("4p1/2"), energy)
+
+
 class TestQuantity:
     def test_rejects_negative_uncertainty(self):
         with pytest.raises(ValueError):
