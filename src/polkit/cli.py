@@ -15,14 +15,13 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import re
 import sys
 from typing import Sequence
 
 from .dataset import (
     SCALAR,
     TENSOR,
-    UNSIGNED_NUMBER,
+    _NUMBER_RE,
     Dataset,
     DatasetError,
     LevelLabel,
@@ -57,10 +56,9 @@ class _ArgumentParser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         # argparse's own pattern misses exponents, so `--eta -1e-3` would read
-        # as a missing value; no option string here looks like a number.
-        self._negative_number_matcher = re.compile(
-            rf"-(?:{UNSIGNED_NUMBER})\Z", re.ASCII | re.IGNORECASE
-        )
+        # as a missing value.  argparse asks it only of strings that begin with
+        # '-', and no option string here looks like a number.
+        self._negative_number_matcher = _NUMBER_RE
 
     def error(self, message: str) -> None:  # exit 1, not argparse's 2
         raise UsageError(message)
@@ -146,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p = subparsers.add_parser("polarizability", parents=[], help="per-state polarizability breakdown")
+    p = subparsers.add_parser("polarizability", help="per-state polarizability breakdown")
     p.add_argument("--state", required=True, help="state label, e.g. 4s1/2")
     p.add_argument("--multipole", choices=(SCALAR, TENSOR), default=SCALAR)
     _add_common(p)

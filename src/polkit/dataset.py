@@ -272,9 +272,10 @@ class Dataset(Record):
 
 # A number is an ASCII decimal literal with an optional exponent: no '_'
 # separators, no non-ASCII digits.  nan and inf are matched only so that they
-# are refused as non-finite rather than as unparseable.
+# are refused as non-finite rather than as unparseable.  The CLI's parser
+# uses the same pattern to tell a negative number from an option.
 UNSIGNED_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|nan|inf|infinity"
-_NUMBER_RE = re.compile(rf"[+-]?(?:{UNSIGNED_NUMBER})", re.ASCII | re.IGNORECASE)
+_NUMBER_RE = re.compile(rf"[+-]?(?:{UNSIGNED_NUMBER})\Z", re.ASCII | re.IGNORECASE)
 
 
 def parse_number(token: str, what: str) -> float:
