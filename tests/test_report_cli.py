@@ -44,6 +44,20 @@ def readme_reports(ds):
     ]
 
 
+def test_readme_library_example(capsys):
+    """The README's python block runs, and each print rounds to the numbers in its comment."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.split("#", 1)[1].split()[:2] for line in block.splitlines() if "print(" in line]
+    assert [len(c) for c in comments] == [2, 2] and len(printed) == len(comments)
+    for line, expected in zip(printed, comments):
+        values = [float(token) for token in line.split()]
+        rounded = [f"{v:.{len(e.split('.')[1])}f}" for v, e in zip(values, expected)]
+        assert rounded == expected, (line, expected)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
