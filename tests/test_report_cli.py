@@ -51,7 +51,7 @@ def test_readme_library_example(capsys):
     exec(compile(block, "README.md", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     comments = [line.split("#", 1)[1].split()[:2] for line in block.splitlines() if "print(" in line]
-    assert [len(c) for c in comments] == [2, 2] and len(printed) == len(comments)
+    assert len(printed) == len(comments) == 2
     for line, expected in zip(printed, comments):
         values = [float(token) for token in line.split()]
         rounded = [f"{v:.{len(e.split('.')[1])}f}" for v, e in zip(values, expected)]
