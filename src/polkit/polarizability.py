@@ -9,6 +9,7 @@ exact, so each contribution's uncertainty is 2*alpha*(dd/d).
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple, Optional
 
 from .angular import tensor_prefactor_C, wigner6j
@@ -20,7 +21,8 @@ from .dataset import (
     Dataset,
     LevelLabel,
     Quantity,
-    energy_difference_au,
+    _gap_au,
+    require_unit,
 )
 
 
@@ -88,9 +90,14 @@ def assemble_breakdown(
     # scalar part; the tensor part vanishes identically for j_v < 1.
     scalar = 2.0 / (3.0 * (j2_v + 1))
     rows: list[Contribution] = []
-    for el in ds.elements_coupling(state):
-        partner = el.partner(state)
-        de = energy_difference_au(ds, state, partner).value
+    for el in ds.elements:
+        if el.lower == state:
+            partner = el.upper
+        elif el.upper == state:
+            partner = el.lower
+        else:
+            continue
+        de = _gap_au(ds, state, partner)
         if de == 0.0:
             raise ZeroDivisionError("zero energy denominator")
         d2 = el.d.value**2
@@ -102,9 +109,16 @@ def assemble_breakdown(
     tail = ds.tail(state, multipole)
     core = ds.core_alpha if multipole == SCALAR else ZERO_A0_CUBED
 
-    total = ZERO_A0_CUBED
-    for row in rows:
-        total = total + row.value(multipole)
-    total = total + tail + core
+    # The sum of ZERO_A0_CUBED + row + ... + tail + core done in floats: the same
+    # additions and hypot chain in the same order, each addend unit-checked,
+    # stopping where a Quantity addition would have refused a non-finite sum.
+    value = unc = 0.0
+    for q in (*(row.value(multipole) for row in rows), tail, core):
+        require_unit(q, A0_CUBED, "addend")
+        value += q.value
+        unc = math.hypot(unc, q.unc)
+        if not (math.isfinite(value) and math.isfinite(unc)):
+            break
+    total = Quantity(value, unc, A0_CUBED)
 
     return PolarizabilityBreakdown(state, multipole, tuple(rows), tail, core, total)

@@ -18,8 +18,8 @@ from .dataset import (
     LevelLabel,
     Quantity,
     Record,
+    _gap_au,
     _set,
-    energy_difference_au,
     require_unit,
 )
 
@@ -68,7 +68,7 @@ def decay_channels(ds: Dataset, upper: LevelLabel) -> list[DecayChannel]:
     channels = []
     for el in ds.elements_coupling(upper):
         if el.upper == upper:
-            delta_e = energy_difference_au(ds, el.lower, upper).value
+            delta_e = _gap_au(ds, el.lower, upper)
             channels.append(DecayChannel(upper, el.lower, einstein_A(el.d, delta_e, upper.j2)))
     return channels
 

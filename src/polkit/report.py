@@ -17,7 +17,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .bbr import BBRConditions, bbr_shift_state, clock_bbr_shift
 from .dataset import NANOSECOND, SCALAR, Dataset, LevelLabel, Quantity, Record, _set
-from .dataset import e1_selection_ok, energy_difference_au
+from .dataset import _gap_au, e1_selection_ok
 from .polarizability import assemble_breakdown
 from .radiative import DecayChannel, decay_channels, extract_matrix_element, lifetime
 
@@ -257,7 +257,7 @@ def extract_report(
     ds.level(upper)
     ds.level(lower)
     others = [ch for ch in decay_channels(ds, upper) if ch.lower != lower]
-    delta_e = energy_difference_au(ds, lower, upper).value
+    delta_e = _gap_au(ds, lower, upper)
     if delta_e <= 0:
         raise ValueError(f"{upper} does not lie above {lower}")
     if not e1_selection_ok(upper, lower):

@@ -1,10 +1,17 @@
+import functools
+import math
+import operator
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polkit.polarizability as pol
 from polkit import (
     A0_CUBED,
     E_A0,
+    HERTZ,
     SCALAR,
     TENSOR,
     Dataset,
@@ -12,18 +19,29 @@ from polkit import (
     LevelLabel,
     Quantity,
     ReducedE1,
+    UnitMismatchError,
     UnknownLevelError,
     assemble_breakdown,
     energy_difference_au,
     tensor_prefactor_C,
     wigner6j,
 )
+from polkit.dataset import ZERO_A0_CUBED
 
 lab = LevelLabel.parse
 
 
 def d_q(value, unc=0.0):
     return Quantity(value, unc, E_A0)
+
+
+CHAINED_SUM_CASES = (("4s1/2", SCALAR), ("3d5/2", SCALAR), ("3d5/2", TENSOR))
+
+
+def assert_total_is_chained_sum(ds, state, multipole):
+    b = assemble_breakdown(ds, state, multipole)
+    parts = [c.value(multipole) for c in b.main] + [b.tail, b.core]
+    assert b.total == functools.reduce(operator.add, parts, ZERO_A0_CUBED)
 
 
 class TestAssembleBreakdown:
@@ -46,6 +64,23 @@ class TestAssembleBreakdown:
             var = sum(p.unc**2 for p in parts)
             assert b.total.value == pytest.approx(total, rel=1e-12)
             assert b.total.unc**2 == pytest.approx(var, rel=1e-12)
+
+    def test_total_is_the_chained_quantity_sum(self, golden):
+        for state, multipole in CHAINED_SUM_CASES:
+            assert_total_is_chained_sum(golden, lab(state), multipole)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_total_is_the_chained_quantity_sum_for_drawn_e1(self, golden, data):
+        """The float sum keeps the Quantity addition order for any E1 values."""
+        elements = []
+        for el in golden.elements:
+            value = data.draw(st.floats(1e-3, 50.0), label=f"{el.lower}-{el.upper}")
+            unc = data.draw(st.floats(0.0, 2.0 * value), label="unc")
+            elements.append(ReducedE1(el.lower, el.upper, d_q(value, unc)))
+        ds = Dataset(golden.levels, elements, golden.core_alpha, golden.tails)
+        for state, multipole in CHAINED_SUM_CASES:
+            assert_total_is_chained_sum(ds, lab(state), multipole)
 
     def test_core_enters_scalar_only(self, golden):
         scalar = assemble_breakdown(golden, lab("3d5/2"), SCALAR)
@@ -131,3 +166,104 @@ class TestAssembleBreakdown:
             golden.tails,
         )
         assert assemble_breakdown(grown, lab("4s1/2"), SCALAR).total.value >= base
+
+
+class TestConstructorBuiltSums:
+    """Datasets built by constructors skip validate; the sum still refuses bad input."""
+
+    BIG = sys.float_info.max
+
+    @staticmethod
+    def _dataset(golden, rows, core=None, tails=()):
+        """4s1/2 coupled to each (upper, alpha0 target, relative d unc) in `rows`."""
+        ground = lab("4s1/2")
+        levels = [Level(ground, 0.0)]
+        elements = []
+        for upper, alpha0, rel in rows:
+            upper = lab(upper)
+            energy = golden.energy_cm(upper)
+            levels.append(Level(upper, energy))
+            d = math.sqrt(alpha0 * energy_difference_au(golden, ground, upper).value * 3.0)
+            elements.append(ReducedE1(ground, upper, d_q(d, rel * d)))
+        return Dataset(levels, elements, core or golden.core_alpha, dict(tails))
+
+    @pytest.mark.parametrize("field", ["tail", "core"])
+    def test_addend_in_wrong_unit_raises(self, golden, field):
+        bad = Quantity(1.0, 0.1, HERTZ)
+        tails = {(lab("4s1/2"), SCALAR): bad} if field == "tail" else {}
+        ds = Dataset(golden.levels, golden.elements, bad if field == "core" else golden.core_alpha, tails)
+        with pytest.raises(UnitMismatchError) as info:
+            assemble_breakdown(ds, lab("4s1/2"), SCALAR)
+        assert str(info.value) == "addend must be in 'a0^3', got 'Hz'"
+
+    def test_overflowing_rows_raise(self, golden):
+        ground = lab("4s1/2")
+        levels = [Level(ground, 0.0)] + [Level(lab(u), golden.energy_cm(lab(u))) for u in ("4p1/2", "4p3/2")]
+        elements = [ReducedE1(ground, lab(u), d_q(7e153, 7e152)) for u in ("4p1/2", "4p3/2")]
+        ds = Dataset(levels, elements, golden.core_alpha, {})
+        with pytest.raises(ValueError) as info:
+            assemble_breakdown(ds, ground, SCALAR)
+        assert str(info.value) == "non-finite uncertainty: inf a0^3"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # two finite rows whose uncertainties overflow in quadrature
+            ([("4p1/2", 0.4, 1.0), ("4p3/2", 0.4, 1.0)], "non-finite uncertainty: inf a0^3"),
+            # three finite rows whose values overflow in the last addition
+            (
+                [("4p1/2", 0.4, 0.0), ("5p1/2", 0.4, 0.0), ("4p3/2", 0.4, 0.0)],
+                "non-finite value: inf a0^3",
+            ),
+            # the uncertainty overflows first (rows 1-2), the value later (row 3)
+            (
+                [("4p1/2", 0.4, 1.0), ("5p1/2", 0.4, 1.0), ("4p3/2", 0.4, 0.0)],
+                "non-finite uncertainty: inf a0^3",
+            ),
+        ],
+    )
+    def test_sum_of_finite_rows_that_overflows_raises(self, golden, rows, message):
+        rows = [(upper, share * self.BIG, rel) for upper, share, rel in rows]
+        for row in rows:  # each row alone sums to a finite total
+            assemble_breakdown(self._dataset(golden, [row]), lab("4s1/2"), SCALAR)
+        ds = self._dataset(golden, rows)
+        with pytest.raises(ValueError) as info:
+            assemble_breakdown(ds, lab("4s1/2"), SCALAR)
+        assert str(info.value) == message
+
+    def test_overflow_in_the_rows_precedes_the_tail_unit_check(self, golden):
+        rows = [("4p1/2", 0.4 * self.BIG, 0.0), ("5p1/2", 0.4 * self.BIG, 0.0), ("4p3/2", 0.4 * self.BIG, 0.0)]
+        tails = {(lab("4s1/2"), SCALAR): Quantity(1.0, 0.1, HERTZ)}
+        ds = self._dataset(golden, rows, tails=tails)
+        with pytest.raises(ValueError) as info:
+            assemble_breakdown(ds, lab("4s1/2"), SCALAR)
+        assert str(info.value) == "non-finite value: inf a0^3"
+
+    def test_tail_that_overflows_the_sum_raises(self, golden):
+        rows = [("4p1/2", 0.4 * self.BIG, 0.0)]
+        tails = {(lab("4s1/2"), SCALAR): Quantity(0.9 * self.BIG, 0.0, A0_CUBED)}
+        ds = self._dataset(golden, rows, tails=tails)
+        with pytest.raises(ValueError) as info:
+            assemble_breakdown(ds, lab("4s1/2"), SCALAR)
+        assert str(info.value) == "non-finite value: inf a0^3"
+
+
+def test_tensor_angular_calls_the_module_level_kernels(golden, monkeypatch):
+    """The 6j and prefactor names stay patchable on polkit.polarizability."""
+    called = []
+
+    def counted(name, kernel):
+        def wrapper(*args):
+            called.append(name)
+            return kernel(*args)
+        return wrapper
+
+    for name in ("wigner6j", "tensor_prefactor_C"):
+        monkeypatch.setattr(pol, name, counted(name, getattr(pol, name)))
+    pol._tensor_angular.cache_clear()
+    try:
+        b = assemble_breakdown(golden, lab("3d5/2"), TENSOR)
+    finally:
+        pol._tensor_angular.cache_clear()
+    assert set(called) == {"wigner6j", "tensor_prefactor_C"}
+    assert b == assemble_breakdown(golden, lab("3d5/2"), TENSOR)
