@@ -171,81 +171,80 @@ class TestAssembleBreakdown:
 class TestConstructorBuiltSums:
     """Datasets built by constructors skip validate; the sum still refuses bad input."""
 
-    BIG = sys.float_info.max
-
     @staticmethod
-    def _dataset(golden, rows, core=None, tails=()):
-        """4s1/2 coupled to each (upper, alpha0 target, relative d unc) in `rows`."""
+    def _dataset(golden, rows, tail=None):
+        """4s1/2 coupled to each (upper, alpha0 as a share of the largest float, relative
+        d uncertainty) in `rows`, with `tail` as its scalar tail."""
         ground = lab("4s1/2")
         levels = [Level(ground, 0.0)]
         elements = []
-        for upper, alpha0, rel in rows:
+        for upper, share, rel in rows:
             upper = lab(upper)
-            energy = golden.energy_cm(upper)
-            levels.append(Level(upper, energy))
-            d = math.sqrt(alpha0 * energy_difference_au(golden, ground, upper).value * 3.0)
+            levels.append(Level(upper, golden.energy_cm(upper)))
+            de = energy_difference_au(golden, ground, upper).value
+            d = math.sqrt(share * sys.float_info.max * de * 3.0)
             elements.append(ReducedE1(ground, upper, d_q(d, rel * d)))
-        return Dataset(levels, elements, core or golden.core_alpha, dict(tails))
+        tails = {} if tail is None else {(ground, SCALAR): tail}
+        return Dataset(levels, elements, golden.core_alpha, tails)
 
     @pytest.mark.parametrize("field", ["tail", "core"])
     def test_addend_in_wrong_unit_raises(self, golden, field):
         bad = Quantity(1.0, 0.1, HERTZ)
         tails = {(lab("4s1/2"), SCALAR): bad} if field == "tail" else {}
-        ds = Dataset(golden.levels, golden.elements, bad if field == "core" else golden.core_alpha, tails)
+        core = bad if field == "core" else golden.core_alpha
+        ds = Dataset(golden.levels, golden.elements, core, tails)
         with pytest.raises(UnitMismatchError) as info:
             assemble_breakdown(ds, lab("4s1/2"), SCALAR)
         assert str(info.value) == "addend must be in 'a0^3', got 'Hz'"
 
-    def test_overflowing_rows_raise(self, golden):
+    def test_row_that_overflows_raises(self, golden):
+        """At d = 7e153 the row term 2|alpha| dd/d is itself inf."""
         ground = lab("4s1/2")
-        levels = [Level(ground, 0.0)] + [Level(lab(u), golden.energy_cm(lab(u))) for u in ("4p1/2", "4p3/2")]
-        elements = [ReducedE1(ground, lab(u), d_q(7e153, 7e152)) for u in ("4p1/2", "4p3/2")]
+        uppers = (lab("4p1/2"), lab("4p3/2"))
+        levels = [Level(ground, 0.0)] + [Level(u, golden.energy_cm(u)) for u in uppers]
+        elements = [ReducedE1(ground, u, d_q(7e153, 7e152)) for u in uppers]
         ds = Dataset(levels, elements, golden.core_alpha, {})
         with pytest.raises(ValueError) as info:
             assemble_breakdown(ds, ground, SCALAR)
         assert str(info.value) == "non-finite uncertainty: inf a0^3"
 
     @pytest.mark.parametrize(
-        "rows, message",
+        "rows, tail, message",
         [
-            # two finite rows whose uncertainties overflow in quadrature
-            ([("4p1/2", 0.4, 1.0), ("4p3/2", 0.4, 1.0)], "non-finite uncertainty: inf a0^3"),
-            # three finite rows whose values overflow in the last addition
+            # two rows whose uncertainties overflow in quadrature
+            ([("4p1/2", 0.4, 1.0), ("4p3/2", 0.4, 1.0)], None, "non-finite uncertainty: inf a0^3"),
+            # three rows whose values overflow in the last addition
             (
                 [("4p1/2", 0.4, 0.0), ("5p1/2", 0.4, 0.0), ("4p3/2", 0.4, 0.0)],
+                None,
                 "non-finite value: inf a0^3",
             ),
             # the uncertainty overflows first (rows 1-2), the value later (row 3)
             (
                 [("4p1/2", 0.4, 1.0), ("5p1/2", 0.4, 1.0), ("4p3/2", 0.4, 0.0)],
+                None,
                 "non-finite uncertainty: inf a0^3",
+            ),
+            # the rows overflow before the tail's unit is checked
+            (
+                [("4p1/2", 0.4, 0.0), ("5p1/2", 0.4, 0.0), ("4p3/2", 0.4, 0.0)],
+                Quantity(1.0, 0.1, HERTZ),
+                "non-finite value: inf a0^3",
+            ),
+            # a finite tail overflows the sum of the rows
+            (
+                [("4p1/2", 0.4, 0.0)],
+                Quantity(0.9 * sys.float_info.max, 0.0, A0_CUBED),
+                "non-finite value: inf a0^3",
             ),
         ],
     )
-    def test_sum_of_finite_rows_that_overflows_raises(self, golden, rows, message):
-        rows = [(upper, share * self.BIG, rel) for upper, share, rel in rows]
+    def test_sum_of_finite_addends_that_overflows_raises(self, golden, rows, tail, message):
         for row in rows:  # each row alone sums to a finite total
             assemble_breakdown(self._dataset(golden, [row]), lab("4s1/2"), SCALAR)
-        ds = self._dataset(golden, rows)
         with pytest.raises(ValueError) as info:
-            assemble_breakdown(ds, lab("4s1/2"), SCALAR)
+            assemble_breakdown(self._dataset(golden, rows, tail), lab("4s1/2"), SCALAR)
         assert str(info.value) == message
-
-    def test_overflow_in_the_rows_precedes_the_tail_unit_check(self, golden):
-        rows = [("4p1/2", 0.4 * self.BIG, 0.0), ("5p1/2", 0.4 * self.BIG, 0.0), ("4p3/2", 0.4 * self.BIG, 0.0)]
-        tails = {(lab("4s1/2"), SCALAR): Quantity(1.0, 0.1, HERTZ)}
-        ds = self._dataset(golden, rows, tails=tails)
-        with pytest.raises(ValueError) as info:
-            assemble_breakdown(ds, lab("4s1/2"), SCALAR)
-        assert str(info.value) == "non-finite value: inf a0^3"
-
-    def test_tail_that_overflows_the_sum_raises(self, golden):
-        rows = [("4p1/2", 0.4 * self.BIG, 0.0)]
-        tails = {(lab("4s1/2"), SCALAR): Quantity(0.9 * self.BIG, 0.0, A0_CUBED)}
-        ds = self._dataset(golden, rows, tails=tails)
-        with pytest.raises(ValueError) as info:
-            assemble_breakdown(ds, lab("4s1/2"), SCALAR)
-        assert str(info.value) == "non-finite value: inf a0^3"
 
 
 def test_tensor_angular_calls_the_module_level_kernels(golden, monkeypatch):
