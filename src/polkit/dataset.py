@@ -199,16 +199,6 @@ class ReducedE1(Record):
         _set(self, "upper", upper)
         _set(self, "d", d)
 
-    def couples(self, label: LevelLabel) -> bool:
-        return label == self.lower or label == self.upper
-
-    def partner(self, label: LevelLabel) -> LevelLabel:
-        if label == self.lower:
-            return self.upper
-        if label == self.upper:
-            return self.lower
-        raise ValueError(f"{label} is not an endpoint of {self.lower}-{self.upper}")
-
 
 def e1_selection_ok(a: LevelLabel, b: LevelLabel) -> bool:
     """Electric-dipole selection rules: |dl| = 1 and |dj| <= 1."""
@@ -252,10 +242,17 @@ class Dataset(Record):
         """Tail term for (state, multipole); 0(0) when none is declared."""
         return self.tails.get((label, multipole), ZERO_A0_CUBED)
 
-    def elements_coupling(self, label: LevelLabel) -> Iterator[ReducedE1]:
-        for element in self.elements:
-            if element.couples(label):
-                yield element
+    def couplings(self, label: LevelLabel) -> Iterator[tuple[LevelLabel, ReducedE1, float]]:
+        """(partner, element, E(partner) - E(label) in hartree) per element on `label`, in order."""
+        energy = self.energy_cm(label)
+        for el in self.elements:
+            if el.lower == label:
+                partner = el.upper
+            elif el.upper == label:
+                partner = el.lower
+            else:
+                continue
+            yield partner, el, (self.energy_cm(partner) - energy) / HARTREE_IN_CM
 
     def to_text(self) -> str:
         """Canonical text form; parses back to an identical dataset."""

@@ -21,7 +21,6 @@ from .dataset import (
     Dataset,
     LevelLabel,
     Quantity,
-    _gap_au,
     require_unit,
 )
 
@@ -89,22 +88,16 @@ def assemble_breakdown(
     # Each term is an angular factor times d^2/deltaE: 2/(3(2j_v+1)) for the
     # scalar part; the tensor part vanishes identically for j_v < 1.
     scalar = 2.0 / (3.0 * (j2_v + 1))
-    rows: list[Contribution] = []
-    for el in ds.elements:
-        if el.lower == state:
-            partner = el.upper
-        elif el.upper == state:
-            partner = el.lower
-        else:
-            continue
-        de = _gap_au(ds, state, partner)
+    rows: list[tuple[tuple[int, float, LevelLabel], Contribution]] = []
+    for partner, el, de in ds.couplings(state):
         if de == 0.0:
             raise ZeroDivisionError("zero energy denominator")
         d2 = el.d.value**2
         alpha0 = _term(scalar * d2 / de, el.d)
         alpha2 = _term(_tensor_angular(j2_v, partner.j2) * d2 / de, el.d) if j2_v >= 2 else None
-        rows.append(Contribution(state, partner, el.d, alpha0, alpha2))
-    rows.sort(key=lambda c: (c.partner.j2, ds.energy_cm(c.partner), c.partner))
+        rows.append(((partner.j2, de, partner), Contribution(state, partner, el.d, alpha0, alpha2)))
+    rows.sort(key=lambda row: row[0])  # gap order is partner-energy order: no energies ulps apart
+    main = tuple(contrib for _, contrib in rows)
 
     tail = ds.tail(state, multipole)
     core = ds.core_alpha if multipole == SCALAR else ZERO_A0_CUBED
@@ -113,7 +106,7 @@ def assemble_breakdown(
     # additions and hypot chain in the same order, each addend unit-checked,
     # stopping where a Quantity addition would have refused a non-finite sum.
     value = unc = 0.0
-    for q in (*(row.value(multipole) for row in rows), tail, core):
+    for q in (*(contrib.value(multipole) for contrib in main), tail, core):
         require_unit(q, A0_CUBED, "addend")
         value += q.value
         unc = math.hypot(unc, q.unc)
@@ -121,4 +114,4 @@ def assemble_breakdown(
             break
     total = Quantity(value, unc, A0_CUBED)
 
-    return PolarizabilityBreakdown(state, multipole, tuple(rows), tail, core, total)
+    return PolarizabilityBreakdown(state, multipole, main, tail, core, total)

@@ -66,7 +66,7 @@ def decay_channels(ds: Dataset, upper: LevelLabel) -> list[DecayChannel]:
     """
     ds.level(upper)
     channels = []
-    for el in ds.elements_coupling(upper):
+    for el in ds.elements:
         if el.upper == upper:
             delta_e = _gap_au(ds, el.lower, upper)
             channels.append(DecayChannel(upper, el.lower, einstein_A(el.d, delta_e, upper.j2)))

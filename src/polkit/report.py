@@ -265,8 +265,8 @@ def extract_report(
     tau = Quantity(tau_ns, tau_unc_ns, NANOSECOND)
     d = extract_matrix_element(tau, others, delta_e, upper.j2)
     totals: dict[str, Any] = {"d_extracted": d}
-    for el in ds.elements_coupling(upper):
-        if el.partner(upper) == lower:
+    for partner, el, _ in ds.couplings(upper):
+        if partner == lower:
             totals["d_theory"] = el.d
             totals["percent_difference"] = (el.d.value - d.value) / d.value * 100.0
             break
