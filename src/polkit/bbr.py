@@ -90,5 +90,11 @@ def clock_bbr_shift(
     require_unit(alpha_excited, A0_CUBED, "excited polarizability")
     factor = _shift_per_si_alpha(cond) * POLARIZABILITY_AU_IN_SI
     diff = alpha_excited.value - alpha_ground.value
-    var = alpha_ground.unc**2 + alpha_excited.unc**2 - 2.0 * shared_core_unc**2
+    try:
+        var = alpha_ground.unc**2 + alpha_excited.unc**2 - 2.0 * shared_core_unc**2
+    except OverflowError:
+        unc = max(alpha_ground.unc, alpha_excited.unc, shared_core_unc)
+        raise ValueError(
+            f"polarizability uncertainty {unc!r} a0^3 is out of range: its square overflows"
+        ) from None
     return Quantity(factor * diff, abs(factor) * math.sqrt(max(var, 0.0)), HERTZ)

@@ -92,7 +92,12 @@ def assemble_breakdown(
     for partner, el, de in ds.couplings(state):
         if de == 0.0:
             raise ZeroDivisionError("zero energy denominator")
-        d2 = el.d.value**2
+        try:
+            d2 = el.d.value**2
+        except OverflowError:
+            raise ValueError(
+                f"e1 {el.lower}-{el.upper} value {el.d.value!r} e*a0 is out of range: d^2 overflows"
+            ) from None
         alpha0 = _term(scalar * d2 / de, el.d)
         alpha2 = _term(_tensor_angular(j2_v, partner.j2) * d2 / de, el.d) if j2_v >= 2 else None
         rows.append(((partner.j2, de, partner), Contribution(state, partner, el.d, alpha0, alpha2)))

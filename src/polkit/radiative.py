@@ -40,7 +40,12 @@ class DecayChannel(Record):
 
 def _rate_per_d_squared_mhz(delta_e_au: float, j2_upper: int) -> float:
     """A/d^2 in MHz per (e*a0)^2 for a transition of energy delta_e_au."""
-    rate_au = (4.0 / 3.0) * delta_e_au**3 / SPEED_OF_LIGHT_AU**3 / (j2_upper + 1)
+    try:
+        rate_au = (4.0 / 3.0) * delta_e_au**3 / SPEED_OF_LIGHT_AU**3 / (j2_upper + 1)
+    except OverflowError:
+        raise ValueError(
+            f"transition energy {delta_e_au!r} hartree is out of range: its cube overflows"
+        ) from None
     return rate_au * RATE_AU_IN_PER_S / 1e6
 
 
@@ -54,7 +59,12 @@ def einstein_A(d: Quantity, delta_e_au: float, j2_upper: int) -> Quantity:
         raise ValueError(f"transition energy must be positive: {delta_e_au}")
     if d.value == 0.0:
         return Quantity(0.0, 0.0, MEGAHERTZ)
-    value = _rate_per_d_squared_mhz(delta_e_au, j2_upper) * d.value**2
+    try:
+        value = _rate_per_d_squared_mhz(delta_e_au, j2_upper) * d.value**2
+    except OverflowError:
+        raise ValueError(
+            f"matrix element {d.value!r} e*a0 is out of range: d^2 overflows"
+        ) from None
     return Quantity(value, 2.0 * value * d.relative_unc(), MEGAHERTZ)
 
 
@@ -82,8 +92,14 @@ def lifetime(channels: Sequence[DecayChannel]) -> Quantity:
         raise ValueError("decay channels have mixed upper states")
     total = sum(ch.A.value for ch in channels)
     tau = 1000.0 / total
-    rate_unc = math.sqrt(sum(ch.A.unc**2 for ch in channels))
-    return Quantity(tau, 1000.0 * rate_unc / total**2, NANOSECOND)
+    try:
+        rate_unc = math.sqrt(sum(ch.A.unc**2 for ch in channels))
+        tau_unc = 1000.0 * rate_unc / total**2
+    except OverflowError:
+        raise ValueError(
+            f"decay rates of {upper} are out of range: their squares overflow"
+        ) from None
+    return Quantity(tau, tau_unc, NANOSECOND)
 
 
 def extract_matrix_element(
@@ -112,8 +128,11 @@ def extract_matrix_element(
         )
     per_d2 = _rate_per_d_squared_mhz(delta_e_au, j2_upper)
     d = math.sqrt(residual / per_d2)
-    rate_unc = math.hypot(
-        total_rate * tau_expt.unc / tau_expt.value,
-        math.sqrt(sum(ch.A.unc**2 for ch in others)),
-    )
+    try:
+        others_unc = math.sqrt(sum(ch.A.unc**2 for ch in others))
+    except OverflowError:
+        raise ValueError(
+            f"decay rates of {others[0].upper} are out of range: their squares overflow"
+        ) from None
+    rate_unc = math.hypot(total_rate * tau_expt.unc / tau_expt.value, others_unc)
     return Quantity(d, d * rate_unc / (2.0 * residual), E_A0)

@@ -275,6 +275,81 @@ class TestCLI:
         assert err.startswith("polkit: error: ") and err.count("\n") == 1
         assert "temperature" in err
 
+    @pytest.mark.parametrize(
+        "elements,argv,message",
+        [
+            (
+                "e1 4s1/2 4p1/2 2e154 1e149",
+                ["polarizability", "--state", "4s1/2"],
+                "e1 4s1/2-4p1/2 value 2e+154 e*a0 is out of range: d^2 overflows",
+            ),
+            (
+                "e1 4s1/2 4p1/2 2e154 1e149",
+                ["lifetime", "--state", "4p1/2"],
+                "matrix element 2e+154 e*a0 is out of range: d^2 overflows",
+            ),
+            (
+                "level 4p1/2 1e110\ne1 4s1/2 4p1/2 2.898 0.029",
+                ["lifetime", "--state", "4p1/2"],
+                "transition energy 4.5563352529119374e+104 hartree is out of range: "
+                "its cube overflows",
+            ),
+            (
+                "level 4p1/2 1e110",
+                ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "7"],
+                "transition energy 4.5563352529119374e+104 hartree is out of range: "
+                "its cube overflows",
+            ),
+            (
+                "e1 4s1/2 4p1/2 1e152 1e149\ne1 3d3/2 4p1/2 1e153 1e150",
+                ["lifetime", "--state", "4p1/2"],
+                "decay rates of 4p1/2 are out of range: their squares overflow",
+            ),
+            (
+                "e1 4s1/2 4p1/2 1e153 0\ne1 3d3/2 4p1/2 1e153 0",
+                ["lifetime", "--state", "4p1/2"],
+                "decay rates of 4p1/2 are out of range: their squares overflow",
+            ),
+            (
+                "e1 4s1/2 4p1/2 1e152 1e149\ne1 3d3/2 4p1/2 1e153 1e150",
+                ["bbr", "--excited", "4p1/2"],
+                "polarizability uncertainty 1.2677748858594013e+304 a0^3 is out of range: "
+                "its square overflows",
+            ),
+            (
+                "e1 3d3/2 4p1/2 8e99 8e109",
+                ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e-300"],
+                "decay rates of 4p1/2 are out of range: their squares overflow",
+            ),
+        ],
+        ids=[
+            "assembly-d-squared",
+            "einstein-A-d-squared",
+            "lifetime-gap-cubed",
+            "extract-gap-cubed",
+            "lifetime-rate-unc-squared",
+            "lifetime-total-rate-squared",
+            "bbr-polarizability-unc-squared",
+            "extract-other-rate-unc-squared",
+        ],
+    )
+    def test_overflowing_power_names_its_input(self, tmp_path, capsys, elements, argv, message):
+        levels = {"4s1/2": "0", "3d3/2": "13650.19", "4p1/2": "25191.51"}
+        lines = elements.splitlines()
+        for line in [line for line in lines if line.startswith("level ")]:
+            lines.remove(line)
+            levels[line.split()[1]] = line.split()[2]
+        path = tmp_path / "overflow.dat"
+        path.write_text(
+            "".join(f"level {label} {energy}\n" for label, energy in levels.items())
+            + "".join(f"{line}\n" for line in lines)
+            + "core 3.25 0.17\n"
+        )
+        code, out, err = run_cli(capsys, *argv, "--dataset", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"polkit: error: {message}\n"
+        assert "Numerical result out of range" not in err
+
     def test_tiny_lifetime_does_not_underflow(self, capsys):
         argv = ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e-300"]
         code, out, err = run_cli(capsys, *argv, "--format", "machine")
