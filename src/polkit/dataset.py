@@ -130,7 +130,7 @@ def require_unit(q: Quantity, unit: str, what: str) -> None:
 ZERO_A0_CUBED = Quantity(0.0, 0.0, A0_CUBED)
 
 
-_LABEL_RE = re.compile(r"([0-9]+)([a-z])([0-9]+)/2")
+_LABEL_RE = re.compile(rf"([0-9]+)([{L_LETTERS}])([0-9]+)/2")
 
 
 class LevelLabel(NamedTuple("LevelLabel", [("n", int), ("l", int), ("j2", int)])):
@@ -156,7 +156,7 @@ class LevelLabel(NamedTuple("LevelLabel", [("n", int), ("l", int), ("j2", int)])
     @classmethod
     def parse(cls, text: str) -> "LevelLabel":
         m = _LABEL_RE.fullmatch(text)
-        if m is None or m.group(2) not in L_LETTERS:
+        if m is None:
             raise DatasetError(f"bad level label {text!r} (expected e.g. '4p3/2')")
         try:
             return cls(int(m.group(1)), L_LETTERS.index(m.group(2)), int(m.group(3)))
@@ -375,20 +375,17 @@ def validate(ds: Dataset) -> list[str]:
 
     pairs: set[tuple[LevelLabel, LevelLabel]] = set()
     for el in ds.elements:
-        name = f"e1 {el.lower}-{el.upper}"
-        missing = [lab for lab in (el.lower, el.upper) if lab not in seen]
-        for lab in missing:
-            violations.append(f"{name}: unknown level {lab}")
-        if missing:
-            continue
-        if not e1_selection_ok(el.lower, el.upper):
-            violations.append(f"{name}: violates E1 selection rules")
-        if ds.energy_cm(el.lower) >= ds.energy_cm(el.upper):
-            violations.append(f"{name}: lower level is not energetically lower")
-        key = (el.lower, el.upper) if el.lower <= el.upper else (el.upper, el.lower)
-        if key in pairs:
-            violations.append(f"{name}: duplicate matrix element for this pair")
-        pairs.add(key)
+        problems = [f"unknown level {lab}" for lab in (el.lower, el.upper) if lab not in seen]
+        if not problems:
+            if not e1_selection_ok(el.lower, el.upper):
+                problems.append("violates E1 selection rules")
+            if ds.energy_cm(el.lower) >= ds.energy_cm(el.upper):
+                problems.append("lower level is not energetically lower")
+            key = (el.lower, el.upper) if el.lower <= el.upper else (el.upper, el.lower)
+            if key in pairs:
+                problems.append("duplicate matrix element for this pair")
+            pairs.add(key)
+        violations += [f"e1 {el.lower}-{el.upper}: {problem}" for problem in problems]
 
     if ds.core_alpha.value <= 0:
         violations.append("core polarizability must be positive")

@@ -61,6 +61,12 @@ class TestLevelLabel:
         for level in golden.levels:
             assert LevelLabel.parse(str(level.label)) == level.label
 
+    @pytest.mark.parametrize("bad", ["4x1/2", "4S1/2"])
+    def test_letter_outside_spdfg_message(self, bad):
+        with pytest.raises(DatasetError) as info:
+            LevelLabel.parse(bad)
+        assert str(info.value) == f"bad level label {bad!r} (expected e.g. '4p3/2')"
+
 
 class TestLevel:
     @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
@@ -297,6 +303,25 @@ class TestValidate:
         ds = Dataset(self._levels(), (bad,), Quantity(3.25, 0.17, A0_CUBED), {})
         assert any("not energetically lower" in v for v in validate(ds))
 
+    def test_element_violations_keep_their_order(self):
+        text = (
+            "level 4s1/2 0\nlevel 4p1/2 100\nlevel 3d3/2 50\ncore 1 0\n"
+            "e1 4s1/2 5p1/2 1 0\ne1 6s1/2 5p1/2 1 0\ne1 4p1/2 4s1/2 1 0\ne1 4s1/2 4p1/2 1 0\n"
+            "e1 4s1/2 3d3/2 1 0\ne1 3d3/2 4p1/2 1 0\ne1 4p1/2 3d3/2 1 0\n"
+        )
+        with pytest.raises(DatasetError) as info:
+            parse_dataset(text)
+        assert str(info.value).split("; ") == [
+            "e1 4s1/2-5p1/2: unknown level 5p1/2",
+            "e1 6s1/2-5p1/2: unknown level 6s1/2",
+            "e1 6s1/2-5p1/2: unknown level 5p1/2",
+            "e1 4p1/2-4s1/2: lower level is not energetically lower",
+            "e1 4s1/2-4p1/2: duplicate matrix element for this pair",
+            "e1 4s1/2-3d3/2: violates E1 selection rules",
+            "e1 4p1/2-3d3/2: lower level is not energetically lower",
+            "e1 4p1/2-3d3/2: duplicate matrix element for this pair",
+        ]
+
     def test_nonpositive_core_reported(self):
         ds = Dataset(self._levels(), (), Quantity(-1.0, 0.17, A0_CUBED), {})
         assert any("core" in v for v in validate(ds))
@@ -330,6 +355,22 @@ class TestEnergyDifference:
     def test_all_stored_elements_point_upward(self, golden):
         for el in golden.elements:
             assert energy_difference_au(golden, el.lower, el.upper).value > 0
+
+
+class TestCouplings:
+    def test_walk_yields_each_element_on_the_level_with_its_partner_and_gap(self, golden):
+        for level in golden.levels:
+            label = level.label
+            walk = list(golden.couplings(label))
+            on_label = [el for el in golden.elements if label in (el.lower, el.upper)]
+            assert [el for _, el, _ in walk] == on_label
+            for partner, el, gap in walk:
+                assert partner == (el.upper if el.lower == label else el.lower)
+                assert gap == energy_difference_au(golden, label, partner).value
+
+    def test_unknown_label_raises(self, golden):
+        with pytest.raises(UnknownLevelError):
+            list(golden.couplings(LevelLabel.parse("9g9/2")))
 
 
 PACKAGED_LINES = builtin_dataset_text().splitlines()
