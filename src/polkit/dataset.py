@@ -88,12 +88,7 @@ class Record:
 
 
 class Quantity(Record):
-    """A number with a one-sigma uncertainty and a unit tag.
-
-    Value and uncertainty must be finite.  Addition requires identical unit
-    tags and combines uncertainties in quadrature (components are treated as
-    uncorrelated).
-    """
+    """A number with a one-sigma uncertainty and a unit tag; both numbers are finite."""
 
     __slots__ = _fields = ("value", "unc", "unit")
 
@@ -107,12 +102,6 @@ class Quantity(Record):
         _set(self, "value", value)
         _set(self, "unc", unc)
         _set(self, "unit", unit)
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        if not isinstance(other, Quantity):
-            return NotImplemented
-        require_unit(other, self.unit, "addend")
-        return Quantity(self.value + other.value, math.hypot(self.unc, other.unc), self.unit)
 
     def relative_unc(self) -> float:
         """unc / |value|; zero for a zero value."""

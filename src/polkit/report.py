@@ -16,7 +16,7 @@ import math
 from typing import Any, Callable, Mapping, Sequence
 
 from .bbr import BBRConditions, bbr_shift_state, clock_bbr_shift
-from .dataset import NANOSECOND, SCALAR, Dataset, LevelLabel, Quantity, Record, _set
+from .dataset import NANOSECOND, SCALAR, TENSOR, Dataset, LevelLabel, Quantity, Record, _set
 from .dataset import _gap_au, e1_selection_ok
 from .polarizability import assemble_breakdown
 from .radiative import DecayChannel, decay_channels, extract_matrix_element, lifetime
@@ -146,9 +146,9 @@ def polarizability_report(ds: Dataset, source: str, state: LevelLabel, multipole
     breakdown = assemble_breakdown(ds, state, multipole)
     rows = []
     for contrib in breakdown.main:
-        row = {"transition": contrib.transition, "d": contrib.d, "alpha0": contrib.alpha0}
+        row = {"transition": contrib.transition, "d": contrib.d, "alpha0": contrib.quantity(SCALAR)}
         if contrib.alpha2 is not None:
-            row["alpha2"] = contrib.alpha2
+            row["alpha2"] = contrib.quantity(TENSOR)
         rows.append(row)
     return Report(
         kind="polarizability",

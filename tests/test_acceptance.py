@@ -117,8 +117,8 @@ def test_criterion_1_ground_state_scalar_table(golden):
     assert len(rows) == len(GROUND_ROWS)
     for partner, alpha0, unc in GROUND_ROWS:
         c = rows[partner]
-        assert_printed(c.alpha0.value, alpha0, f"4s1/2-{partner}")
-        assert_printed_unc(c.alpha0.unc, unc, f"4s1/2-{partner} unc")
+        assert_printed(c.alpha0, alpha0, f"4s1/2-{partner}")
+        assert_printed_unc(c.quantity(SCALAR).unc, unc, f"4s1/2-{partner} unc")
     assert_printed(b.core.value, GROUND_CORE[0], "core")
     assert_printed_unc(b.core.unc, GROUND_CORE[1], "core unc")
     assert_printed(b.tail.value, GROUND_TAIL[0], "tail")
@@ -136,11 +136,11 @@ def test_criterion_2_d_state_tables(golden):
     scalar_rows = tensor_rows = 0
     for partner, a0, u0, a2, u2 in DSTATE_ROWS:
         c = rows[partner]
-        assert_printed(c.alpha0.value, a0, f"3d5/2-{partner} alpha0")
-        assert_printed_unc(c.alpha0.unc, u0, f"3d5/2-{partner} alpha0 unc")
+        assert_printed(c.alpha0, a0, f"3d5/2-{partner} alpha0")
+        assert_printed_unc(c.quantity(SCALAR).unc, u0, f"3d5/2-{partner} alpha0 unc")
         scalar_rows += 1
-        assert_printed(c.alpha2.value, a2, f"3d5/2-{partner} alpha2")
-        assert_printed_unc(c.alpha2.unc, u2, f"3d5/2-{partner} alpha2 unc")
+        assert_printed(c.alpha2, a2, f"3d5/2-{partner} alpha2")
+        assert_printed_unc(c.quantity(TENSOR).unc, u2, f"3d5/2-{partner} alpha2 unc")
         tensor_rows += 1
     assert_printed(b0.core.value, DSTATE_CORE[0], "core")
     assert_printed_unc(b0.core.unc, DSTATE_CORE[1], "core unc")
@@ -307,7 +307,7 @@ def test_criterion_7_polarizability_properties(golden):
     b0 = assemble_breakdown(golden, lab("3d5/2"), SCALAR)
     ratios: dict[int, list[float]] = {}
     for c in b0.main:
-        ratios.setdefault(c.partner.j2, []).append(c.alpha2.value / c.alpha0.value)
+        ratios.setdefault(c.partner.j2, []).append(c.alpha2 / c.alpha0)
     for j2, values in ratios.items():
         for v in values[1:]:
             assert abs(v - values[0]) <= 1e-12 * abs(values[0]), (j2, values)
@@ -315,7 +315,7 @@ def test_criterion_7_polarizability_properties(golden):
 
     for state, multipole in (("4s1/2", SCALAR), ("3d5/2", SCALAR), ("3d5/2", TENSOR)):
         b = assemble_breakdown(golden, lab(state), multipole)
-        parts = [c.value(multipole) for c in b.main] + [b.tail, b.core]
+        parts = [c.quantity(multipole) for c in b.main] + [b.tail, b.core]
         var = sum(p.unc**2 for p in parts)
         assert abs(b.total.unc**2 - var) <= 1e-12 * var
 

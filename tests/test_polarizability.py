@@ -1,6 +1,4 @@
-import functools
 import math
-import operator
 import sys
 
 import pytest
@@ -26,7 +24,6 @@ from polkit import (
     tensor_prefactor_C,
     wigner6j,
 )
-from polkit.dataset import ZERO_A0_CUBED
 
 lab = LevelLabel.parse
 
@@ -39,9 +36,13 @@ CHAINED_SUM_CASES = (("4s1/2", SCALAR), ("3d5/2", SCALAR), ("3d5/2", TENSOR))
 
 
 def assert_total_is_chained_sum(ds, state, multipole):
+    """The total is value += and hypot over the row, tail and core Quantities, in that order."""
     b = assemble_breakdown(ds, state, multipole)
-    parts = [c.value(multipole) for c in b.main] + [b.tail, b.core]
-    assert b.total == functools.reduce(operator.add, parts, ZERO_A0_CUBED)
+    value = unc = 0.0
+    for part in [c.quantity(multipole) for c in b.main] + [b.tail, b.core]:
+        value += part.value
+        unc = math.hypot(unc, part.unc)
+    assert b.total == Quantity(value, unc, A0_CUBED)
 
 
 class TestAssembleBreakdown:
@@ -59,7 +60,7 @@ class TestAssembleBreakdown:
             ("3d5/2", TENSOR),
         ):
             b = assemble_breakdown(golden, lab(state), multipole)
-            parts = [c.value(multipole) for c in b.main] + [b.tail, b.core]
+            parts = [c.quantity(multipole) for c in b.main] + [b.tail, b.core]
             total = sum(p.value for p in parts)
             var = sum(p.unc**2 for p in parts)
             assert b.total.value == pytest.approx(total, rel=1e-12)
@@ -72,7 +73,7 @@ class TestAssembleBreakdown:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_total_is_the_chained_quantity_sum_for_drawn_e1(self, golden, data):
-        """The float sum keeps the Quantity addition order for any E1 values."""
+        """The float sum keeps the row, tail, core order for any E1 values."""
         elements = []
         for el in golden.elements:
             value = data.draw(st.floats(1e-3, 50.0), label=f"{el.lower}-{el.upper}")
@@ -92,7 +93,7 @@ class TestAssembleBreakdown:
         b = assemble_breakdown(golden, lab("3d5/2"), SCALAR)
         ratios = {}
         for c in b.main:
-            ratios.setdefault(c.partner.j2, []).append(c.alpha2.value / c.alpha0.value)
+            ratios.setdefault(c.partner.j2, []).append(c.alpha2 / c.alpha0)
         for j2, values in ratios.items():
             for v in values:
                 assert v == pytest.approx(values[0], rel=1e-12)
@@ -106,14 +107,23 @@ class TestAssembleBreakdown:
         assert str(row.partner) == "4p3/2"
         d = row.d.value
         de = energy_difference_au(golden, lab("3d5/2"), lab("4p3/2")).value
-        assert row.alpha0.value == 2.0 / (3.0 * 6) * d**2 / de
+        assert row.alpha0 == 2.0 / (3.0 * 6) * d**2 / de
         sixj = wigner6j(5, 2, 3, 2, 5, 4)
-        assert row.alpha2.value == -4.0 * tensor_prefactor_C(5) * -1 * sixj * d**2 / de
+        assert row.alpha2 == -4.0 * tensor_prefactor_C(5) * -1 * sixj * d**2 / de
+
+    def test_row_quantity_carries_twice_the_relative_d_uncertainty(self, golden):
+        row = assemble_breakdown(golden, lab("3d5/2"), TENSOR).main[0]
+        rel = row.d.unc / row.d.value
+        assert row.quantity(SCALAR) == Quantity(row.alpha0, 2.0 * abs(row.alpha0) * rel, A0_CUBED)
+        assert row.quantity(TENSOR) == Quantity(row.alpha2, 2.0 * abs(row.alpha2) * rel, A0_CUBED)
+        s_row = assemble_breakdown(golden, lab("4s1/2"), SCALAR).main[0]
+        with pytest.raises(ValueError, match="no tensor contribution for 4s1/2-4p1/2"):
+            s_row.quantity(TENSOR)
 
     def test_downward_rows_are_negative(self, golden):
         rows = {str(c.partner): c for c in assemble_breakdown(golden, lab("4p1/2"), SCALAR).main}
-        assert rows["4s1/2"].alpha0.value < 0
-        assert rows["3d3/2"].alpha0.value < 0
+        assert rows["4s1/2"].alpha0 < 0
+        assert rows["3d3/2"].alpha0 < 0
         assert all(c.alpha2 is None for c in rows.values())  # no tensor part for j = 1/2
 
     def test_zero_energy_denominator_raises(self, golden):
@@ -198,15 +208,28 @@ class TestConstructorBuiltSums:
         assert str(info.value) == "addend must be in 'a0^3', got 'Hz'"
 
     def test_row_that_overflows_raises(self, golden):
-        """At d = 7e153 the row term 2|alpha| dd/d is itself inf."""
+        """At d = 7e153 with dd/d = 1 the row term 2|alpha| dd/d (|alpha| ~ 1.4e308) is itself inf."""
         ground = lab("4s1/2")
         uppers = (lab("4p1/2"), lab("4p3/2"))
         levels = [Level(ground, 0.0)] + [Level(u, golden.energy_cm(u)) for u in uppers]
-        elements = [ReducedE1(ground, u, d_q(7e153, 7e152)) for u in uppers]
+        elements = [ReducedE1(ground, u, d_q(7e153, 7e153)) for u in uppers]
         ds = Dataset(levels, elements, golden.core_alpha, {})
         with pytest.raises(ValueError) as info:
             assemble_breakdown(ds, ground, SCALAR)
         assert str(info.value) == "non-finite uncertainty: inf a0^3"
+
+    @pytest.mark.parametrize("rel", [0.0, 0.1])
+    def test_row_above_half_the_largest_float_keeps_its_uncertainty(self, golden, rel):
+        """|alpha| ~ 1.4e308: 2 |alpha| overflows, 2 |alpha| dd/d does not."""
+        ground, upper = lab("4s1/2"), lab("4p1/2")
+        levels = (Level(ground, 0.0), Level(upper, golden.energy_cm(upper)))
+        ds = Dataset(levels, (ReducedE1(ground, upper, d_q(7e153, rel * 7e153)),), golden.core_alpha, {})
+        b = assemble_breakdown(ds, ground, SCALAR)
+        row = b.main[0].quantity(SCALAR)
+        assert row.value > sys.float_info.max / 2
+        assert row.unc == row.value * rel * 2.0
+        assert b.total == Quantity(row.value + golden.core_alpha.value,
+                                   math.hypot(row.unc, golden.core_alpha.unc), A0_CUBED)
 
     @pytest.mark.parametrize(
         "rows, tail, message",

@@ -28,7 +28,7 @@ D = Quantity(2.898, 0.029, E_A0)
 ALPHA = Quantity(1.5, 0.1, A0_CUBED)
 ZERO = Quantity(0.0, 0.0, A0_CUBED)
 RATE = Quantity(140.0, 2.0, MEGAHERTZ)
-CONTRIB = Contribution(S, P, D, ALPHA, None)
+CONTRIB = Contribution(S, P, D, 1.5, None)
 
 
 def _dataset(core=3.25, tails=()):
@@ -90,12 +90,12 @@ RECORDS = {
         False,
     ),
     "Contribution": (
-        Contribution(S, P, D, ALPHA, None),
-        Contribution(state=S, partner=P, d=D, alpha0=ALPHA, alpha2=None),
-        Contribution(S, P, D, ALPHA, ZERO),
+        Contribution(S, P, D, 1.5, None),
+        Contribution(state=S, partner=P, d=D, alpha0=1.5, alpha2=None),
+        Contribution(S, P, D, 1.5, 0.0),
         "Contribution(state=LevelLabel(n=4, l=0, j2=1), partner=LevelLabel(n=4, l=1, j2=1), "
         "d=Quantity(value=2.898, unc=0.029, unit='e*a0'), "
-        "alpha0=Quantity(value=1.5, unc=0.1, unit='a0^3'), alpha2=None)",
+        "alpha0=1.5, alpha2=None)",
         True,
     ),
     "PolarizabilityBreakdown": (
