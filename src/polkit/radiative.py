@@ -65,7 +65,8 @@ def einstein_A(d: Quantity, delta_e_au: float, j2_upper: int) -> Quantity:
         raise ValueError(
             f"matrix element {d.value!r} e*a0 is out of range: d^2 overflows"
         ) from None
-    return Quantity(value, 2.0 * value * d.relative_unc(), MEGAHERTZ)
+    # Doubled last: 2 * value overflows for a finite rate above half the largest float.
+    return Quantity(value, value * d.relative_unc() * 2.0, MEGAHERTZ)
 
 
 def decay_channels(ds: Dataset, upper: LevelLabel) -> list[DecayChannel]:
@@ -91,6 +92,8 @@ def lifetime(channels: Sequence[DecayChannel]) -> Quantity:
     if any(ch.upper != upper for ch in channels):
         raise ValueError("decay channels have mixed upper states")
     total = sum(ch.A.value for ch in channels)
+    if math.isinf(total):
+        raise ValueError(f"decay rates of {upper} are out of range: their sum overflows")
     tau = 1000.0 / total
     try:
         rate_unc = math.sqrt(sum(ch.A.unc**2 for ch in channels))

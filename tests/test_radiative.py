@@ -61,6 +61,17 @@ class TestEinsteinA:
         with pytest.raises(ValueError):
             einstein_A(Quantity(1.0, 0.0, E_A0), -0.1, 1)
 
+    @pytest.mark.parametrize("rel", [0.0, 1e-3])
+    def test_rate_above_half_the_largest_float_keeps_its_uncertainty(self, golden, rel):
+        """A 4p3/2 -> 4s1/2 rate of 1e308 MHz: 2 A overflows, 2 A dd/d does not."""
+        de = energy_difference_au(golden, lab("4s1/2"), lab("4p3/2")).value
+        d = math.sqrt(1e308 / einstein_A(Quantity(1.0, 0.0, E_A0), de, 3).value)
+        a = einstein_A(Quantity(d, rel * d, E_A0), de, 3)
+        assert a.value == pytest.approx(1e308, rel=1e-12)
+        assert a.unc == pytest.approx(2.0 * rel * a.value, rel=1e-12)
+        if rel == 0.0:
+            assert a.unc == 0.0
+
     @given(d=st.floats(0.05, 8.0), de=st.floats(0.01, 1.0))
     def test_quadratic_in_d(self, d, de):
         one = einstein_A(Quantity(d, 0.0, E_A0), de, 3).value
@@ -117,6 +128,13 @@ class TestLifetime:
     def test_mixed_upper_states_rejected(self):
         with pytest.raises(ValueError):
             lifetime([channel("4p1/2", "4s1/2", 100.0), channel("4p3/2", "4s1/2", 1.0)])
+
+    def test_rates_whose_sum_overflows_are_refused(self):
+        """Each 8e307 MHz rate is finite; their sum is not, and the lifetime is not 0(0) ns."""
+        channels = [channel("4p3/2", lower, 8e307) for lower in ("4s1/2", "3d3/2", "3d5/2")]
+        with pytest.raises(ValueError) as info:
+            lifetime(channels)
+        assert str(info.value) == "decay rates of 4p3/2 are out of range: their sum overflows"
 
     def test_uncertainty_propagation(self):
         tau = lifetime([channel("4p1/2", "4s1/2", 100.0, 3.0), channel("4p1/2", "3d3/2", 25.0, 4.0)])

@@ -311,6 +311,17 @@ class TestCLI:
                 "decay rates of 4p1/2 are out of range: their squares overflow",
             ),
             (
+                "level 4p3/2 25414.40\ne1 4s1/2 4p3/2 3.468e153 0",  # a 1e308 MHz rate, zero sigma
+                ["lifetime", "--state", "4p3/2"],
+                "decay rates of 4p3/2 are out of range: their squares overflow",
+            ),
+            (
+                "level 3d5/2 13710.88\nlevel 4p3/2 25414.40\ne1 4s1/2 4p3/2 3.1019e153 0\n"
+                "e1 3d3/2 4p3/2 9.8491e153 0\ne1 3d5/2 4p3/2 9.9258e153 0",
+                ["lifetime", "--state", "4p3/2"],
+                "decay rates of 4p3/2 are out of range: their sum overflows",
+            ),
+            (
                 "e1 4s1/2 4p1/2 1e152 1e149\ne1 3d3/2 4p1/2 1e153 1e150",
                 ["bbr", "--excited", "4p1/2"],
                 "polarizability uncertainty 1.2677748858594013e+304 a0^3 is out of range: "
@@ -329,6 +340,8 @@ class TestCLI:
             "extract-gap-cubed",
             "lifetime-rate-unc-squared",
             "lifetime-total-rate-squared",
+            "lifetime-rate-above-half-max",
+            "lifetime-rate-sum",
             "bbr-polarizability-unc-squared",
             "extract-other-rate-unc-squared",
         ],
