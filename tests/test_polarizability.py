@@ -208,7 +208,7 @@ class TestConstructorBuiltSums:
         assert str(info.value) == "addend must be in 'a0^3', got 'Hz'"
 
     def test_row_that_overflows_raises(self, golden):
-        """At d = 7e153 with dd/d = 1 the row term 2|alpha| dd/d (|alpha| ~ 1.4e308) is itself inf."""
+        """At d = 7e153 (|alpha| ~ 1.4e308) with dd/d = 1, the row's 2|alpha| dd/d is inf."""
         ground = lab("4s1/2")
         uppers = (lab("4p1/2"), lab("4p3/2"))
         levels = [Level(ground, 0.0)] + [Level(u, golden.energy_cm(u)) for u in uppers]
@@ -223,7 +223,8 @@ class TestConstructorBuiltSums:
         """|alpha| ~ 1.4e308: 2 |alpha| overflows, 2 |alpha| dd/d does not."""
         ground, upper = lab("4s1/2"), lab("4p1/2")
         levels = (Level(ground, 0.0), Level(upper, golden.energy_cm(upper)))
-        ds = Dataset(levels, (ReducedE1(ground, upper, d_q(7e153, rel * 7e153)),), golden.core_alpha, {})
+        element = ReducedE1(ground, upper, d_q(7e153, rel * 7e153))
+        ds = Dataset(levels, (element,), golden.core_alpha, {})
         b = assemble_breakdown(ds, ground, SCALAR)
         row = b.main[0].quantity(SCALAR)
         assert row.value > sys.float_info.max / 2
