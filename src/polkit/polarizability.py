@@ -126,4 +126,3 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
     total = Quantity(value, unc, A0_CUBED)
 
     return PolarizabilityBreakdown(state, multipole, main, tail, core, total)
-
