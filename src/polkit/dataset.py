@@ -266,9 +266,14 @@ _NUMBER_RE = re.compile(rf"[+-]?(?:{UNSIGNED_NUMBER})\Z", re.ASCII | re.IGNORECA
 
 def parse_number(token: str, what: str) -> float:
     """The finite value of a number literal; anything else is a DatasetError."""
-    if _NUMBER_RE.fullmatch(token) is None:
+    # float() reads exactly the literals _NUMBER_RE matches, once it is kept from
+    # non-ASCII digits, '_' separators and surrounding whitespace.
+    if not token.isascii() or "_" in token or token != token.strip():
         raise DatasetError(f"bad {what} {token!r}")
-    value = float(token)
+    try:
+        value = float(token)
+    except ValueError:
+        raise DatasetError(f"bad {what} {token!r}") from None
     if not math.isfinite(value):
         raise DatasetError(f"non-finite {what} {token!r}")
     return value
@@ -281,6 +286,7 @@ _DIRECTIVES = {
     "core": "core <value> <unc>",
     "tail": "tail <label> <scalar|tensor> <value> <unc>",
 }
+_ARITY = {kind: usage.count(" ") for kind, usage in _DIRECTIVES.items()}
 
 
 def _quantity(value: str, unc: str, what: str, unit: str) -> Quantity:
@@ -297,31 +303,36 @@ def parse_dataset(text: str) -> Dataset:
     elements: list[ReducedE1] = []
     core: Quantity | None = None
     tails: dict[tuple[LevelLabel, str], Quantity] = {}
+    labels: dict[str, LevelLabel] = {}  # each distinct label text is parsed once
+
+    def parse_label(text: str) -> LevelLabel:
+        parsed = labels.get(text)
+        if parsed is None:  # only successes are kept, so a bad label raises on each line
+            parsed = labels[text] = LevelLabel.parse(text)
+        return parsed
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        kind, *args = line.split()
+        kind, *args = fields
         try:
-            usage = _DIRECTIVES.get(kind)
-            if usage is None:
+            arity = _ARITY.get(kind)
+            if arity is None:
                 raise DatasetError(f"unknown directive {kind!r}")
-            if len(args) != usage.count(" "):
-                raise DatasetError(f"expected: {usage}")
+            if len(args) != arity:
+                raise DatasetError(f"expected: {_DIRECTIVES[kind]}")
             if kind == "level":
-                levels.append(Level(LevelLabel.parse(args[0]), parse_number(args[1], "energy")))
+                levels.append(Level(parse_label(args[0]), parse_number(args[1], "energy")))
             elif kind == "e1":
                 d = _quantity(args[2], args[3], "matrix element", E_A0)
-                elements.append(
-                    ReducedE1(LevelLabel.parse(args[0]), LevelLabel.parse(args[1]), d)
-                )
+                elements.append(ReducedE1(parse_label(args[0]), parse_label(args[1]), d))
             elif kind == "core":
                 if core is not None:
                     raise DatasetError("duplicate core entry")
                 core = _quantity(args[0], args[1], "core polarizability", A0_CUBED)
             else:
-                label = LevelLabel.parse(args[0])
+                label = parse_label(args[0])
                 multipole = args[1]
                 if multipole not in MULTIPOLES:
                     raise DatasetError(f"bad multipole {multipole!r}")
@@ -353,22 +364,30 @@ def builtin_dataset_text() -> str:
 def validate(ds: Dataset) -> list[str]:
     """Check all dataset invariants; return one description per violation."""
     violations: list[str] = []
+    by_label = ds._by_label  # the last level of each label, as Dataset.level reads it
 
-    seen: set[LevelLabel] = set()
-    for level in ds.levels:
-        if level.label in seen:
-            violations.append(f"duplicate level {level.label}")
-        seen.add(level.label)
+    if len(by_label) != len(ds.levels):
+        seen: set[LevelLabel] = set()
+        for level in ds.levels:
+            if level.label in seen:
+                violations.append(f"duplicate level {level.label}")
+            seen.add(level.label)
     if ds.levels and min(level.energy_cm for level in ds.levels) != 0.0:
         violations.append("no ground level with energy 0")
 
     pairs: set[tuple[LevelLabel, LevelLabel]] = set()
     for el in ds.elements:
-        problems = [f"unknown level {lab}" for lab in (el.lower, el.upper) if lab not in seen]
-        if not problems:
+        lower = by_label.get(el.lower)
+        upper = by_label.get(el.upper)
+        if lower is None or upper is None:
+            problems = [
+                f"unknown level {lab}" for lab in (el.lower, el.upper) if lab not in by_label
+            ]
+        else:
+            problems = []
             if not e1_selection_ok(el.lower, el.upper):
                 problems.append("violates E1 selection rules")
-            if ds.energy_cm(el.lower) >= ds.energy_cm(el.upper):
+            if lower.energy_cm >= upper.energy_cm:
                 problems.append("lower level is not energetically lower")
             key = (el.lower, el.upper) if el.lower <= el.upper else (el.upper, el.lower)
             if key in pairs:
@@ -382,7 +401,7 @@ def validate(ds: Dataset) -> list[str]:
         violations.append(f"core polarizability must be in {A0_CUBED!r}")
 
     for (label, multipole), q in ds.tails.items():
-        if label not in seen:
+        if label not in by_label:
             violations.append(f"tail {label} {multipole}: unknown level {label}")
         if multipole not in MULTIPOLES:
             violations.append(f"tail {label}: bad multipole {multipole!r}")

@@ -48,7 +48,12 @@ class Contribution(NamedTuple):
 
     def quantity(self, multipole: str) -> Quantity:
         """The scalar or tensor term with its uncertainty 2 |alpha| dd/d."""
-        alpha = self.alpha0 if multipole == SCALAR else self.alpha2
+        if multipole == SCALAR:
+            alpha = self.alpha0
+        elif multipole == TENSOR:
+            alpha = self.alpha2
+        else:
+            raise ValueError(f"bad multipole {multipole!r}")
         if alpha is None:
             raise ValueError(f"no tensor contribution for {self.transition}")
         return Quantity(alpha, _sigma(alpha, self.d.relative_unc()), A0_CUBED)

@@ -29,7 +29,7 @@ from polkit import (
     parse_dataset,
     validate,
 )
-from polkit.dataset import parse_number, require_unit
+from polkit.dataset import _NUMBER_RE, parse_number, require_unit
 
 MINIMAL = """\
 # tiny two-level system
@@ -128,6 +128,33 @@ class TestRequireUnit:
         assert isinstance(err.value, ValueError)
 
 
+# Signs, number and nan/inf letters, ASCII whitespace (str.strip and float both
+# strip \x1c-\x1f), non-ASCII whitespace and non-ASCII digits.
+NUMBER_ALPHABET = (
+    "0123456789+-.eE_nNaAiIfFtTyY \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003"
+    "\u0663\u0665\uff11\u0967\U0001d7d8"
+)
+
+
+# What float() reads beyond the grammar: separators, whitespace, non-ASCII digits.
+FLOAT_ONLY = "_ \t\n\x1c\x1f\x85\xa0\u0663\uff11\U0001d7d8"
+
+
+@st.composite
+def number_tokens(draw):
+    """A grammar match, a float repr or text over the alphabet, with up to two
+    characters inserted that float() reads and the grammar does not."""
+    token = draw(
+        st.from_regex(_NUMBER_RE, fullmatch=True)
+        | st.floats().map(repr)
+        | st.text(NUMBER_ALPHABET, max_size=12)
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(token)))
+        token = token[:i] + draw(st.sampled_from(FLOAT_ONLY)) + token[i:]
+    return token
+
+
 class TestParseNumber:
     @pytest.mark.parametrize(
         "token,value",
@@ -150,6 +177,18 @@ class TestParseNumber:
     def test_non_finite_is_refused(self, token):
         with pytest.raises(DatasetError, match=re.escape(f"non-finite energy {token!r}")):
             parse_number(token, "energy")
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(token=number_tokens())
+    def test_accepts_exactly_the_finite_grammar_matches(self, token):
+        value = float(token) if _NUMBER_RE.fullmatch(token) else None
+        if value is not None and math.isfinite(value):
+            assert parse_number(token, "energy").hex() == value.hex()
+            return
+        kind = "bad" if value is None else "non-finite"
+        with pytest.raises(DatasetError) as err:
+            parse_number(token, "energy")
+        assert str(err.value) == f"{kind} energy {token!r}"
 
 
 class TestParse:
@@ -238,6 +277,59 @@ class TestParse:
         assert parse_dataset(ds.to_text()) == ds
 
 
+class TestParserState:
+    @pytest.mark.parametrize(
+        "lines,lineno",
+        [
+            (["e1 4s1/2 4p2/2 1 0", "e1 4s1/2 4p2/2 1 0"], 6),
+            (["level 4p2/2 300", "tail 4p2/2 scalar 1 0"], 6),
+            (["tail 4p1/2 scalar 1 0", "e1 4s1/2 4p2/2 1 0", "tail 4p2/2 scalar 1 0"], 7),
+        ],
+    )
+    def test_a_repeated_bad_label_names_its_first_line(self, lines, lineno):
+        # 4s1/2 and 4p1/2 parse on lines 2-4 first; the bad text 4p2/2 comes later.
+        text = "# header\n" + MINIMAL.split("\n", 1)[1] + "\n".join(lines) + "\n"
+        with pytest.raises(DatasetError) as err:
+            parse_dataset(text)
+        assert str(err.value).startswith(f"line {lineno}: bad level label '4p2/2': ")
+
+    def test_parsed_labels_are_the_labels_of_their_text(self, golden_text, monkeypatch):
+        texts = []
+        parse = LevelLabel.parse
+        monkeypatch.setattr(
+            LevelLabel, "parse", classmethod(lambda cls, text: texts.append(text) or parse(text))
+        )
+        ds = parse_dataset(golden_text)
+        parsed = [lv.label for lv in ds.levels]
+        parsed += [lab for el in ds.elements for lab in (el.lower, el.upper)]
+        parsed += [lab for lab, _ in ds.tails]
+        assert len(parsed) == 88
+        assert sorted(texts) == sorted({str(lab) for lab in parsed})  # 27, each once
+        for lab in parsed:
+            fresh = parse(str(lab))
+            assert type(lab) is LevelLabel and lab == fresh and hash(lab) == hash(fresh)
+
+    def test_two_texts_of_one_label_parse_alike(self):
+        ds = parse_dataset("level 04s1/2 0\nlevel 4p1/2 1\ne1 4s1/2 04p1/2 1 0\ncore 1 0\n")
+        (el,) = ds.elements
+        assert el.lower == ds.levels[0].label == LevelLabel.parse("4s1/2")
+        assert el.upper == ds.levels[1].label and hash(el.upper) == hash(LevelLabel.parse("4p1/2"))
+        with pytest.raises(DatasetError, match="^duplicate level 4s1/2$"):
+            parse_dataset("level 04s1/2 0\nlevel 4s1/2 0\ncore 1 0\n")
+
+    def test_back_to_back_parses_are_independent(self):
+        first = parse_dataset(MINIMAL)
+        other = "level 4s1/2 0\nlevel 4p3/2 25414.4\ne1 4s1/2 4p3/2 4.1 0.04\ncore 3 0.1\n"
+        second = parse_dataset(other)
+        assert [str(lv.label) for lv in second.levels] == ["4s1/2", "4p3/2"]
+        with pytest.raises(DatasetError, match="^e1 4s1/2-4p1/2: unknown level 4p1/2$"):
+            parse_dataset(other + "e1 4s1/2 4p1/2 2.898 0.029\n")  # 4p1/2 is MINIMAL's
+        with pytest.raises(DatasetError, match="^line 1: bad level label '4p4/2'"):
+            parse_dataset("level 4p4/2 0\n" + MINIMAL)
+        assert parse_dataset(MINIMAL) == first
+        assert parse_dataset(other) == second
+
+
 class TestValidate:
     def test_golden_is_clean(self, golden):
         assert validate(golden) == []
@@ -300,6 +392,39 @@ class TestValidate:
     def test_nonpositive_core_reported(self):
         ds = Dataset(self._levels(), (), Quantity(-1.0, 0.17, A0_CUBED), {})
         assert any("core" in v for v in validate(ds))
+
+    def test_every_violation_kind_in_order(self):
+        s, p, d, g = (LevelLabel.parse(t) for t in ("4s1/2", "4p1/2", "3d3/2", "5p1/2"))
+        levels = (Level(s, 10.0), Level(p, 100.0), Level(d, 50.0), Level(p, 30.0))
+        one = Quantity(1.0, 0.0, E_A0)
+        elements = [
+            ReducedE1(s, g, one),  # 5p1/2 is not a level
+            ReducedE1(s, d, one),  # |dl| = 2
+            ReducedE1(p, s, one),  # 4p1/2 above 4s1/2
+            ReducedE1(s, p, one),  # the pair of the element before
+            ReducedE1(d, p, one),  # 4p1/2 reads its last energy, 30, below 3d3/2
+        ]
+        tails = {
+            (g, "scalar"): Quantity(1.0, 0.0, A0_CUBED),
+            (g, "vector"): Quantity(1.0, 0.0, A0_CUBED),
+            (p, "scalar"): Quantity(1.0, 0.0, HERTZ),
+        }
+        ds = Dataset(levels, elements, Quantity(-1.0, 0.17, HERTZ), tails)
+        assert validate(ds) == [
+            "duplicate level 4p1/2",
+            "no ground level with energy 0",
+            "e1 4s1/2-5p1/2: unknown level 5p1/2",
+            "e1 4s1/2-3d3/2: violates E1 selection rules",
+            "e1 4p1/2-4s1/2: lower level is not energetically lower",
+            "e1 4s1/2-4p1/2: duplicate matrix element for this pair",
+            "e1 3d3/2-4p1/2: lower level is not energetically lower",
+            "core polarizability must be positive",
+            "core polarizability must be in 'a0^3'",
+            "tail 5p1/2 scalar: unknown level 5p1/2",
+            "tail 5p1/2 vector: unknown level 5p1/2",
+            "tail 5p1/2: bad multipole 'vector'",
+            "tail 4p1/2 scalar: must be in 'a0^3'",
+        ]
 
 
 class TestEnergyDifference:

@@ -120,6 +120,17 @@ class TestAssembleBreakdown:
         with pytest.raises(ValueError, match="no tensor contribution for 4s1/2-4p1/2"):
             s_row.quantity(TENSOR)
 
+    @pytest.mark.parametrize("multipole", ["bogus", "Tensor", "", "scalar "])
+    def test_row_quantity_refuses_a_bad_multipole_as_assembly_does(self, golden, multipole):
+        row = assemble_breakdown(golden, lab("3d5/2"), TENSOR).main[0]
+        message = f"bad multipole {multipole!r}"
+        with pytest.raises(ValueError) as assembly:
+            assemble_breakdown(golden, lab("3d5/2"), multipole)
+        assert str(assembly.value) == message
+        with pytest.raises(ValueError) as err:
+            row.quantity(multipole)
+        assert str(err.value) == message
+
     def test_downward_rows_are_negative(self, golden):
         rows = {str(c.partner): c for c in assemble_breakdown(golden, lab("4p1/2"), SCALAR).main}
         assert rows["4s1/2"].alpha0 < 0
