@@ -411,14 +411,9 @@ def validate(ds: Dataset) -> list[str]:
     return violations
 
 
-def _gap_au(ds: Dataset, a: LevelLabel, b: LevelLabel) -> float:
-    """E(b) - E(a) in hartree, as a plain float."""
-    return (ds.energy_cm(b) - ds.energy_cm(a)) / HARTREE_IN_CM
-
-
 def energy_difference_au(ds: Dataset, a: LevelLabel, b: LevelLabel) -> Quantity:
     """Energy difference E(b) - E(a) in atomic units (hartree).
 
     Experimental energies are treated as exact, so the uncertainty is zero.
     """
-    return Quantity(_gap_au(ds, a, b), 0.0, DIMENSIONLESS)
+    return Quantity((ds.energy_cm(b) - ds.energy_cm(a)) / HARTREE_IN_CM, 0.0, DIMENSIONLESS)

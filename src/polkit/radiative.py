@@ -18,7 +18,6 @@ from .dataset import (
     LevelLabel,
     Quantity,
     Record,
-    _gap_au,
     _set,
     require_unit,
 )
@@ -72,16 +71,15 @@ def einstein_A(d: Quantity, delta_e_au: float, j2_upper: int) -> Quantity:
 def decay_channels(ds: Dataset, upper: LevelLabel) -> list[DecayChannel]:
     """Every channel from `upper` down to a level it shares an E1 element with.
 
-    Raises :class:`UnknownLevelError` when `upper` is not in the dataset; a
-    state with no lower partner (the ground state) has no channels.
+    Raises :class:`UnknownLevelError` when `upper` or a partner of it is not in
+    the dataset; a state with no lower partner (the ground state) has no channels.
     """
-    ds.level(upper)
-    channels = []
-    for el in ds.elements:
-        if el.upper == upper:
-            delta_e = _gap_au(ds, el.lower, upper)
-            channels.append(DecayChannel(upper, el.lower, einstein_A(el.d, delta_e, upper.j2)))
-    return channels
+    # 0.0 - gap, not -gap: a zero gap stays +0.0 in einstein_A's refusal.
+    return [
+        DecayChannel(upper, el.lower, einstein_A(el.d, 0.0 - gap, upper.j2))
+        for _, el, gap in ds.couplings(upper)
+        if el.upper == upper
+    ]
 
 
 def lifetime(channels: Sequence[DecayChannel]) -> Quantity:

@@ -17,7 +17,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .bbr import BBRConditions, bbr_shift_state, clock_bbr_shift
 from .dataset import NANOSECOND, SCALAR, TENSOR, Dataset, LevelLabel, Quantity, Record, _set
-from .dataset import _gap_au, e1_selection_ok
+from .dataset import e1_selection_ok, energy_difference_au
 from .polarizability import assemble_breakdown
 from .radiative import DecayChannel, decay_channels, extract_matrix_element, lifetime
 
@@ -254,10 +254,8 @@ def extract_report(
     When the dataset holds that element, the totals also carry it as
     ``d_theory`` with its ``percent_difference`` from the extracted value.
     """
-    ds.level(upper)
-    ds.level(lower)
+    delta_e = energy_difference_au(ds, lower, upper).value  # an unknown upper is named first
     others = [ch for ch in decay_channels(ds, upper) if ch.lower != lower]
-    delta_e = _gap_au(ds, lower, upper)
     if delta_e <= 0:
         raise ValueError(f"{upper} does not lie above {lower}")
     if not e1_selection_ok(upper, lower):
