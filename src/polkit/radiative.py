@@ -45,7 +45,13 @@ def _rate_per_d_squared_mhz(delta_e_au: float, j2_upper: int) -> float:
         raise ValueError(
             f"transition energy {delta_e_au!r} hartree is out of range: its cube overflows"
         ) from None
-    return rate_au * RATE_AU_IN_PER_S / 1e6
+    per_d2 = rate_au * RATE_AU_IN_PER_S / 1e6
+    if per_d2 == 0.0 or math.isinf(per_d2):
+        problem = "underflows" if per_d2 == 0.0 else "overflows"
+        raise ValueError(
+            f"transition energy {delta_e_au!r} hartree is out of range: A/d^2 {problem}"
+        )
+    return per_d2
 
 
 def einstein_A(d: Quantity, delta_e_au: float, j2_upper: int) -> Quantity:
@@ -64,6 +70,8 @@ def einstein_A(d: Quantity, delta_e_au: float, j2_upper: int) -> Quantity:
         raise ValueError(
             f"matrix element {d.value!r} e*a0 is out of range: d^2 overflows"
         ) from None
+    if value == 0.0:
+        raise ValueError(f"matrix element {d.value!r} e*a0 is out of range: its rate underflows")
     # Doubled last: 2 * value overflows for a finite rate above half the largest float.
     return Quantity(value, value * d.relative_unc() * 2.0, MEGAHERTZ)
 
@@ -100,6 +108,10 @@ def lifetime(channels: Sequence[DecayChannel]) -> Quantity:
         raise ValueError(
             f"decay rates of {upper} are out of range: their squares overflow"
         ) from None
+    except ZeroDivisionError:  # total**2 underflows to 0
+        raise ValueError(
+            f"decay rates of {upper} are out of range: the square of their sum underflows"
+        ) from None
     return Quantity(tau, tau_unc, NANOSECOND)
 
 
@@ -121,6 +133,10 @@ def extract_matrix_element(
         raise ValueError(f"lifetime must be positive: {tau_expt.value}")
     others = list(other_channels)
     total_rate = 1000.0 / tau_expt.value
+    if math.isinf(total_rate):
+        raise ValueError(
+            f"lifetime {tau_expt.value!r} ns is out of range: its reciprocal overflows"
+        )
     residual = total_rate - sum(ch.A.value for ch in others)
     if residual <= 0:
         raise ValueError(
@@ -135,5 +151,11 @@ def extract_matrix_element(
         raise ValueError(
             f"decay rates of {others[0].upper} are out of range: their squares overflow"
         ) from None
-    rate_unc = math.hypot(total_rate * tau_expt.unc / tau_expt.value, others_unc)
+    tau_term = total_rate * tau_expt.unc / tau_expt.value
+    if math.isinf(tau_term):
+        raise ValueError(
+            f"lifetime uncertainty {tau_expt.unc!r} ns is out of range: "
+            "the rate's uncertainty overflows"
+        )
+    rate_unc = math.hypot(tau_term, others_unc)
     return Quantity(d, d * rate_unc / (2.0 * residual), E_A0)

@@ -5,12 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polkit import (
+    A0_CUBED,
     E_A0,
     MEGAHERTZ,
     NANOSECOND,
+    Dataset,
     DecayChannel,
+    Level,
     LevelLabel,
     Quantity,
+    ReducedE1,
     UnknownLevelError,
     decay_channels,
     einstein_A,
@@ -98,6 +102,46 @@ class TestDecayChannels:
     def test_unknown_upper_rejected(self, golden):
         with pytest.raises(UnknownLevelError):
             decay_channels(golden, lab("9g9/2"))
+
+    def test_equals_the_filter_over_all_elements(self, golden):
+        """The coupling walk keeps each element ending on `upper`, with the same exact rate."""
+        for level in golden.levels:
+            upper = level.label
+            expected = [
+                DecayChannel(
+                    upper,
+                    el.lower,
+                    einstein_A(el.d, energy_difference_au(golden, el.lower, upper).value, upper.j2),
+                )
+                for el in golden.elements
+                if el.upper == upper
+            ]
+            assert decay_channels(golden, upper) == expected
+
+    @staticmethod
+    def built(levels, elements):
+        """A dataset made by the constructor, which `validate` would refuse."""
+        d = Quantity(2.9, 0.03, E_A0)
+        return Dataset(
+            [Level(lab(label), energy) for label, energy in levels],
+            [ReducedE1(lab(lower), lab(upper), d) for lower, upper in elements],
+            Quantity(3.25, 0.17, A0_CUBED),
+            {},
+        )
+
+    def test_zero_gap_keeps_a_positive_zero_in_the_message(self):
+        ds = self.built([("4s1/2", 0.0), ("4p1/2", 0.0)], [("4s1/2", "4p1/2")])
+        with pytest.raises(ValueError) as info:
+            decay_channels(ds, lab("4p1/2"))
+        assert str(info.value) == "transition energy must be positive: 0.0"
+
+    def test_unknown_higher_partner_is_named(self):
+        ds = self.built(
+            [("4s1/2", 0.0), ("4p1/2", 25191.51)], [("4s1/2", "4p1/2"), ("4p1/2", "5s1/2")]
+        )
+        with pytest.raises(UnknownLevelError) as info:
+            decay_channels(ds, lab("4p1/2"))
+        assert info.value.args == ("5s1/2",)
 
 
 class TestLifetime:

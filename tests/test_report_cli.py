@@ -207,10 +207,23 @@ class TestCLI:
         )
         assert "2.8982" in out  # unrounded dataset value visible
 
-    def test_unknown_state_is_data_error(self, capsys):
-        code, _, err = run_cli(capsys, "polarizability", "--state", "9g9/2")
-        assert code == 2
-        assert "unknown state" in err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["polarizability", "--state", "9g9/2"],
+            ["lifetime", "--state", "9g9/2"],
+            ["extract", "--upper", "9g9/2", "--lower", "4s1/2"],
+            ["extract", "--upper", "4p1/2", "--lower", "9g9/2"],
+            ["extract", "--upper", "9g9/2", "--lower", "9g7/2"],  # the upper is named first
+        ],
+        ids=["polarizability", "lifetime", "extract-upper", "extract-lower", "extract-both"],
+    )
+    def test_unknown_state_is_data_error(self, capsys, argv):
+        if argv[0] == "extract":
+            argv = [*argv, "--tau-ns", "7.098"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "polkit: error: unknown state 9g9/2\n"
 
     def test_malformed_label_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "polarizability", "--state", "9z9/2")
@@ -332,6 +345,56 @@ class TestCLI:
                 ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e-300"],
                 "decay rates of 4p1/2 are out of range: their squares overflow",
             ),
+            (
+                "level 4p1/2 1e107",
+                ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "7"],
+                "transition energy 4.556335252911937e+101 hartree is out of range: "
+                "A/d^2 overflows",
+            ),
+            (
+                "e1 4s1/2 4p1/2 1e-100 1e-101",
+                ["lifetime", "--state", "4p1/2"],
+                "decay rates of 4p1/2 are out of range: the square of their sum underflows",
+            ),
+            (
+                "e1 4s1/2 4p1/2 1e-160 0",
+                ["lifetime", "--state", "4p1/2"],
+                "decay rates of 4p1/2 are out of range: the square of their sum underflows",
+            ),
+            (
+                "e1 4s1/2 4p1/2 1e-200 1e-201",
+                ["lifetime", "--state", "4p1/2"],
+                "matrix element 1e-200 e*a0 is out of range: its rate underflows",
+            ),
+            (
+                "e1 4s1/2 4p1/2 1e-200 1e-201",
+                ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "7"],
+                "matrix element 1e-200 e*a0 is out of range: its rate underflows",
+            ),
+            (
+                "level 4p1/2 1e-300",
+                ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "7"],
+                "transition energy 4.556335252911937e-306 hartree is out of range: "
+                "A/d^2 underflows",
+            ),
+            (
+                "e1 4s1/2 4p1/2 2.898 0.029",
+                ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e-310"],
+                "lifetime 1e-310 ns is out of range: its reciprocal overflows",
+            ),
+            (
+                "e1 4s1/2 4p1/2 2.898 0.029",
+                ["extract", "--upper", "4p1/2", "--lower", "4s1/2",
+                 "--tau-ns", "7.098", "--tau-unc-ns", "1e308"],
+                "lifetime uncertainty 1e+308 ns is out of range: the rate's uncertainty overflows",
+            ),
+            (
+                "e1 4s1/2 4p1/2 2.898 0.029",
+                ["extract", "--upper", "4p1/2", "--lower", "4s1/2",
+                 "--tau-ns", "1e-300", "--tau-unc-ns", "1e10"],
+                "lifetime uncertainty 10000000000.0 ns is out of range: "
+                "the rate's uncertainty overflows",
+            ),
         ],
         ids=[
             "assembly-d-squared",
@@ -344,6 +407,15 @@ class TestCLI:
             "lifetime-rate-sum",
             "bbr-polarizability-unc-squared",
             "extract-other-rate-unc-squared",
+            "extract-rate-per-d-squared-overflows",
+            "lifetime-total-rate-squared-underflows",
+            "lifetime-zero-sigma-total-rate-squared-underflows",
+            "lifetime-rate-underflows",
+            "extract-other-rate-underflows",
+            "extract-rate-per-d-squared-underflows",
+            "extract-reciprocal-lifetime",
+            "extract-lifetime-unc",
+            "extract-tiny-lifetime-unc",
         ],
     )
     def test_overflowing_power_names_its_input(self, tmp_path, capsys, elements, argv, message):
@@ -371,7 +443,10 @@ class TestCLI:
         assert math.isfinite(d["value"]) and math.isfinite(d["unc"])
         code, out, err = run_cli(capsys, *argv, "--tau-unc-ns", "1e-10")
         assert code == 3 and out == ""
-        assert "non-finite uncertainty" in err
+        assert err == (
+            "polkit: error: lifetime uncertainty 1e-10 ns is out of range: "
+            "the rate's uncertainty overflows\n"
+        )
 
     @pytest.mark.parametrize("argv", [["--help"], ["bbr", "-h"]])
     def test_help_returns_zero(self, capsys, argv):
