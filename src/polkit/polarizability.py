@@ -25,14 +25,6 @@ from .dataset import (
 )
 
 
-def _sigma(alpha: float, rel_unc: float) -> float:
-    """2 |alpha| dd/d of a term alpha in a0^3; a non-finite alpha or sigma raises as in Quantity."""
-    sigma = abs(alpha) * rel_unc * 2.0  # doubled last: 2 |alpha| overflows above max/2
-    if not math.isfinite(sigma):  # an infinite alpha makes sigma inf or nan too
-        Quantity(alpha, sigma, A0_CUBED)  # raises, naming the value or the uncertainty
-    return sigma
-
-
 class Contribution(NamedTuple):
     """One intermediate state's terms in a0^3; alpha2 is None when j < 1 has no tensor part."""
 
@@ -46,8 +38,8 @@ class Contribution(NamedTuple):
     def transition(self) -> str:
         return f"{self.state}-{self.partner}"
 
-    def quantity(self, multipole: str) -> Quantity:
-        """The scalar or tensor term with its uncertainty 2 |alpha| dd/d."""
+    def _term(self, multipole: str) -> tuple[float, float]:
+        """The scalar or tensor term and its uncertainty 2 |alpha| dd/d, as floats."""
         if multipole == SCALAR:
             alpha = self.alpha0
         elif multipole == TENSOR:
@@ -56,7 +48,11 @@ class Contribution(NamedTuple):
             raise ValueError(f"bad multipole {multipole!r}")
         if alpha is None:
             raise ValueError(f"no tensor contribution for {self.transition}")
-        return Quantity(alpha, _sigma(alpha, self.d.relative_unc()), A0_CUBED)
+        return alpha, abs(alpha) * self.d.relative_unc() * 2.0  # 2 |alpha| overflows above max/2
+
+    def quantity(self, multipole: str) -> Quantity:
+        """The scalar or tensor term with its uncertainty 2 |alpha| dd/d."""
+        return Quantity(*self._term(multipole), A0_CUBED)
 
 
 class PolarizabilityBreakdown(NamedTuple):
@@ -94,7 +90,7 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
     # Each term is an angular factor times d^2/deltaE: 2/(3(2j_v+1)) for the
     # scalar part; the tensor part vanishes identically for j_v < 1.
     scalar = 2.0 / (3.0 * (j2_v + 1))
-    rows: list[tuple[tuple[int, float, LevelLabel], Contribution, tuple[float, float]]] = []
+    rows: list[tuple[tuple[int, float, LevelLabel], Contribution]] = []
     for partner, el, de in ds.couplings(state):
         if de == 0.0:
             raise ZeroDivisionError("zero energy denominator")
@@ -104,23 +100,20 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
             raise ValueError(
                 f"e1 {el.lower}-{el.upper} value {el.d.value!r} e*a0 is out of range: d^2 overflows"
             ) from None
-        rel = el.d.relative_unc()
         alpha0 = scalar * d2 / de
         alpha2 = _tensor_angular(j2_v, partner.j2) * d2 / de if j2_v >= 2 else None
-        sigma0, sigma2 = _sigma(alpha0, rel), (_sigma(alpha2, rel) if j2_v >= 2 else None)
-        term = (alpha0, sigma0) if multipole == SCALAR else (alpha2, sigma2)
-        contrib = Contribution(state, partner, el.d, alpha0, alpha2)
-        rows.append(((partner.j2, de, partner), contrib, term))
+        rows.append(((partner.j2, de, partner), Contribution(state, partner, el.d, alpha0, alpha2)))
     rows.sort(key=lambda row: row[0])  # gap order is partner-energy order: no energies ulps apart
     main = tuple(row[1] for row in rows)
 
     tail = ds.tail(state, multipole)
     core = ds.core_alpha if multipole == SCALAR else ZERO_A0_CUBED
 
-    # value += and a hypot chain over the rows, then tail and core, in that
-    # order, stopping at the first non-finite sum, which Quantity then refuses.
+    # value += and a hypot chain over each row's requested term, then tail and
+    # core, in that order, stopping at the first non-finite sum, which Quantity
+    # then refuses.  Only the requested multipole's uncertainties are looked at.
     value = unc = 0.0
-    for term in (*(row[2] for row in rows), tail, core):
+    for term in (*(row._term(multipole) for row in main), tail, core):
         if isinstance(term, Quantity):  # tail and core are unit-checked when reached
             require_unit(term, A0_CUBED, "addend")
             term = term.value, term.unc

@@ -20,7 +20,9 @@ from polkit import (
     UnitMismatchError,
     UnknownLevelError,
     assemble_breakdown,
+    builtin_dataset_text,
     energy_difference_au,
+    parse_dataset,
     tensor_prefactor_C,
     wigner6j,
 )
@@ -32,7 +34,13 @@ def d_q(value, unc=0.0):
     return Quantity(value, unc, E_A0)
 
 
-CHAINED_SUM_CASES = (("4s1/2", SCALAR), ("3d5/2", SCALAR), ("3d5/2", TENSOR))
+# Every (level, multipole) of the packaged dataset that assembles, so every row kind.
+CHAINED_SUM_CASES = tuple(
+    (str(level.label), multipole)
+    for level in parse_dataset(builtin_dataset_text()).levels
+    for multipole in (SCALAR, TENSOR)
+    if multipole == SCALAR or level.label.j2 >= 2
+)
 
 
 def assert_total_is_chained_sum(ds, state, multipole):
@@ -228,6 +236,25 @@ class TestConstructorBuiltSums:
         with pytest.raises(ValueError) as info:
             assemble_breakdown(ds, ground, SCALAR)
         assert str(info.value) == "non-finite uncertainty: inf a0^3"
+
+    def test_scalar_sum_does_not_look_at_the_tensor_uncertainty(self, golden):
+        """3d5/2-4f5/2 has alpha2/alpha0 = 8/7: at |alpha0| = 0.445 max and dd/d = 1 the
+        scalar term's 2|alpha| dd/d is finite and the tensor term's is not."""
+        state, upper = lab("3d5/2"), lab("4f5/2")
+        de = energy_difference_au(golden, state, upper).value
+        d = math.sqrt(0.445 * sys.float_info.max * de * 9.0)
+        levels = [Level(label, golden.energy_cm(label)) for label in (state, upper)]
+        ds = Dataset(levels, [ReducedE1(state, upper, d_q(d, d))], golden.core_alpha, {})
+        b = assemble_breakdown(ds, state, SCALAR)
+        row, core = b.main[0], golden.core_alpha
+        assert row.alpha2 / row.alpha0 == pytest.approx(8.0 / 7.0, rel=1e-12)
+        assert b.total == Quantity(row.alpha0 + core.value,
+                                   math.hypot(row.alpha0 * 2.0, core.unc), A0_CUBED)
+        for tensor in (lambda: assemble_breakdown(ds, state, TENSOR),
+                       lambda: row.quantity(TENSOR)):
+            with pytest.raises(ValueError) as info:
+                tensor()
+            assert str(info.value) == "non-finite uncertainty: inf a0^3"
 
     @pytest.mark.parametrize("rel", [0.0, 0.1])
     def test_row_above_half_the_largest_float_keeps_its_uncertainty(self, golden, rel):
