@@ -90,6 +90,24 @@ def decay_channels(ds: Dataset, upper: LevelLabel) -> list[DecayChannel]:
     ]
 
 
+def _rate_sums(channels: Sequence[DecayChannel]) -> tuple[float, float]:
+    """The channels' summed rate and quadrature-summed uncertainty in MHz.
+
+    A sum that overflows is refused, naming the channels' upper state.
+    """
+    total = sum(ch.A.value for ch in channels)
+    if math.isinf(total):
+        raise ValueError(
+            f"decay rates of {channels[0].upper} are out of range: their sum overflows"
+        )
+    try:
+        return total, math.sqrt(sum(ch.A.unc**2 for ch in channels))
+    except OverflowError:
+        raise ValueError(
+            f"decay rates of {channels[0].upper} are out of range: their squares overflow"
+        ) from None
+
+
 def lifetime(channels: Sequence[DecayChannel]) -> Quantity:
     """Lifetime 1/sum(A) in ns of the common upper state of `channels`."""
     if not channels:
@@ -97,14 +115,11 @@ def lifetime(channels: Sequence[DecayChannel]) -> Quantity:
     upper = channels[0].upper
     if any(ch.upper != upper for ch in channels):
         raise ValueError("decay channels have mixed upper states")
-    total = sum(ch.A.value for ch in channels)
-    if math.isinf(total):
-        raise ValueError(f"decay rates of {upper} are out of range: their sum overflows")
+    total, rate_unc = _rate_sums(channels)
     tau = 1000.0 / total
     try:
-        rate_unc = math.sqrt(sum(ch.A.unc**2 for ch in channels))
         tau_unc = 1000.0 * rate_unc / total**2
-    except OverflowError:
+    except OverflowError:  # the square of the sum
         raise ValueError(
             f"decay rates of {upper} are out of range: their squares overflow"
         ) from None
@@ -137,7 +152,8 @@ def extract_matrix_element(
         raise ValueError(
             f"lifetime {tau_expt.value!r} ns is out of range: its reciprocal overflows"
         )
-    residual = total_rate - sum(ch.A.value for ch in others)
+    others_rate, others_unc = _rate_sums(others)
+    residual = total_rate - others_rate
     if residual <= 0:
         raise ValueError(
             "measured lifetime is inconsistent with the other decay channels "
@@ -145,17 +161,21 @@ def extract_matrix_element(
         )
     per_d2 = _rate_per_d_squared_mhz(delta_e_au, j2_upper)
     d = math.sqrt(residual / per_d2)
-    try:
-        others_unc = math.sqrt(sum(ch.A.unc**2 for ch in others))
-    except OverflowError:
+    if math.isinf(d):
         raise ValueError(
-            f"decay rates of {others[0].upper} are out of range: their squares overflow"
-        ) from None
+            f"transition energy {delta_e_au!r} hartree is out of range: "
+            "the matrix element overflows"
+        )
     tau_term = total_rate * tau_expt.unc / tau_expt.value
     if math.isinf(tau_term):
         raise ValueError(
             f"lifetime uncertainty {tau_expt.unc!r} ns is out of range: "
             "the rate's uncertainty overflows"
         )
-    rate_unc = math.hypot(tau_term, others_unc)
-    return Quantity(d, d * rate_unc / (2.0 * residual), E_A0)
+    d_unc = d * math.hypot(tau_term, others_unc) / (2.0 * residual)
+    if math.isinf(d_unc):
+        raise ValueError(
+            f"lifetime uncertainty {tau_expt.unc!r} ns is out of range: "
+            "the matrix element's uncertainty overflows"
+        )
+    return Quantity(d, d_unc, E_A0)

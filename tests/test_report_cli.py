@@ -395,6 +395,25 @@ class TestCLI:
                 "lifetime uncertainty 10000000000.0 ns is out of range: "
                 "the rate's uncertainty overflows",
             ),
+            (
+                "level 4p1/2 1e-80",
+                ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e-300"],
+                "transition energy 4.556335252911937e-86 hartree is out of range: "
+                "the matrix element overflows",
+            ),
+            (
+                "level 4p1/2 1e-80",
+                ["extract", "--upper", "4p1/2", "--lower", "4s1/2",
+                 "--tau-ns", "7", "--tau-unc-ns", "1e250"],
+                "lifetime uncertainty 1e+250 ns is out of range: "
+                "the matrix element's uncertainty overflows",
+            ),
+            (
+                "level 3d5/2 13710.88\nlevel 4p3/2 25414.40\ne1 4s1/2 4p3/2 4.1 0.04\n"
+                "e1 3d3/2 4p3/2 1.3e154 0\ne1 3d5/2 4p3/2 1.3e154 0",
+                ["extract", "--upper", "4p3/2", "--lower", "4s1/2", "--tau-ns", "6.924"],
+                "decay rates of 4p3/2 are out of range: their sum overflows",
+            ),
         ],
         ids=[
             "assembly-d-squared",
@@ -416,6 +435,9 @@ class TestCLI:
             "extract-reciprocal-lifetime",
             "extract-lifetime-unc",
             "extract-tiny-lifetime-unc",
+            "extract-d-overflows",
+            "extract-d-unc-overflows",
+            "extract-other-rate-sum",
         ],
     )
     def test_overflowing_power_names_its_input(self, tmp_path, capsys, elements, argv, message):
