@@ -218,6 +218,10 @@ class Dataset(Record):
         _set(self, "tails", MappingProxyType(dict(tails)))
         _set(self, "_by_label", {level.label: level for level in self.levels})
 
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild from the fields: the tails mappingproxy does not pickle
+        return type(self), (self.levels, self.elements, self.core_alpha, dict(self.tails))
+
     def level(self, label: LevelLabel) -> Level:
         try:
             return self._by_label[label]

@@ -180,8 +180,20 @@ class TestRecordContract:
     def test_copy_keeps_value(self, name):
         record = RECORDS[name][0]
         assert copy.copy(record) == record
-        if name != "Dataset":  # its tails are a mappingproxy, which does not pickle
-            assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize(
+    "roundtrip", [copy.deepcopy, lambda ds: pickle.loads(pickle.dumps(ds))], ids=["deepcopy", "pickle"]
+)
+def test_parsed_dataset_roundtrips_with_read_only_tails(golden, roundtrip):
+    back = roundtrip(golden)
+    assert back == golden and back.to_text() == golden.to_text()
+    with pytest.raises(TypeError):
+        back.tails[next(iter(back.tails))] = back.core_alpha
+    for level in golden.levels:
+        assert back.level(level.label) == level
 
 
 def test_defaults():
