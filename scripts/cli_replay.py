@@ -9,7 +9,8 @@ commands and every dataset file a test writes), then a sweep of the packaged
 Ca+ dataset: every level through ``polarizability`` (scalar and tensor),
 ``lifetime`` and ``bbr --excited``, and ``extract`` for every E1 element, each
 as a table, a full-precision table and machine output.  A dataset file named
-by ``--dataset`` or ``POLKIT_DATASET`` is stored with the call.
+by ``--dataset`` or ``POLKIT_DATASET`` is stored with the call, and a directory
+as a directory, which ``replay`` recreates empty; any other path is kept as is.
 
 ``replay`` runs each recorded call against the ``polkit`` on ``sys.path`` and
 writes its exit code, stdout and stderr.  Replaying one CALLS file from two
@@ -33,9 +34,11 @@ PLACEHOLDER = "<dataset>"
 
 
 def _stored(path: str | None) -> dict | None:
-    """A dataset path as the call saw it: the file's bytes, or the path itself."""
+    """A dataset path as the call saw it: the file's bytes, a directory, or the path itself."""
     if path is None:
         return None
+    if os.path.isdir(path):  # a test's directory may be gone by the time of a replay
+        return {"dir": True}
     try:
         return {"hex": pathlib.Path(path).read_bytes().hex()}
     except OSError:
@@ -48,7 +51,7 @@ def _capture(argv: list[str] | None) -> dict:
     if "--dataset" in argv[:-1]:
         i = argv.index("--dataset") + 1
         call["dataset"] = _stored(argv[i])
-        if "hex" in call["dataset"]:
+        if "path" not in call["dataset"]:
             call["argv"] = argv[:i] + [PLACEHOLDER] + argv[i + 1:]
     return call
 
@@ -94,11 +97,17 @@ def record(calls_path: str) -> None:
 
 
 def _materialize(stored: dict | None, path: pathlib.Path) -> str | None:
+    """The path a replayed call reads: `path` holding the stored bytes, an empty
+    directory next to it for a stored directory, or the stored path itself."""
     if stored is None:
         return None
     if "path" in stored:
         return stored["path"]
-    path.write_bytes(bytes.fromhex(stored["hex"]))
+    if "dir" in stored:
+        path = path.with_suffix(".d")
+        path.mkdir(exist_ok=True)
+    else:
+        path.write_bytes(bytes.fromhex(stored["hex"]))
     return str(path)
 
 
