@@ -50,7 +50,8 @@ class Contribution(NamedTuple):
             raise ValueError(f"bad multipole {multipole!r}")
         if alpha is None:
             raise ValueError(f"no tensor contribution for {self.transition}")
-        return alpha, abs(alpha) * self.d.relative_unc() * 2.0  # 2 |alpha| overflows above max/2
+        # Doubled last: 2 |alpha| overflows above half the largest float.
+        return alpha, abs(alpha) * self.d.relative_unc() * 2.0
 
     def quantity(self, multipole: str) -> Quantity:
         """The scalar or tensor term with its uncertainty 2 |alpha| dd/d."""
