@@ -203,7 +203,7 @@ class Dataset(Record):
     """
 
     _fields = ("levels", "elements", "core_alpha", "tails")
-    __slots__ = (*_fields, "_by_label")
+    __slots__ = (*_fields, "_by_label", "_rows")
 
     def __init__(
         self,
@@ -217,6 +217,9 @@ class Dataset(Record):
         _set(self, "core_alpha", core_alpha)
         _set(self, "tails", MappingProxyType(dict(tails)))
         _set(self, "_by_label", {level.label: level for level in self.levels})
+        # Each state's sorted polarizability rows, filled on first assembly; outside
+        # _fields, so ==, hash, repr, copy and pickle ignore it.
+        _set(self, "_rows", {})
 
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild from the fields: the tails mappingproxy does not pickle

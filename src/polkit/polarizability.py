@@ -76,22 +76,11 @@ def _tensor_angular(j2_v: int, j2_k: int) -> float:
     return -4.0 * tensor_prefactor_C(j2_v) * phase * wigner6j(j2_v, 2, j2_k, 2, j2_v, 4)
 
 
-def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> PolarizabilityBreakdown:
-    """Assemble the full polarizability breakdown for one state.
-
-    Main contributions are the dataset elements coupled to `state`, ordered
-    by (partner j, partner energy); the core term enters the scalar total
-    only.  The total's uncertainty is the quadrature of all components.
-    """
-    if multipole not in (SCALAR, TENSOR):
-        raise ValueError(f"bad multipole {multipole!r}")
-    ds.level(state)  # raises UnknownLevelError
-    j2_v = state.j2
-    if multipole == TENSOR and j2_v < 2:
-        raise ValueError(f"tensor polarizability vanishes for j={j2_v}/2")
-
+def _main_rows(ds: Dataset, state: LevelLabel) -> tuple[Contribution, ...]:
+    """Build the rows of `state`, ordered by (partner j, partner energy), and memoize them on `ds`."""
     # Each term is an angular factor times d^2/deltaE: 2/(3(2j_v+1)) for the
     # scalar part; the tensor part vanishes identically for j_v < 1.
+    j2_v = state.j2
     scalar = 2.0 / (3.0 * (j2_v + 1))
     rows: list[tuple[tuple[int, float, LevelLabel], Contribution]] = []
     for partner, el, de in ds.couplings(state):
@@ -107,7 +96,25 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
         alpha2 = _tensor_angular(j2_v, partner.j2) * d2 / de if j2_v >= 2 else None
         rows.append(((partner.j2, de, partner), Contribution(state, partner, el.d, alpha0, alpha2)))
     rows.sort(key=lambda row: row[0])  # gap order is partner-energy order: no energies ulps apart
-    main = tuple(row[1] for row in rows)
+    # setdefault: concurrent first readers of one state all get the one stored tuple
+    return ds._rows.setdefault(state, tuple(row[1] for row in rows))
+
+
+def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> PolarizabilityBreakdown:
+    """Assemble the full polarizability breakdown for one state.
+
+    Main contributions are the dataset elements coupled to `state`, ordered
+    by (partner j, partner energy); the core term enters the scalar total
+    only.  The total's uncertainty is the quadrature of all components.
+    """
+    if multipole not in (SCALAR, TENSOR):
+        raise ValueError(f"bad multipole {multipole!r}")
+    ds.level(state)  # raises UnknownLevelError
+    if multipole == TENSOR and state.j2 < 2:
+        raise ValueError(f"tensor polarizability vanishes for j={state.j2}/2")
+    main = ds._rows.get(state)
+    if main is None:
+        main = _main_rows(ds, state)
 
     tail = ds.tail(state, multipole)
     core = ds.core_alpha if multipole == SCALAR else ZERO_A0_CUBED
@@ -116,14 +123,19 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
     # core, in that order, stopping at the first non-finite sum, which Quantity
     # then refuses.  Only the requested multipole's uncertainties are looked at.
     value = unc = 0.0
-    for term in (*(row._term(multipole) for row in main), tail, core):
-        if isinstance(term, Quantity):  # tail and core are unit-checked when reached
-            require_unit(term, A0_CUBED, "addend")
-            term = term.value, term.unc
-        value += term[0]
-        unc = math.hypot(unc, term[1])
+    for row in main:
+        alpha, sigma = row._term(multipole)
+        value += alpha
+        unc = math.hypot(unc, sigma)
         if not (math.isfinite(value) and math.isfinite(unc)):
             break
+    else:
+        for term in (tail, core):
+            require_unit(term, A0_CUBED, "addend")  # unit-checked only when reached
+            value += term.value
+            unc = math.hypot(unc, term.unc)
+            if not (math.isfinite(value) and math.isfinite(unc)):
+                break
     total = Quantity(value, unc, A0_CUBED)
 
     return PolarizabilityBreakdown(state, multipole, main, tail, core, total)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 
 import pytest
@@ -157,7 +159,7 @@ class TestAssembleBreakdown:
             assemble_breakdown(golden, lab("9g9/2"), SCALAR)
 
     def test_tensor_for_s_state_raises(self, golden):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^tensor polarizability vanishes for j=1/2$"):
             assemble_breakdown(golden, lab("4s1/2"), TENSOR)
 
     def test_uncertainty_linearity(self, golden):
@@ -309,8 +311,65 @@ class TestConstructorBuiltSums:
         assert str(info.value) == message
 
 
-def test_tensor_angular_calls_the_module_level_kernels(golden, monkeypatch):
+class TestRowMemo:
+    """A dataset builds each state's rows once; its scalar and tensor sums share them."""
+
+    def test_scalar_and_tensor_share_the_rows(self, golden_text):
+        ds = parse_dataset(golden_text)
+        scalar = assemble_breakdown(ds, lab("3d5/2"), SCALAR)
+        tensor = assemble_breakdown(ds, lab("3d5/2"), TENSOR)
+        assert tensor.main is scalar.main and len(scalar.main) == 21
+
+    def test_one_coupling_walk_for_both_multipoles(self, golden_text, monkeypatch):
+        ds = parse_dataset(golden_text)
+        walks = []
+        couplings = Dataset.couplings
+
+        def counted(self, label):
+            walks.append(label)
+            return couplings(self, label)
+
+        monkeypatch.setattr(Dataset, "couplings", counted)
+        for multipole in (SCALAR, TENSOR):
+            assemble_breakdown(ds, lab("3d5/2"), multipole)
+        assert walks == [lab("3d5/2")]
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda ds: pickle.loads(pickle.dumps(ds))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_a_copy_of_a_warm_dataset_is_equal_and_starts_cold(self, golden_text, clone):
+        ds = parse_dataset(golden_text)
+        warm = assemble_breakdown(ds, lab("3d5/2"), SCALAR)
+        other = clone(ds)
+        assert other == ds and repr(other) == repr(ds)
+        assert other._rows == {}
+        again = assemble_breakdown(other, lab("3d5/2"), SCALAR)
+        assert again == warm and again.main is not warm.main
+
+    @pytest.mark.parametrize(
+        "p_energy, d, error, message",
+        [
+            (0.0, 2.898, ZeroDivisionError, "zero energy denominator"),
+            (25191.51, 1e155, ValueError,
+             "e1 4s1/2-4p1/2 value 1e+155 e*a0 is out of range: d^2 overflows"),
+        ],
+        ids=["zero-gap", "d-squared-overflows"],
+    )
+    def test_a_refused_state_is_refused_again(self, golden, p_energy, d, error, message):
+        levels = (Level(lab("4s1/2"), 0.0), Level(lab("4p1/2"), p_energy))
+        ds = Dataset(levels, (ReducedE1(lab("4s1/2"), lab("4p1/2"), d_q(d)),), golden.core_alpha, {})
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                assemble_breakdown(ds, lab("4s1/2"), SCALAR)
+            assert str(info.value) == message
+        assert ds._rows == {}
+
+
+def test_tensor_angular_calls_the_module_level_kernels(golden_text, monkeypatch):
     """The 6j and prefactor names stay patchable on polkit.polarizability."""
+    ds = parse_dataset(golden_text)  # fresh: a warm dataset would not rebuild its rows
     called = []
 
     def counted(name, kernel):
@@ -323,8 +382,8 @@ def test_tensor_angular_calls_the_module_level_kernels(golden, monkeypatch):
         monkeypatch.setattr(pol, name, counted(name, getattr(pol, name)))
     pol._tensor_angular.cache_clear()
     try:
-        b = assemble_breakdown(golden, lab("3d5/2"), TENSOR)
+        b = assemble_breakdown(ds, lab("3d5/2"), TENSOR)
     finally:
         pol._tensor_angular.cache_clear()
     assert set(called) == {"wigner6j", "tensor_prefactor_C"}
-    assert b == assemble_breakdown(golden, lab("3d5/2"), TENSOR)
+    assert b == assemble_breakdown(parse_dataset(golden_text), lab("3d5/2"), TENSOR)
