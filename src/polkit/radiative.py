@@ -166,6 +166,11 @@ def extract_matrix_element(
             f"transition energy {delta_e_au!r} hartree is out of range: "
             "the matrix element overflows"
         )
+    if d == 0.0:
+        raise ValueError(
+            f"lifetime {tau_expt.value!r} ns and transition energy {delta_e_au!r} hartree "
+            "are out of range: the matrix element underflows"
+        )
     tau_term = total_rate * tau_expt.unc / tau_expt.value
     if math.isinf(tau_term):
         raise ValueError(

@@ -361,14 +361,20 @@ class TestValidate:
         violations = validate(ds)
         assert len(violations) == 1 and "unknown level 7p1/2" in violations[0]
 
-    def test_energy_order_reported(self):
+    @pytest.mark.parametrize(
+        "lower, upper, p_energy",
+        [("4p1/2", "4s1/2", 25191.51), ("4s1/2", "4p1/2", 0.0)],
+        ids=["reversed", "equal-energies"],
+    )
+    def test_energy_order_reported(self, lower, upper, p_energy):
+        levels = (*self._levels()[:2], Level(LevelLabel.parse("4p1/2"), p_energy))
         bad = ReducedE1(
-            LevelLabel.parse("4p1/2"),
-            LevelLabel.parse("4s1/2"),
+            LevelLabel.parse(lower),
+            LevelLabel.parse(upper),
             Quantity(1.0, 0.0, E_A0),
         )
-        ds = Dataset(self._levels(), (bad,), Quantity(3.25, 0.17, A0_CUBED), {})
-        assert any("not energetically lower" in v for v in validate(ds))
+        ds = Dataset(levels, (bad,), Quantity(3.25, 0.17, A0_CUBED), {})
+        assert f"e1 {lower}-{upper}: lower level is not energetically lower" in validate(ds)
 
     def test_element_violations_keep_their_order(self):
         text = (
@@ -389,9 +395,10 @@ class TestValidate:
             "e1 4p1/2-3d3/2: duplicate matrix element for this pair",
         ]
 
-    def test_nonpositive_core_reported(self):
-        ds = Dataset(self._levels(), (), Quantity(-1.0, 0.17, A0_CUBED), {})
-        assert any("core" in v for v in validate(ds))
+    @pytest.mark.parametrize("core", [-1.0, 0.0])
+    def test_nonpositive_core_reported(self, core):
+        ds = Dataset(self._levels(), (), Quantity(core, 0.17, A0_CUBED), {})
+        assert validate(ds) == ["core polarizability must be positive"]
 
     def test_every_violation_kind_in_order(self):
         s, p, d, g = (LevelLabel.parse(t) for t in ("4s1/2", "4p1/2", "3d3/2", "5p1/2"))

@@ -223,6 +223,14 @@ class TestExtraction:
         with pytest.raises(ValueError, match="residual"):
             extract_matrix_element(Quantity(7.098, 0.02, NANOSECOND), others, de, 1)
 
+    def test_residual_of_exactly_zero_is_refused(self):
+        others = [channel("4p1/2", "3d3/2", 125.0)]  # 1000 / 8 ns = 125 MHz exactly
+        with pytest.raises(ValueError) as info:
+            extract_matrix_element(Quantity(8.0, 0.0, NANOSECOND), others, 0.1, 1)
+        assert str(info.value) == (
+            "measured lifetime is inconsistent with the other decay channels (residual rate 0 MHz)"
+        )
+
     @settings(max_examples=80, deadline=None)
     @given(
         d=st.floats(0.2, 6.0),

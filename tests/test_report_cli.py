@@ -414,6 +414,18 @@ class TestCLI:
                 ["extract", "--upper", "4p3/2", "--lower", "4s1/2", "--tau-ns", "6.924"],
                 "decay rates of 4p3/2 are out of range: their sum overflows",
             ),
+            (
+                "level 4p1/2 1e104",
+                ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e303"],
+                "lifetime 1e+303 ns and transition energy 4.556335252911937e+98 hartree "
+                "are out of range: the matrix element underflows",
+            ),
+            (
+                "level 4p1/2 1e104\ne1 4s1/2 4p1/2 2.898 0.029",
+                ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e303"],
+                "lifetime 1e+303 ns and transition energy 4.556335252911937e+98 hartree "
+                "are out of range: the matrix element underflows",
+            ),
         ],
         ids=[
             "assembly-d-squared",
@@ -438,6 +450,8 @@ class TestCLI:
             "extract-d-overflows",
             "extract-d-unc-overflows",
             "extract-other-rate-sum",
+            "extract-d-underflows",
+            "extract-d-underflows-beside-its-element",
         ],
     )
     def test_overflowing_power_names_its_input(self, tmp_path, capsys, elements, argv, message):
