@@ -218,7 +218,7 @@ class Dataset(Record):
         _set(self, "tails", MappingProxyType(dict(tails)))
         _set(self, "_by_label", {level.label: level for level in self.levels})
         # Each state's sorted polarizability rows, filled on first assembly; outside
-        # _fields, so ==, hash, repr, copy and pickle ignore it.
+        # _fields, so ==, repr, copy and pickle ignore it.
         _set(self, "_rows", {})
 
     def __reduce__(self) -> tuple:

@@ -3,9 +3,11 @@
 Per-transition scalar and tensor terms are summed as plain floats, with tail
 and core inputs, into a breakdown whose uncertainties combine in quadrature.
 Energies are treated as exact, so each term's uncertainty is 2*|alpha|*(dd/d).
-The fold that sums a total computes each row's term of the requested multipole
-once, so a scalar sum never looks at a tensor term's uncertainty; a row builds
-its term as a :class:`Quantity` only when a report asks for it.
+A state's rows are built once per dataset and memoized on it, so the scalar
+and tensor breakdowns of one state share them.  The fold that sums a total
+computes each row's term of the requested multipole once, so a scalar sum never
+looks at a tensor term's uncertainty; a row builds its term as a
+:class:`Quantity` only when a report asks for it.
 """
 
 from __future__ import annotations
