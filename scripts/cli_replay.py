@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python scripts/cli_replay.py record CALLS.json
     PYTHONPATH=src python scripts/cli_replay.py replay CALLS.json OUT.json
+    python scripts/cli_replay.py compare OLD.json NEW.json
 
 ``record`` collects the calls: every ``polkit.cli.main`` call that the tier-1
 suite under ``tests/`` makes (which covers ``tests/cli_golden.json``, the README
@@ -15,7 +16,9 @@ as a directory, which ``replay`` recreates empty; any other path is kept as is.
 ``replay`` runs each recorded call against the ``polkit`` on ``sys.path`` and
 writes its exit code, stdout and stderr.  Replaying one CALLS file from two
 checkouts and comparing the two OUT files shows every output that a change
-moves.
+moves: ``compare`` prints each call whose exit code, stdout or stderr differs,
+with its argv and the old and new value of each stream that moved, then a count
+line, and exits 1 if any call moved.
 """
 
 from __future__ import annotations
@@ -143,10 +146,34 @@ def replay(calls_path: str, out_path: str) -> None:
     print(f"{len(results)} calls replayed into {out_path}")
 
 
+STREAMS = ("exit", "stdout", "stderr")
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print each call whose output moved between two replays; return their count."""
+    old, new = (
+        json.loads(pathlib.Path(p).read_text(encoding="utf-8")) for p in (old_path, new_path)
+    )
+    if [r["argv"] for r in old] != [r["argv"] for r in new]:
+        sys.exit(f"{old_path} and {new_path} are not replays of one CALLS file")
+    moved = 0
+    for before, after in zip(old, new):
+        streams = [key for key in STREAMS if before[key] != after[key]]
+        if streams:
+            moved += 1
+            print(json.dumps(before["argv"]))
+            for key in streams:
+                print(f"  {key}: {before[key]!r} -> {after[key]!r}")
+    print(f"{moved} of {len(old)} calls moved")
+    return moved
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["record"] and len(sys.argv) == 3:
         record(sys.argv[2])
     elif sys.argv[1:2] == ["replay"] and len(sys.argv) == 4:
         replay(sys.argv[2], sys.argv[3])
+    elif sys.argv[1:2] == ["compare"] and len(sys.argv) == 4:
+        sys.exit(1 if compare(sys.argv[2], sys.argv[3]) else 0)
     else:
         sys.exit(__doc__)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .constants import BBR_FIELD_300K, POLARIZABILITY_AU_IN_SI
-from .dataset import A0_CUBED, HERTZ, SI_POLARIZABILITY, Quantity, Record, _set, require_unit
+from .dataset import A0_CUBED, HERTZ, SI_POLARIZABILITY, Quantity, Record, _setters, require_unit
 
 
 class BBRConditions(Record):
@@ -36,8 +36,11 @@ class BBRConditions(Record):
             raise ValueError(f"non-finite eta: {eta!r}")
         if temperature < 0:
             raise ValueError(f"negative temperature: {temperature}")
-        _set(self, "temperature", temperature)
-        _set(self, "eta", eta)
+        _set_temperature(self, temperature)
+        _set_eta(self, eta)
+
+
+_set_temperature, _set_eta = _setters(BBRConditions)
 
 
 def au_to_si(alpha: Quantity) -> Quantity:

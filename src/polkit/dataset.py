@@ -51,13 +51,21 @@ class UnknownLevelError(KeyError):
     """A level label is not declared in the dataset."""
 
 
-# Records set each field once, in __init__, past their own refusing __setattr__.
+# Copy and pickle restore a record's slots past its own refusing __setattr__.
 _set = object.__setattr__
+
+
+def _setters(cls: type) -> tuple:
+    """The ``__set__`` of each of `cls`'s own slots, in ``__slots__`` order."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class Record:
     """Base of the immutable slotted records: a subclass names its fields in ``_fields``
-    and sets each once in ``__init__`` with ``_set``; ==, hash and repr follow them."""
+    and sets each slot once in ``__init__`` through the slot setters that
+    :func:`_setters` returns, bound once per class at module level: calling a slot's
+    own ``__set__`` skips the attribute lookup of ``object.__setattr__`` and the
+    record's refusing ``__setattr__``.  ==, hash and repr follow ``_fields``."""
 
     __slots__ = ()
 
@@ -99,15 +107,18 @@ class Quantity(Record):
             raise ValueError(f"non-finite uncertainty: {unc!r} {unit}")
         if unc < 0:
             raise ValueError(f"negative uncertainty: {unc!r}")
-        _set(self, "value", value)
-        _set(self, "unc", unc)
-        _set(self, "unit", unit)
+        _set_value(self, value)
+        _set_unc(self, unc)
+        _set_unit(self, unit)
 
     def relative_unc(self) -> float:
         """unc / |value|; zero for a zero value."""
         if self.value == 0.0:
             return 0.0
         return self.unc / abs(self.value)
+
+
+_set_value, _set_unc, _set_unit = _setters(Quantity)
 
 
 def require_unit(q: Quantity, unit: str, what: str) -> None:
@@ -122,33 +133,54 @@ ZERO_A0_CUBED = Quantity(0.0, 0.0, A0_CUBED)
 _LABEL_RE = re.compile(rf"([0-9]+)([{L_LETTERS}])([0-9]+)/2")
 
 
+def _label_problem(n: int, l: int, j2: int) -> str | None:
+    """The message of the first label rule that (n, l, j2) breaks; None if it breaks none."""
+    if n < 1:
+        return f"principal quantum number must be positive: {n}"
+    if not 0 <= l < len(L_LETTERS):
+        return f"orbital angular momentum out of range 0..4: {l}"
+    if j2 < 1 or j2 % 2 == 0:
+        return f"twice-j must be a positive odd integer: {j2}"
+    if j2 not in ((1,) if l == 0 else (2 * l - 1, 2 * l + 1)):
+        return f"j={j2}/2 incompatible with l={L_LETTERS[l]!r}"
+    return None
+
+
+# Every (l, j2) that the rules allow; with n >= 1 a label needs no other check.
+_VALID_L_J2 = frozenset(
+    (l, j2)
+    for l in range(len(L_LETTERS))
+    for j2 in range(1, 2 * len(L_LETTERS))
+    if _label_problem(1, l, j2) is None
+)
+
+
 class LevelLabel(NamedTuple("LevelLabel", [("n", int), ("l", int), ("j2", int)])):
     """Spectroscopic state label: n, orbital l, and twice the total j; sorts by (n, l, j2)."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, l: int, j2: int) -> "LevelLabel":
-        if n < 1:
-            raise ValueError(f"principal quantum number must be positive: {n}")
-        if not 0 <= l < len(L_LETTERS):
-            raise ValueError(f"orbital angular momentum out of range 0..4: {l}")
-        if j2 < 1 or j2 % 2 == 0:
-            raise ValueError(f"twice-j must be a positive odd integer: {j2}")
-        if j2 not in ((1,) if l == 0 else (2 * l - 1, 2 * l + 1)):
-            raise ValueError(f"j={j2}/2 incompatible with l={L_LETTERS[l]!r}")
+        if not (n >= 1 and (l, j2) in _VALID_L_J2):
+            problem = _label_problem(n, l, j2)
+            if problem is not None:
+                raise ValueError(problem)
         return tuple.__new__(cls, (n, l, j2))
 
     @classmethod
     def _make(cls, iterable: Iterable[int]) -> "LevelLabel":  # so that _replace validates too
         return cls(*iterable)
 
-    @classmethod
-    def parse(cls, text: str) -> "LevelLabel":
+    @staticmethod
+    @functools.lru_cache(maxsize=256)
+    def parse(text: str) -> "LevelLabel":
+        """The label of `text`, shared by every call with that text while it stays
+        cached; a refused text is not cached, so it raises at each call."""
         m = _LABEL_RE.fullmatch(text)
         if m is None:
             raise DatasetError(f"bad level label {text!r} (expected e.g. '4p3/2')")
         try:
-            return cls(int(m.group(1)), L_LETTERS.index(m.group(2)), int(m.group(3)))
+            return LevelLabel(int(m.group(1)), L_LETTERS.index(m.group(2)), int(m.group(3)))
         except ValueError as exc:
             raise DatasetError(f"bad level label {text!r}: {exc}") from exc
 
@@ -166,8 +198,11 @@ class Level(Record):
             raise ValueError(f"non-finite level energy: {energy_cm!r}")
         if energy_cm < 0:
             raise ValueError(f"negative level energy: {energy_cm}")
-        _set(self, "label", label)
-        _set(self, "energy_cm", energy_cm)
+        _set_label(self, label)
+        _set_energy_cm(self, energy_cm)
+
+
+_set_label, _set_energy_cm = _setters(Level)
 
 
 class ReducedE1(Record):
@@ -184,9 +219,12 @@ class ReducedE1(Record):
         require_unit(d, E_A0, "matrix element")
         if d.value <= 0:
             raise ValueError(f"matrix element magnitude must be positive: {d.value}")
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
-        _set(self, "d", d)
+        _set_lower(self, lower)
+        _set_upper(self, upper)
+        _set_d(self, d)
+
+
+_set_lower, _set_upper, _set_d = _setters(ReducedE1)
 
 
 def e1_selection_ok(a: LevelLabel, b: LevelLabel) -> bool:
@@ -212,14 +250,15 @@ class Dataset(Record):
         core_alpha: Quantity,
         tails: Mapping[tuple[LevelLabel, str], Quantity],
     ) -> None:
-        _set(self, "levels", tuple(levels))
-        _set(self, "elements", tuple(elements))
-        _set(self, "core_alpha", core_alpha)
-        _set(self, "tails", MappingProxyType(dict(tails)))
-        _set(self, "_by_label", {level.label: level for level in self.levels})
+        levels = tuple(levels)
+        _set_levels(self, levels)
+        _set_elements(self, tuple(elements))
+        _set_core_alpha(self, core_alpha)
+        _set_tails(self, MappingProxyType(dict(tails)))
+        _set_by_label(self, {level.label: level for level in levels})
         # Each state's sorted polarizability rows, filled on first assembly; outside
         # _fields, so ==, repr, copy and pickle ignore it.
-        _set(self, "_rows", {})
+        _set_rows(self, {})
 
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild from the fields: the tails mappingproxy does not pickle
@@ -261,6 +300,11 @@ class Dataset(Record):
         for (label, multipole), q in self.tails.items():
             lines.append(f"tail {label} {multipole} {q.value!r} {q.unc!r}")
         return "\n".join(lines) + "\n"
+
+
+_set_levels, _set_elements, _set_core_alpha, _set_tails, _set_by_label, _set_rows = _setters(
+    Dataset
+)
 
 
 # A number is an ASCII decimal literal with an optional exponent: no '_'
@@ -310,14 +354,7 @@ def parse_dataset(text: str) -> Dataset:
     elements: list[ReducedE1] = []
     core: Quantity | None = None
     tails: dict[tuple[LevelLabel, str], Quantity] = {}
-    labels: dict[str, LevelLabel] = {}  # each distinct label text is parsed once
-
-    def parse_label(text: str) -> LevelLabel:
-        parsed = labels.get(text)
-        if parsed is None:  # only successes are kept, so a bad label raises on each line
-            parsed = labels[text] = LevelLabel.parse(text)
-        return parsed
-
+    parse_label = LevelLabel.parse  # cached per text; a bad label raises on each line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split("#", 1)[0].split()
         if not fields:

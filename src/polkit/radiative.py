@@ -18,7 +18,7 @@ from .dataset import (
     LevelLabel,
     Quantity,
     Record,
-    _set,
+    _setters,
     require_unit,
 )
 
@@ -32,9 +32,12 @@ class DecayChannel(Record):
         require_unit(A, MEGAHERTZ, "rate")
         if A.value <= 0:
             raise ValueError(f"decay rate must be positive: {A.value}")
-        _set(self, "upper", upper)
-        _set(self, "lower", lower)
-        _set(self, "A", A)
+        _set_upper(self, upper)
+        _set_lower(self, lower)
+        _set_A(self, A)
+
+
+_set_upper, _set_lower, _set_A = _setters(DecayChannel)
 
 
 def _rate_per_d_squared_mhz(delta_e_au: float, j2_upper: int) -> float:

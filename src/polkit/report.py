@@ -16,7 +16,7 @@ import math
 from typing import Any, Callable, Mapping, Sequence
 
 from .bbr import BBRConditions, bbr_shift_state, clock_bbr_shift
-from .dataset import NANOSECOND, SCALAR, TENSOR, Dataset, LevelLabel, Quantity, Record, _set
+from .dataset import NANOSECOND, SCALAR, TENSOR, Dataset, LevelLabel, Quantity, Record, _setters
 from .dataset import e1_selection_ok, energy_difference_au
 from .polarizability import assemble_breakdown
 from .radiative import DecayChannel, decay_channels, extract_matrix_element, lifetime
@@ -82,10 +82,10 @@ class Report(Record):
     __slots__ = _fields = ("kind", "inputs", "rows", "totals")
 
     def __init__(self, kind: str, inputs: _Map, rows: tuple[_Map, ...], totals: _Map) -> None:
-        _set(self, "kind", kind)
-        _set(self, "inputs", inputs)
-        _set(self, "rows", rows)
-        _set(self, "totals", totals)
+        _set_kind(self, kind)
+        _set_inputs(self, inputs)
+        _set_rows(self, rows)
+        _set_totals(self, totals)
 
     def to_json(self) -> str:
         import json  # here, so that table output does not load it
@@ -112,6 +112,9 @@ class Report(Record):
             rows=tuple(payload["rows"]),
             totals=payload["totals"],
         )
+
+
+_set_kind, _set_inputs, _set_rows, _set_totals = _setters(Report)
 
 
 def _column_widths(rows: Sequence[Sequence[str]]) -> list[int]:

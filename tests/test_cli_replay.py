@@ -1,8 +1,11 @@
-"""scripts/cli_replay.py stores each --dataset path so that a later replay reads what the call read."""
+"""scripts/cli_replay.py stores each --dataset path so that a later replay reads what the call
+read, and ``compare`` names every call whose output moved between two replays."""
 
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -39,3 +42,36 @@ def test_stored_dataset_replays_as_the_call_saw_it(tmp_path, kind):
         assert pathlib.Path(path).read_bytes() == b"level 4s1/2 0\n\xff"
     if kind == "directory":
         assert pathlib.Path(path).is_dir() and not any(pathlib.Path(path).iterdir())
+
+
+def _replay_file(path, results):
+    path.write_text(json.dumps([{"argv": argv, "exit": code, "stdout": out, "stderr": err}
+                                for argv, code, out, err in results]))
+    return str(path)
+
+
+def test_compare_names_each_moved_call_and_stream(tmp_path, capsys):
+    calls = [(["bbr"], 0, "shift 0.380(13)\n", ""), (["lifetime"], 2, "", "polkit: bad\n"),
+             (["extract"], 0, "d 2.9\n", "")]
+    old = _replay_file(tmp_path / "old.json", calls)
+    assert cli_replay.compare(old, old) == 0
+    assert capsys.readouterr().out == "0 of 3 calls moved\n"
+
+    moved = [calls[0], (["lifetime"], 3, "", "polkit: worse\n"), (["extract"], 0, "d 2.9", "")]
+    new = _replay_file(tmp_path / "new.json", moved)
+    assert cli_replay.compare(old, new) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        '["lifetime"]',
+        "  exit: 2 -> 3",
+        "  stderr: 'polkit: bad\\n' -> 'polkit: worse\\n'",
+        '["extract"]',
+        "  stdout: 'd 2.9\\n' -> 'd 2.9'",
+        "2 of 3 calls moved",
+    ]
+
+    run = [sys.executable, str(SCRIPT), "compare"]
+    assert subprocess.run(run + [old, old], capture_output=True).returncode == 0
+    assert subprocess.run(run + [old, new], capture_output=True).returncode == 1
+    other = _replay_file(tmp_path / "other.json", calls[:2])
+    child = subprocess.run(run + [old, other], capture_output=True, text=True)
+    assert child.returncode == 1 and "not replays of one CALLS file" in child.stderr

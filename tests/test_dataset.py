@@ -61,6 +61,25 @@ class TestLevelLabel:
         for level in golden.levels:
             assert LevelLabel.parse(str(level.label)) == level.label
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((0, 7, 2), "principal quantum number must be positive: 0"),
+            ((-1, 0, 1), "principal quantum number must be positive: -1"),
+            ((4, 5, 9), "orbital angular momentum out of range 0..4: 5"),
+            ((4, 1, 2), "twice-j must be a positive odd integer: 2"),
+            ((4, 0, 3), "j=3/2 incompatible with l='s'"),
+        ],
+    )
+    def test_constructor_names_the_first_broken_rule(self, args, message):
+        with pytest.raises(ValueError) as info:
+            LevelLabel(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("args", [(4, 1.0, 3), (4, True, 3), (4, 0, True)])
+    def test_constructor_accepts_numbers_equal_to_valid_ints(self, args):
+        assert LevelLabel(*args) == args and tuple(LevelLabel(*args)) == args
+
     @pytest.mark.parametrize("bad", ["4x1/2", "4S1/2"])
     def test_letter_outside_spdfg_message(self, bad):
         with pytest.raises(DatasetError) as info:
@@ -293,21 +312,46 @@ class TestParserState:
             parse_dataset(text)
         assert str(err.value).startswith(f"line {lineno}: bad level label '4p2/2': ")
 
-    def test_parsed_labels_are_the_labels_of_their_text(self, golden_text, monkeypatch):
-        texts = []
-        parse = LevelLabel.parse
-        monkeypatch.setattr(
-            LevelLabel, "parse", classmethod(lambda cls, text: texts.append(text) or parse(text))
-        )
-        ds = parse_dataset(golden_text)
+    @staticmethod
+    def _labels(ds):
         parsed = [lv.label for lv in ds.levels]
         parsed += [lab for el in ds.elements for lab in (el.lower, el.upper)]
-        parsed += [lab for lab, _ in ds.tails]
+        return parsed + [lab for lab, _ in ds.tails]
+
+    def test_parsed_labels_are_the_labels_of_their_text(self, golden_text):
+        LevelLabel.parse.cache_clear()
+        ds = parse_dataset(golden_text)
+        parsed = self._labels(ds)
         assert len(parsed) == 88
-        assert sorted(texts) == sorted({str(lab) for lab in parsed})  # 27, each once
+        assert LevelLabel.parse.cache_info().misses == len({str(lab) for lab in parsed}) == 27
+        parse_dataset(golden_text)
+        assert LevelLabel.parse.cache_info().misses == 27  # the second parse misses 0 times
         for lab in parsed:
-            fresh = parse(str(lab))
+            fresh = LevelLabel(lab.n, lab.l, lab.j2)
             assert type(lab) is LevelLabel and lab == fresh and hash(lab) == hash(fresh)
+            assert str(lab) == str(fresh)
+
+    def test_two_parses_share_their_labels(self, golden_text):
+        first, second = parse_dataset(golden_text), parse_dataset(golden_text)
+        assert first is not second
+        pairs = list(zip(self._labels(first), self._labels(second), strict=True))
+        assert len(pairs) == 88 and all(a is b for a, b in pairs)
+
+    def test_a_bad_label_raises_at_every_line_and_is_not_cached(self):
+        for text in ("4s1/2", "4p1/2", "4p3/2"):  # cached first, so each later call hits
+            LevelLabel.parse(text)
+        before = LevelLabel.parse.cache_info()
+        for lineno in (6, 7, 8):  # MINIMAL holds lines 1-5
+            lines = ["level 4p3/2 25414.4"] * (lineno - 6) + ["level 4p2/2 300"]
+            text = MINIMAL + "\n".join(lines) + "\n"
+            with pytest.raises(DatasetError, match=f"^line {lineno}: bad level label '4p2/2': "):
+                parse_dataset(text)
+        for _ in range(2):
+            with pytest.raises(DatasetError, match="^bad level label '4p2/2': "):
+                LevelLabel.parse("4p2/2")
+        after = LevelLabel.parse.cache_info()
+        assert after.currsize == before.currsize
+        assert after.misses == before.misses + 5  # 4p2/2, at each of its five calls
 
     def test_two_texts_of_one_label_parse_alike(self):
         ds = parse_dataset("level 04s1/2 0\nlevel 4p1/2 1\ne1 4s1/2 04p1/2 1 0\ncore 1 0\n")

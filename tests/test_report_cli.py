@@ -85,6 +85,8 @@ class TestFormatting:
             (-0.0001, 0.00002, "0.000"),
             (3.25, 5e-324, "3.250"),
             (3.25, 1e-323, "3.250"),
+            (1.0, 3.0, "1(3)"),  # a leading digit of exactly 3 gets one digit
+            (0.5, 0.003, "0.500(3)"),
         ],
     )
     def test_value_unc_rendering(self, value, unc, expected):
@@ -658,6 +660,7 @@ class TestWarmProcess:
             if fresh:
                 build_parser.cache_clear()
                 builtin_dataset_text.cache_clear()
+                LevelLabel.parse.cache_clear()
             results.append(run_cli(capsys, *step))
         return results
 
@@ -678,6 +681,16 @@ class TestWarmProcess:
         assert (before[0], after[0]) == (0, 0)
         assert before[1].splitlines()[-1].split() == ["total", "76.1(1.1)"]
         assert after[1].splitlines()[-1].split() == ["total", "77.1(1.1)"]
+
+    def test_fresh_runs_clear_the_label_cache(self, capsys):
+        self._run(capsys, [["bbr"]], fresh=True)
+        one = LevelLabel.parse.cache_info()
+        assert one.misses == 27  # each distinct label of the packaged dataset, once
+        self._run(capsys, [["bbr"], ["bbr"]], fresh=True)
+        assert LevelLabel.parse.cache_info() == one  # the second call started empty too
+        self._run(capsys, [["bbr"]], fresh=False)
+        warm = LevelLabel.parse.cache_info()
+        assert warm.misses == 27 and warm.hits > one.hits
 
 
 LABELS = ["4s1/2", "4p1/2", "4p3/2", "3d3/2", "3d5/2", "9g9/2", "\u0664s1/2", "7x1/2"]
