@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import re
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .constants import HARTREE_IN_CM
 
@@ -135,6 +137,9 @@ _LABEL_RE = re.compile(rf"([0-9]+)([{L_LETTERS}])([0-9]+)/2")
 
 def _label_problem(n: int, l: int, j2: int) -> str | None:
     """The message of the first label rule that (n, l, j2) breaks; None if it breaks none."""
+    for name, value in (("n", n), ("l", l), ("j2", j2)):
+        if type(value) is not int:
+            return f"{name} must be an int: {value!r}"
     if n < 1:
         return f"principal quantum number must be positive: {n}"
     if not 0 <= l < len(L_LETTERS):
@@ -155,13 +160,13 @@ _VALID_L_J2 = frozenset(
 )
 
 
-class LevelLabel(NamedTuple("LevelLabel", [("n", int), ("l", int), ("j2", int)])):
-    """Spectroscopic state label: n, orbital l, and twice the total j; sorts by (n, l, j2)."""
+class LevelLabel(namedtuple("LevelLabel", "n l j2")):
+    """Spectroscopic state label of ints n, orbital l and twice the total j; sorts by (n, l, j2)."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, l: int, j2: int) -> "LevelLabel":
-        if not (n >= 1 and (l, j2) in _VALID_L_J2):
+        if not (type(n) is type(l) is type(j2) is int and n >= 1 and (l, j2) in _VALID_L_J2):
             problem = _label_problem(n, l, j2)
             if problem is not None:
                 raise ValueError(problem)
@@ -399,10 +404,9 @@ def parse_dataset(text: str) -> Dataset:
 
 @functools.cache
 def builtin_dataset_text() -> str:
-    """Text of the packaged Ca+ reference dataset, read once per process."""
-    from importlib import resources  # here, so that `import polkit` does not load it
-
-    return resources.files("polkit").joinpath("data/ca_plus.dat").read_text("utf-8")
+    """The packaged Ca+ dataset, read once per process by the package's loader (dir or zip)."""
+    path = os.path.join(os.path.dirname(__file__), "data", "ca_plus.dat")
+    return __spec__.loader.get_data(path).decode("utf-8")
 
 
 def validate(ds: Dataset) -> list[str]:

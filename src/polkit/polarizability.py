@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .angular import tensor_prefactor_C, wigner6j
 from .dataset import (
@@ -29,14 +29,11 @@ from .dataset import (
 )
 
 
-class Contribution(NamedTuple):
-    """One intermediate state's terms in a0^3; alpha2 is None when j < 1 has no tensor part."""
+class Contribution(namedtuple("Contribution", "state partner d alpha0 alpha2")):
+    """One intermediate state's terms in a0^3: LevelLabels state and partner, Quantity d,
+    floats alpha0 and alpha2; alpha2 is None when j < 1 has no tensor part."""
 
-    state: LevelLabel
-    partner: LevelLabel
-    d: Quantity
-    alpha0: float
-    alpha2: Optional[float]
+    __slots__ = ()
 
     @property
     def transition(self) -> str:
@@ -60,15 +57,11 @@ class Contribution(NamedTuple):
         return Quantity(*self._term(multipole), A0_CUBED)
 
 
-class PolarizabilityBreakdown(NamedTuple):
-    """Main contributions plus tail and core, with the quadrature total."""
-
-    state: LevelLabel
-    multipole: str
-    main: tuple[Contribution, ...]
-    tail: Quantity
-    core: Quantity
-    total: Quantity
+PolarizabilityBreakdown = namedtuple(
+    "PolarizabilityBreakdown", "state multipole main tail core total"
+)
+PolarizabilityBreakdown.__doc__ = """Main contributions plus tail and core, with the quadrature
+total: LevelLabel state, str multipole, Contribution tuple main, Quantities tail, core, total."""
 
 
 @functools.cache  # labels stop at l = 4, so at most 5 x 5 spin pairs

@@ -7,7 +7,7 @@ UPPER state.  Rates are reported in MHz and lifetimes in ns.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .constants import RATE_AU_IN_PER_S, SPEED_OF_LIGHT_AU
 from .dataset import (

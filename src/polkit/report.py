@@ -13,7 +13,7 @@ are byte-identical.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from .bbr import BBRConditions, bbr_shift_state, clock_bbr_shift
 from .dataset import NANOSECOND, SCALAR, TENSOR, Dataset, LevelLabel, Quantity, Record, _setters
@@ -59,17 +59,17 @@ def format_quantity(q: Quantity, full_precision: bool = False) -> str:
     return format_value_unc(q.value, q.unc)
 
 
-def quantity_to_dict(q: Quantity) -> dict[str, Any]:
+def quantity_to_dict(q: Quantity) -> dict[str, object]:
     return {"value": q.value, "unc": q.unc, "unit": q.unit}
 
 
-def _quantity_from_dict(obj: dict[str, Any]) -> Any:
+def _quantity_from_dict(obj: dict[str, object]) -> object:
     if obj.keys() == {"value", "unc", "unit"}:
         return Quantity(obj["value"], obj["unc"], obj["unit"])
     return obj
 
 
-_Map = Mapping[str, Any]
+_Map = Mapping[str, object]
 
 
 class Report(Record):
@@ -218,7 +218,7 @@ def _render_bbr(report: Report, fq: _Format) -> _Table:
     ]
 
 
-def _channel_rows(channels: Sequence[DecayChannel]) -> tuple[dict[str, Any], ...]:
+def _channel_rows(channels: Sequence[DecayChannel]) -> tuple[dict[str, object], ...]:
     return tuple({"upper": str(ch.upper), "lower": str(ch.lower), "A": ch.A} for ch in channels)
 
 
@@ -265,7 +265,7 @@ def extract_report(
         raise ValueError(f"{upper} -> {lower} violates E1 selection rules")
     tau = Quantity(tau_ns, tau_unc_ns, NANOSECOND)
     d = extract_matrix_element(tau, others, delta_e, upper.j2)
-    totals: dict[str, Any] = {"d_extracted": d}
+    totals: dict[str, object] = {"d_extracted": d}
     for partner, el, _ in ds.couplings(upper):
         if partner == lower:
             totals["d_theory"] = el.d

@@ -76,9 +76,24 @@ class TestLevelLabel:
             LevelLabel(*args)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("args", [(4, 1.0, 3), (4, True, 3), (4, 0, True)])
-    def test_constructor_accepts_numbers_equal_to_valid_ints(self, args):
-        assert LevelLabel(*args) == args
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: LevelLabel(4, 1.0, 3), "l"),
+            (lambda: LevelLabel(math.nan, 0, 1), "n"),
+            (lambda: LevelLabel(4.5, 0, 1), "n"),
+            (lambda: LevelLabel(True, 0, 1), "n"),
+            (lambda: LevelLabel(4, True, 3), "l"),
+            (lambda: LevelLabel(4, 0, True), "j2"),
+            (lambda: LevelLabel(4, 1, 1)._replace(j2=3.0), "j2"),
+            (lambda: LevelLabel._make((4, 1, 3.0)), "j2"),
+        ],
+        ids=["l-float", "n-nan", "n-float", "n-bool", "l-bool", "j2-bool", "replace", "make"],
+    )
+    def test_constructor_refuses_a_field_that_is_not_an_int(self, build, field):
+        # A float or bool equal to a valid int would print as "4p3.0/2" or fail in str().
+        with pytest.raises(ValueError, match=rf"^{field} must be an int: "):
+            build()
 
     @pytest.mark.parametrize("bad", ["4x1/2", "4S1/2"])
     def test_letter_outside_spdfg_message(self, bad):

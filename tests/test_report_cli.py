@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import zipfile
 
 import pytest
 from hypothesis import given, settings
@@ -615,18 +616,54 @@ class TestCLI:
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
-    """Table output needs none of them; a fresh interpreter shows what `polkit.cli` loads."""
+    """Table output needs none of them; a fresh site-free interpreter, which no start-up
+    hook has loaded them into, shows what `import polkit.cli` and a `bbr` call load."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(polkit.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "\n".join([
+        "import io, sys",
+        "unwanted = {'dataclasses', 'inspect', 'json', 'typing', 'importlib.resources'}",
+        "before = set(sys.modules)",
+        "import polkit.cli",
+        "print('import', *sorted(unwanted & (set(sys.modules) - before)))",
+        "stdout, sys.stdout = sys.stdout, io.StringIO()",
+        "code = polkit.cli.main(['bbr'])",
+        "sys.stdout = stdout",
+        "print('bbr', code, *sorted(unwanted & (set(sys.modules) - before)))",
+    ])
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert child.stdout.splitlines() == ["import", "bbr 0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bbr"], ["polarizability", "--state", "3d5/2", "--multipole", "tensor", "--format", "machine"]],
+    ids=["bbr", "polarizability"],
+)
+def test_cli_runs_from_a_zipped_package(tmp_path, capsys, argv):
+    """The packaged dataset is read through the package's own loader, so polkit imported
+    from a zip prints what it prints in process."""
+    package = pathlib.Path(polkit.__file__).parent
+    archive = tmp_path / "polkit.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(package.rglob("*")):
+            if path.suffix in (".py", ".dat"):
+                zf.write(path, path.relative_to(package.parent))
+    env = dict(os.environ, PYTHONPATH=str(archive), PYTHONIOENCODING="utf-8")
     code = (
-        "import sys; before = set(sys.modules); import polkit.cli; "
-        "print(*sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))"
+        "import sys, zipimport, polkit.cli; "
+        "assert isinstance(polkit.cli.__loader__, zipimport.zipimporter), polkit.cli.__file__; "
+        "sys.exit(polkit.cli.main(sys.argv[1:]))"
     )
     child = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-S", "-c", code, *argv], capture_output=True, env=env, cwd=tmp_path
     )
-    assert child.stdout.split() == []
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert main(argv) == 0
+    assert child.stdout == capsys.readouterr().out.encode("utf-8")
 
 
 class TestWarmProcess:
