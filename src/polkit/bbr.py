@@ -12,12 +12,13 @@ shift is the difference of the two state shifts.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .constants import BBR_FIELD_300K, POLARIZABILITY_AU_IN_SI
-from .dataset import A0_CUBED, HERTZ, SI_POLARIZABILITY, Quantity, Record, _setters, require_unit
+from .dataset import A0_CUBED, HERTZ, SI_POLARIZABILITY, Quantity, _make, require_unit
 
 
-class BBRConditions(Record):
+class BBRConditions(namedtuple("BBRConditions", "temperature eta")):
     """Ambient conditions for a blackbody shift evaluation.
 
     The reference field is the 300 K blackbody RMS field and is fixed;
@@ -25,22 +26,21 @@ class BBRConditions(Record):
     as the trivial zero-field limit.
     """
 
-    __slots__ = ("temperature", "eta")
-    _fields = (*__slots__, "reference_field")
+    __slots__ = ()
+    _make = _make
     reference_field = BBR_FIELD_300K
 
-    def __init__(self, temperature: float = 300.0, eta: float = 0.0) -> None:
+    def __new__(cls, temperature: float = 300.0, eta: float = 0.0) -> "BBRConditions":
         if not math.isfinite(temperature):
             raise ValueError(f"non-finite temperature: {temperature!r}")
         if not math.isfinite(eta):
             raise ValueError(f"non-finite eta: {eta!r}")
         if temperature < 0:
             raise ValueError(f"negative temperature: {temperature}")
-        _set_temperature(self, temperature)
-        _set_eta(self, eta)
+        return tuple.__new__(cls, (temperature, eta))
 
-
-_set_temperature, _set_eta = _setters(BBRConditions)
+    def __repr__(self) -> str:
+        return f"{super().__repr__()[:-1]}, reference_field={self.reference_field!r})"
 
 
 def au_to_si(alpha: Quantity) -> Quantity:

@@ -53,21 +53,24 @@ class UnknownLevelError(KeyError):
     """A level label is not declared in the dataset."""
 
 
-# Copy and pickle restore a record's slots past its own refusing __setattr__.
-_set = object.__setattr__
-
-
 def _setters(cls: type) -> tuple:
     """The ``__set__`` of each of `cls`'s own slots, in ``__slots__`` order."""
     return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
+@classmethod
+def _make(cls, iterable: Iterable[object]) -> tuple:
+    """The tuple records' ``_make``: through the validating ``__new__``, so that
+    ``_replace`` (and ``copy.replace``, which calls it) validates too."""
+    return cls(*iterable)
+
+
 class Record:
-    """Base of the immutable slotted records: a subclass names its fields in ``_fields``
-    and sets each slot once in ``__init__`` through the slot setters that
-    :func:`_setters` returns, bound once per class at module level: calling a slot's
-    own ``__set__`` skips the attribute lookup of ``object.__setattr__`` and the
-    record's refusing ``__setattr__``.  ==, hash and repr follow ``_fields``."""
+    """Base of the immutable slotted records that must not be tuples: a subclass names
+    its fields in ``_fields`` and sets each slot once in ``__init__`` through the slot
+    setters that :func:`_setters` returns, bound once per class at module level: calling
+    a slot's own ``__set__`` skips the record's refusing ``__setattr__``.  ==, hash and
+    repr follow ``_fields``, and copy and pickle rebuild through the constructor."""
 
     __slots__ = ()
 
@@ -77,9 +80,8 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
-        for name, value in state[1].items():  # copy and pickle restore the slots
-            _set(self, name, value)
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -172,9 +174,7 @@ class LevelLabel(namedtuple("LevelLabel", "n l j2")):
                 raise ValueError(problem)
         return tuple.__new__(cls, (n, l, j2))
 
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> "LevelLabel":  # so that _replace validates too
-        return cls(*iterable)
+    _make = _make
 
     @staticmethod
     @functools.lru_cache(maxsize=256)
@@ -193,24 +193,21 @@ class LevelLabel(namedtuple("LevelLabel", "n l j2")):
         return f"{self.n}{L_LETTERS[self.l]}{self.j2}/2"
 
 
-class Level(Record):
+class Level(namedtuple("Level", "label energy_cm")):
     """An atomic level: label plus its energy above the ground state."""
 
-    __slots__ = _fields = ("label", "energy_cm")
+    __slots__ = ()
+    _make = _make
 
-    def __init__(self, label: LevelLabel, energy_cm: float) -> None:
+    def __new__(cls, label: LevelLabel, energy_cm: float) -> "Level":
         if not math.isfinite(energy_cm):
             raise ValueError(f"non-finite level energy: {energy_cm!r}")
         if energy_cm < 0:
             raise ValueError(f"negative level energy: {energy_cm}")
-        _set_label(self, label)
-        _set_energy_cm(self, energy_cm)
+        return tuple.__new__(cls, (label, energy_cm))
 
 
-_set_label, _set_energy_cm = _setters(Level)
-
-
-class ReducedE1(Record):
+class ReducedE1(namedtuple("ReducedE1", "lower upper d")):
     """A reduced electric-dipole matrix element between two levels.
 
     Stored as a positive magnitude in e*a0; every formula in this package
@@ -218,18 +215,14 @@ class ReducedE1(Record):
     stored with the energetically lower level first.
     """
 
-    __slots__ = _fields = ("lower", "upper", "d")
+    __slots__ = ()
+    _make = _make
 
-    def __init__(self, lower: LevelLabel, upper: LevelLabel, d: Quantity) -> None:
+    def __new__(cls, lower: LevelLabel, upper: LevelLabel, d: Quantity) -> "ReducedE1":
         require_unit(d, E_A0, "matrix element")
         if d.value <= 0:
             raise ValueError(f"matrix element magnitude must be positive: {d.value}")
-        _set_lower(self, lower)
-        _set_upper(self, upper)
-        _set_d(self, d)
-
-
-_set_lower, _set_upper, _set_d = _setters(ReducedE1)
+        return tuple.__new__(cls, (lower, upper, d))
 
 
 def e1_selection_ok(a: LevelLabel, b: LevelLabel) -> bool:

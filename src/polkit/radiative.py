@@ -7,6 +7,7 @@ UPPER state.  Rates are reported in MHz and lifetimes in ns.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .constants import RATE_AU_IN_PER_S, SPEED_OF_LIGHT_AU
@@ -17,27 +18,22 @@ from .dataset import (
     Dataset,
     LevelLabel,
     Quantity,
-    Record,
-    _setters,
+    _make,
     require_unit,
 )
 
 
-class DecayChannel(Record):
+class DecayChannel(namedtuple("DecayChannel", "upper lower A")):
     """One spontaneous-emission channel of an upper state."""
 
-    __slots__ = _fields = ("upper", "lower", "A")
+    __slots__ = ()
+    _make = _make
 
-    def __init__(self, upper: LevelLabel, lower: LevelLabel, A: Quantity) -> None:
+    def __new__(cls, upper: LevelLabel, lower: LevelLabel, A: Quantity) -> "DecayChannel":
         require_unit(A, MEGAHERTZ, "rate")
         if A.value <= 0:
             raise ValueError(f"decay rate must be positive: {A.value}")
-        _set_upper(self, upper)
-        _set_lower(self, lower)
-        _set_A(self, A)
-
-
-_set_upper, _set_lower, _set_A = _setters(DecayChannel)
+        return tuple.__new__(cls, (upper, lower, A))
 
 
 def _rate_per_d_squared_mhz(delta_e_au: float, j2_upper: int) -> float:

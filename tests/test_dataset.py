@@ -108,6 +108,11 @@ class TestLevel:
         with pytest.raises(ValueError, match="non-finite level energy"):
             Level(LevelLabel.parse("4p1/2"), energy)
 
+    def test_any_negative_energy_rejected_and_zero_accepted(self):
+        with pytest.raises(ValueError, match="^negative level energy: -5e-324$"):
+            Level(LevelLabel.parse("4p1/2"), -5e-324)
+        assert Level(LevelLabel.parse("4s1/2"), 0.0).energy_cm == 0.0
+
 
 class TestQuantity:
     def test_rejects_negative_uncertainty(self):

@@ -144,6 +144,13 @@ class TestDecayChannels:
         assert info.value.args == ("5s1/2",)
 
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_channel_refuses_a_rate_that_is_not_positive(self, rate):
+        with pytest.raises(ValueError) as info:
+            channel("4p1/2", "4s1/2", rate)
+        assert str(info.value) == f"decay rate must be positive: {rate}"
+
+
 class TestLifetime:
     def test_p_half_lifetime(self):
         tau = lifetime([channel("4p1/2", "4s1/2", 136.0), channel("4p1/2", "3d3/2", 9.452)])

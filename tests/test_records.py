@@ -3,6 +3,7 @@ ordering, copying and ``repr`` of the ten value types of the package."""
 
 import copy
 import pickle
+import sys
 
 import pytest
 
@@ -226,6 +227,44 @@ def test_level_label_validates_every_construction():
     for build in (lambda: label._replace(j2=5), lambda: LevelLabel._make((4, 1, 5))):
         with pytest.raises(ValueError, match="incompatible with l='p'"):
             build()
+
+
+# name -> (a field, a value the constructor refuses for it, the refusal's message)
+REFUSED = {
+    "LevelLabel": ("j2", 5, "incompatible with l='p'"),
+    "Level": ("energy_cm", -1.0, "negative level energy: -1.0"),
+    "ReducedE1": ("d", Quantity(0.0, 0.0, E_A0), "matrix element magnitude must be positive"),
+    "DecayChannel": ("A", Quantity(0.0, 0.0, MEGAHERTZ), "decay rate must be positive: 0.0"),
+    "BBRConditions": ("temperature", -1.0, "negative temperature: -1.0"),
+}
+BUILDERS = {
+    "_replace": lambda record, changes: record._replace(**changes),
+    "_make": lambda record, changes: type(record)._make({**record._asdict(), **changes}.values()),
+    "copy.replace": lambda record, changes: copy.replace(record, **changes),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+@pytest.mark.parametrize(
+    "builder",
+    [
+        "_replace",
+        "_make",
+        pytest.param(
+            "copy.replace",
+            marks=pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is 3.13+"),
+        ),
+    ],
+)
+def test_tuple_records_validate_every_construction(name, builder):
+    record = RECORDS[name][0]
+    field, refused, message = REFUSED[name]
+    build = BUILDERS[builder]
+    same = build(record, {field: getattr(record, field)})
+    assert type(same) is type(record) and same == record
+    with pytest.raises(ValueError) as info:
+        build(record, {field: refused})
+    assert message in str(info.value)
 
 
 def test_dataset_copies_its_inputs():
