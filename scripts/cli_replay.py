@@ -60,7 +60,7 @@ def _capture(argv: list[str] | None) -> dict:
 
 
 def _sweep(polkit) -> list[dict]:
-    ds = polkit.parse_dataset(polkit.builtin_dataset_text())
+    ds = polkit.builtin_dataset()
     commands = []
     for level in ds.levels:
         state = str(level.label)

@@ -32,6 +32,7 @@ from .dataset import (
     ReducedE1,
     UnitMismatchError,
     UnknownLevelError,
+    builtin_dataset,
     builtin_dataset_text,
     energy_difference_au,
     parse_dataset,
@@ -78,6 +79,7 @@ __all__ = [
     "assemble_breakdown",
     "au_to_si",
     "bbr_shift_state",
+    "builtin_dataset",
     "builtin_dataset_text",
     "clock_bbr_shift",
     "decay_channels",

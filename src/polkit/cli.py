@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``polarizability``, ``bbr``, ``lifetime``, ``extract``.
-The dataset is taken from ``--dataset``, else the ``POLKIT_DATASET``
-environment variable, else the packaged Ca+ reference file.  Each command
-parses its arguments, calls one report builder of :mod:`polkit.report` and
-renders the result.
+The dataset is the file that ``--dataset``, else ``POLKIT_DATASET``, names, read
+and parsed at each call, else the packaged Ca+ file, parsed once per process.
+Each command parses its arguments, calls one report builder of
+:mod:`polkit.report` and renders the result.
 
 Exit codes: 0 success, 1 usage error, 2 data validation error,
 3 computation precondition failure.
@@ -26,7 +26,7 @@ from .dataset import (
     DatasetError,
     LevelLabel,
     UnknownLevelError,
-    builtin_dataset_text,
+    builtin_dataset,
     parse_dataset,
     parse_number,
 )
@@ -83,7 +83,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, str]:
         except (OSError, UnicodeDecodeError) as exc:
             raise DatasetError(f"cannot read dataset {path!r}: {exc}") from exc
         return parse_dataset(text), path
-    return parse_dataset(builtin_dataset_text()), BUILTIN_DATASET
+    return builtin_dataset(), BUILTIN_DATASET
 
 
 def _parse_label(text: str) -> LevelLabel:

@@ -8,9 +8,9 @@ A dataset is a line-oriented UTF-8 text file::
     core <value_a0^3> <unc_a0^3>
     tail <label> <scalar|tensor> <value_a0^3> <unc_a0^3>
 
-Level labels use the spectroscopic form ``<n><letter><2j>/2``, e.g.
-``4p3/2``.  A parsed :class:`Dataset` is immutable and safe for
-unrestricted concurrent reads.
+Level labels use the spectroscopic form ``<n><letter><2j>/2``, e.g. ``4p3/2``.
+A parsed :class:`Dataset` is immutable and safe for unrestricted concurrent reads;
+:func:`builtin_dataset` is the packaged Ca+ dataset, parsed once per process.
 """
 
 from __future__ import annotations
@@ -395,11 +395,16 @@ def parse_dataset(text: str) -> Dataset:
     return ds
 
 
-@functools.cache
 def builtin_dataset_text() -> str:
-    """The packaged Ca+ dataset, read once per process by the package's loader (dir or zip)."""
+    """The packaged Ca+ dataset's text, read by the package's loader (dir or zip)."""
     path = os.path.join(os.path.dirname(__file__), "data", "ca_plus.dat")
     return __spec__.loader.get_data(path).decode("utf-8")
+
+
+@functools.cache
+def builtin_dataset() -> Dataset:
+    """The packaged Ca+ dataset as one shared Dataset, parsed once per process."""
+    return parse_dataset(builtin_dataset_text())
 
 
 def validate(ds: Dataset) -> list[str]:

@@ -1,7 +1,6 @@
 import pytest
 
-from polkit import parse_dataset
-from polkit.cli import builtin_dataset_text
+from polkit import builtin_dataset_text, parse_dataset
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polkit
-from polkit import LevelLabel, Quantity, Report, format_value_unc
-from polkit.cli import BUILTIN_DATASET, build_parser, builtin_dataset_text, main
+import polkit.cli
+import polkit.dataset
+from polkit import (
+    LevelLabel,
+    Quantity,
+    Report,
+    builtin_dataset,
+    builtin_dataset_text,
+    format_value_unc,
+    parse_dataset,
+)
+from polkit.cli import BUILTIN_DATASET, build_parser, main
 from polkit.report import bbr_report, extract_report, lifetime_report, polarizability_report
 
 README_COMMANDS = [
@@ -696,7 +706,7 @@ class TestWarmProcess:
                 continue
             if fresh:
                 build_parser.cache_clear()
-                builtin_dataset_text.cache_clear()
+                builtin_dataset.cache_clear()
                 LevelLabel.parse.cache_clear()
             results.append(run_cli(capsys, *step))
         return results
@@ -728,6 +738,69 @@ class TestWarmProcess:
         self._run(capsys, [["bbr"]], fresh=False)
         warm = LevelLabel.parse.cache_info()
         assert warm.misses == 27 and warm.hits > one.hits
+
+
+class TestBuiltinDataset:
+    """The packaged dataset is parsed once per process; a dataset file at every call."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Count calls of parse_dataset under both names the program calls it by."""
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_dataset(text)
+
+        monkeypatch.setattr(polkit.dataset, "parse_dataset", counting)
+        monkeypatch.setattr(polkit.cli, "parse_dataset", counting)
+        builtin_dataset.cache_clear()
+        yield calls
+        builtin_dataset.cache_clear()  # drop what was parsed under the patch
+
+    def test_default_calls_parse_the_packaged_file_once(self, capsys, parses):
+        results = [run_cli(capsys, "bbr") for _ in range(5)]
+        assert len(parses) == 1
+        assert results == [results[0]] * 5 and results[0][0] == 0
+
+    def test_one_shared_dataset_equal_to_a_fresh_parse(self):
+        assert builtin_dataset() is builtin_dataset()
+        assert builtin_dataset() == parse_dataset(builtin_dataset_text())
+
+    def test_a_dataset_file_is_parsed_at_every_call(self, tmp_path, capsys, monkeypatch, parses):
+        path = tmp_path / "copy.dat"
+        path.write_text(builtin_dataset_text(), encoding="utf-8")
+        flag = [run_cli(capsys, "bbr", "--dataset", str(path)) for _ in range(5)]
+        assert len(parses) == 5
+        monkeypatch.setenv("POLKIT_DATASET", str(path))
+        env = [run_cli(capsys, "bbr") for _ in range(5)]
+        assert len(parses) == 10
+        assert flag == env == [flag[0]] * 5 and flag[0][0] == 0
+
+    def test_a_refused_parse_is_not_cached(self, monkeypatch, parses):
+        monkeypatch.setattr(polkit.dataset, "builtin_dataset_text", lambda: "core 3.25\n")
+        for _ in range(2):
+            with pytest.raises(polkit.DatasetError, match="line 1: expected"):
+                builtin_dataset()
+        assert len(parses) == 2
+
+    def test_golden_entries_share_one_dataset_in_any_order(self, capsys):
+        """No warm state leaks between calls: every golden entry prints its bytes in file
+        order, reversed, and after refusals on the shared dataset, from one parse."""
+        def replay(cases):
+            for case in cases:
+                expected = (case["exit"], case["stdout"], case["stderr"])
+                assert run_cli(capsys, *case["argv"]) == expected, case["argv"]
+
+        builtin_dataset.cache_clear()
+        replay(GOLDEN_CLI)
+        replay(reversed(GOLDEN_CLI))
+        assert run_cli(capsys, "polarizability", "--state", "4s1/2", "--multipole", "tensor")[0] == 3
+        assert run_cli(capsys, "polarizability", "--state", "5d5/2")[0] == 2
+        replay(GOLDEN_CLI)
+        ds = builtin_dataset()
+        assert builtin_dataset.cache_info().misses == 1
+        assert set(ds._rows) <= {level.label for level in ds.levels}  # at most one per level
 
 
 LABELS = ["4s1/2", "4p1/2", "4p3/2", "3d3/2", "3d5/2", "9g9/2", "\u0664s1/2", "7x1/2"]
