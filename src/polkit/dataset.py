@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
@@ -134,9 +133,6 @@ def require_unit(q: Quantity, unit: str, what: str) -> None:
 ZERO_A0_CUBED = Quantity(0.0, 0.0, A0_CUBED)
 
 
-_LABEL_RE = re.compile(rf"([0-9]+)([{L_LETTERS}])([0-9]+)/2")
-
-
 def _label_problem(n: int, l: int, j2: int) -> str | None:
     """The message of the first label rule that (n, l, j2) breaks; None if it breaks none."""
     for name, value in (("n", n), ("l", l), ("j2", j2)):
@@ -181,11 +177,15 @@ class LevelLabel(namedtuple("LevelLabel", "n l j2")):
     def parse(text: str) -> "LevelLabel":
         """The label of `text`, shared by every call with that text while it stays
         cached; a refused text is not cached, so it raises at each call."""
-        m = _LABEL_RE.fullmatch(text)
-        if m is None:
+        # <n><letter><j2>/2 with n and j2 ASCII digits: a plain isdigit() takes '٤' and '²'.
+        body, _, two = text.partition("/")
+        rest = body.lstrip("0123456789")
+        n, letter, j2 = body[: len(body) - len(rest)], rest[:1], rest[1:]
+        shaped = two == "2" and n and letter in L_LETTERS
+        if not (shaped and j2.isascii() and j2.isdigit()):
             raise DatasetError(f"bad level label {text!r} (expected e.g. '4p3/2')")
         try:
-            return LevelLabel(int(m.group(1)), L_LETTERS.index(m.group(2)), int(m.group(3)))
+            return LevelLabel(int(n), L_LETTERS.index(letter), int(j2))
         except ValueError as exc:
             raise DatasetError(f"bad level label {text!r}: {exc}") from exc
 
@@ -307,15 +307,17 @@ _set_levels, _set_elements, _set_core_alpha, _set_tails, _set_by_label, _set_row
 
 # A number is an ASCII decimal literal with an optional exponent: no '_'
 # separators, no non-ASCII digits.  nan and inf are matched only so that they
-# are refused as non-finite rather than as unparseable.  The CLI's parser
-# uses the same pattern to tell a negative number from an option.
-UNSIGNED_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|nan|inf|infinity"
-_NUMBER_RE = re.compile(rf"[+-]?(?:{UNSIGNED_NUMBER})\Z", re.ASCII | re.IGNORECASE)
+# are refused as non-finite rather than as unparseable.  parse_number does not
+# use this regex; the CLI's argparse fallback compiles it to tell a negative
+# number from an option, and the tests compile it as the grammar's oracle.
+NUMBER_PATTERN = (
+    r"(?ai)[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|nan|inf|infinity)\Z"
+)
 
 
 def parse_number(token: str, what: str) -> float:
     """The finite value of a number literal; anything else is a DatasetError."""
-    # float() reads exactly the literals _NUMBER_RE matches, once it is kept from
+    # float() reads exactly the literals NUMBER_PATTERN matches, once it is kept from
     # non-ASCII digits, '_' separators and surrounding whitespace.
     if not token.isascii() or "_" in token or token != token.strip():
         raise DatasetError(f"bad {what} {token!r}")

@@ -29,7 +29,9 @@ from polkit import (
     parse_dataset,
     validate,
 )
-from polkit.dataset import _NUMBER_RE, parse_number, require_unit
+from polkit.dataset import NUMBER_PATTERN, parse_number, require_unit
+
+NUMBER_RE = re.compile(NUMBER_PATTERN)
 
 MINIMAL = """\
 # tiny two-level system
@@ -38,6 +40,37 @@ level 4p1/2 25191.51
 e1 4s1/2 4p1/2 2.898 0.029
 core 3.25 0.17
 """
+
+
+# The label regex LevelLabel.parse used before it read labels with str methods.
+LABEL_RE = re.compile(r"([0-9]+)([spdfg])([0-9]+)/2")
+LABEL_ALPHABET = "0123456789spdfgSx/2 \n\u0664\u00b2\uff11"
+
+
+def regex_label(text):
+    """What the regex reader returned for `text`: the label, or its refusal's message."""
+    m = LABEL_RE.fullmatch(text)
+    if m is None:
+        return f"bad level label {text!r} (expected e.g. '4p3/2')"
+    try:
+        return LevelLabel(int(m[1]), "spdfg".index(m[2]), int(m[3]))
+    except ValueError as exc:
+        return f"bad level label {text!r}: {exc}"
+
+
+@st.composite
+def label_texts(draw):
+    """A regex match, a label-shaped text or text over the alphabet, with up to two
+    characters of the alphabet inserted."""
+    text = draw(
+        st.from_regex(LABEL_RE, fullmatch=True)
+        | st.builds("{}{}{}/2".format, st.integers(0, 12), st.sampled_from("spdfg"), st.integers(0, 9))
+        | st.text(LABEL_ALPHABET, max_size=8)
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(LABEL_ALPHABET)) + text[i:]
+    return text
 
 
 class TestLevelLabel:
@@ -51,11 +84,26 @@ class TestLevelLabel:
         assert str(label) == text
 
     @pytest.mark.parametrize(
-        "bad", ["9z9/2", "4p5/2", "4s3/2", "p3/2", "4p3", "4p2/2", "0s1/2", "\u0664s1/2", "4s1/2\n"]
+        "bad",
+        ["9z9/2", "4p5/2", "4s3/2", "p3/2", "4p3", "4p2/2", "0s1/2", "\u0664s1/2", "4s1/2\n",
+         "4s1/\u0662", "4/2", ""],
     )
     def test_rejects_bad_labels(self, bad):
         with pytest.raises(DatasetError):
             LevelLabel.parse(bad)
+
+    def test_reads_leading_zeros(self):
+        assert LevelLabel.parse("04s01/2") == LevelLabel(4, 0, 1)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(text=label_texts())
+    def test_reads_exactly_what_the_label_regex_read(self, text):
+        try:
+            got = LevelLabel.parse(text)
+        except DatasetError as exc:
+            got = str(exc)
+        expected = regex_label(text)
+        assert (type(got), got) == (type(expected), expected)
 
     def test_roundtrip_all_golden(self, golden):
         for level in golden.levels:
@@ -97,6 +145,15 @@ class TestLevelLabel:
 
     @pytest.mark.parametrize("bad", ["4x1/2", "4S1/2"])
     def test_letter_outside_spdfg_message(self, bad):
+        with pytest.raises(DatasetError) as info:
+            LevelLabel.parse(bad)
+        assert str(info.value) == f"bad level label {bad!r} (expected e.g. '4p3/2')"
+
+    @pytest.mark.parametrize(
+        "bad", ["s1/2", "4s/2", "4\u00b2s1/2", "4s\u00b2/2", "4s\u0661/2", "4s1/2\n", "4s1/2/2"]
+    )
+    def test_text_not_shaped_like_a_label_message(self, bad):
+        # str.isdigit() takes '\u00b2' and '\u0661', and int('\u0661') is 1.
         with pytest.raises(DatasetError) as info:
             LevelLabel.parse(bad)
         assert str(info.value) == f"bad level label {bad!r} (expected e.g. '4p3/2')"
@@ -184,7 +241,7 @@ def number_tokens(draw):
     """A grammar match, a float repr or text over the alphabet, with up to two
     characters inserted that float() reads and the grammar does not."""
     token = draw(
-        st.from_regex(_NUMBER_RE, fullmatch=True)
+        st.from_regex(NUMBER_RE, fullmatch=True)
         | st.floats().map(repr)
         | st.text(NUMBER_ALPHABET, max_size=12)
     )
@@ -220,7 +277,7 @@ class TestParseNumber:
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(token=number_tokens())
     def test_accepts_exactly_the_finite_grammar_matches(self, token):
-        value = float(token) if _NUMBER_RE.fullmatch(token) else None
+        value = float(token) if NUMBER_RE.fullmatch(token) else None
         if value is not None and math.isfinite(value):
             assert parse_number(token, "energy").hex() == value.hex()
             return

@@ -626,26 +626,35 @@ class TestCLI:
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
-    """Table output needs none of them; a fresh site-free interpreter, which no start-up
-    hook has loaded them into, shows what `import polkit.cli` and a `bbr` call load."""
+    """Table output needs none of them, and a call in the documented grammar needs
+    neither argparse nor re; a fresh site-free interpreter, which no start-up hook has
+    loaded them into, shows what `import polkit.cli` and a `bbr` call load.  An
+    abbreviated flag then goes through argparse and prints what the full flag prints."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(polkit.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = "\n".join([
         "import io, sys",
-        "unwanted = {'dataclasses', 'inspect', 'json', 'typing', 'importlib.resources'}",
+        "unwanted = {'dataclasses', 'inspect', 'json', 'typing', 'importlib.resources',",
+        "            'argparse', 'gettext', 'locale', 're'}",
         "before = set(sys.modules)",
         "import polkit.cli",
         "print('import', *sorted(unwanted & (set(sys.modules) - before)))",
-        "stdout, sys.stdout = sys.stdout, io.StringIO()",
-        "code = polkit.cli.main(['bbr'])",
-        "sys.stdout = stdout",
+        "def run(*argv):",
+        "    stdout, sys.stdout = sys.stdout, io.StringIO()",
+        "    try:",
+        "        return polkit.cli.main(list(argv)), sys.stdout.getvalue()",
+        "    finally:",
+        "        sys.stdout = stdout",
+        "code, _ = run('bbr')",
         "print('bbr', code, *sorted(unwanted & (set(sys.modules) - before)))",
+        "full, abbreviated = run('bbr', '--temperature', '310'), run('bbr', '--temp', '310')",
+        "print('fallback', abbreviated[0], abbreviated == full, 'argparse' in sys.modules)",
     ])
     child = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert child.stdout.splitlines() == ["import", "bbr 0"]
+    assert child.stdout.splitlines() == ["import", "bbr 0", "fallback 0 True True"]
 
 
 @pytest.mark.parametrize(
@@ -851,6 +860,71 @@ class TestFuzz:
         argv = data.draw(argvs(dataset_paths))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2, 3)
+
+
+JUNK = ["--temp", "--form", "--full", "--eta=-1e-3", "--state=4s1/2", "--", "-", "-x", "", "x",
+        "bbr", "-h", "--help", "-1e-3", "--temperature", "--upper", "--full-precision", "json",
+        "vector", "-a.dat"]
+OWN_VALUES = {**FLAG_VALUES, "--dataset": ["a.dat", ""], "--multipole": ["scalar", "tensor"],
+              "--format": ["table", "machine"]}
+SPELLINGS = ["+5", "3_00", "\u0663\u0660\u0660", "-.5", "1.", "-inf", "1E3", " 5", "-4s1/2"]
+
+
+@st.composite
+def grammar_argvs(draw):
+    """Mostly a subcommand with its flags in any order: its own flags nearly always and
+    the common ones half the time, now and then twice, with values mostly from the flag's
+    own pool; now and then junk as the subcommand, a value or an extra token anywhere."""
+    command = draw(st.sampled_from([*sorted(COMMAND_FLAGS)] * 4 + ["bb", "--help", ""]))
+    flags = [(flag, [0] + [1] * 10 + [2]) for flag in COMMAND_FLAGS.get(command, [])]
+    flags += [(flag, [0] * 5 + [1] * 5 + [2]) for flag in ("--dataset", "--format", "--full-precision")]
+    pairs = []
+    for flag, counts in flags:
+        for _ in range(draw(st.sampled_from(counts))):
+            value = draw(st.sampled_from(OWN_VALUES[flag] * 8 + SPELLINGS + JUNK))
+            pairs.append([flag] if flag == "--full-precision" else [flag, value])
+    argv = [command] + [token for pair in draw(st.permutations(pairs)) for token in pair]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
+    return argv
+
+
+def argparse_reading(argv):
+    """vars() of the argparse parser's namespace for `argv`; None if it refuses or helps."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except (polkit.cli.UsageError, SystemExit):
+            return None
+
+
+class TestFastArgs:
+    """The direct reader answers only where argparse answers the same."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(argv=grammar_argvs())
+    def test_answers_only_as_argparse_does(self, argv):
+        fast, slow = polkit.cli._fast_args(argv), argparse_reading(argv)
+        if fast is not None:
+            assert vars(fast) == slow
+
+    @pytest.mark.parametrize(
+        "argv", [*README_COMMANDS, *(case["argv"] for case in GOLDEN_CLI if case["exit"] == 0)]
+    )
+    def test_documented_calls_are_read_directly(self, argv):
+        assert vars(polkit.cli._fast_args(argv)) == argparse_reading(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["bb"], ["--help"], ["bbr", "-h"], ["bbr", "--help"], ["bbr", "--temp", "310"],
+         ["bbr", "--temperature=310"], ["bbr", "--eta", "0", "--eta", "1"], ["bbr", "--"],
+         ["bbr", "x"], ["bbr", "--ground", "-4s1/2"], ["bbr", "--temperature", "nan"],
+         ["bbr", "--temperature", "3_00"], ["bbr", "--temperature"], ["polarizability"],
+         ["polarizability", "--state", "4s1/2", "--multipole", "vector"],
+         ["bbr", "--full-precision", "--full-precision"], ["lifetime", "--eta", "1"]],
+    )
+    def test_other_argv_is_left_to_argparse(self, argv):
+        assert polkit.cli._fast_args(argv) is None
 
 
 class TestGoldenSnapshot:
