@@ -64,7 +64,8 @@ def label_texts(draw):
     characters of the alphabet inserted."""
     text = draw(
         st.from_regex(LABEL_RE, fullmatch=True)
-        | st.builds("{}{}{}/2".format, st.integers(0, 12), st.sampled_from("spdfg"), st.integers(0, 9))
+        | st.builds("{}{}{}/2".format, st.integers(0, 12), st.sampled_from("spdfg"),
+                    st.integers(0, 9))
         | st.text(LABEL_ALPHABET, max_size=8)
     )
     for _ in range(draw(st.integers(0, 2))):

@@ -876,8 +876,9 @@ def grammar_argvs(draw):
     the common ones half the time, now and then twice, with values mostly from the flag's
     own pool; now and then junk as the subcommand, a value or an extra token anywhere."""
     command = draw(st.sampled_from([*sorted(COMMAND_FLAGS)] * 4 + ["bb", "--help", ""]))
+    common = ("--dataset", "--format", "--full-precision")
     flags = [(flag, [0] + [1] * 10 + [2]) for flag in COMMAND_FLAGS.get(command, [])]
-    flags += [(flag, [0] * 5 + [1] * 5 + [2]) for flag in ("--dataset", "--format", "--full-precision")]
+    flags += [(flag, [0] * 5 + [1] * 5 + [2]) for flag in common]
     pairs = []
     for flag, counts in flags:
         for _ in range(draw(st.sampled_from(counts))):
