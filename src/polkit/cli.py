@@ -6,14 +6,7 @@ and parsed at each call, else the packaged Ca+ file, parsed once per process.
 Each command parses its arguments, calls one report builder of
 :mod:`polkit.report` and renders the result.
 
-One table, ``_COMMANDS``, declares the subcommands and their options.  An argv
-in the documented grammar is read from it directly, without argparse or ``re``:
-the subcommand, then full option names, each at most once, with its value in
-the next token (a listed choice, a number that ``parse_number`` takes, or a
-string that does not start with ``-``) and every required option present.  Any
-other argv (``--help``, an abbreviation such as ``--temp``, ``--opt=value``, a
-repeat, ``--``, a stray token or a refused value) goes to the argparse parser
-built from the same table, so help, refusals and exit codes keep its output.
+``read_args`` reads every argv from one table, ``_COMMANDS``, as argparse did.
 
 Exit codes: 0 success, 1 usage error, 2 data validation error,
 3 computation precondition failure.
@@ -21,32 +14,15 @@ Exit codes: 0 success, 1 usage error, 2 data validation error,
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
 
-from .dataset import (
-    NUMBER_PATTERN,
-    SCALAR,
-    TENSOR,
-    Dataset,
-    DatasetError,
-    LevelLabel,
-    UnknownLevelError,
-    builtin_dataset,
-    parse_dataset,
-    parse_number,
-)
-from .report import (
-    Report,
-    bbr_report,
-    extract_report,
-    lifetime_report,
-    polarizability_report,
-    render_table,
-)
+from .dataset import SCALAR, TENSOR, Dataset, DatasetError, LevelLabel, UnknownLevelError
+from .dataset import builtin_dataset, parse_dataset, parse_number
+from .report import Report, bbr_report, extract_report, lifetime_report, polarizability_report
+from .report import render_table
 
 ENV_DATASET = "POLKIT_DATASET"
 BUILTIN_DATASET = "<builtin ca_plus.dat>"
@@ -119,13 +95,11 @@ def cmd_extract(args: SimpleNamespace) -> int:
 
 
 # Each subcommand's handler, help and options in help order; an option's settings are
-# its add_argument keywords, with `type: float` for the float flags.
+# named as argparse's add_argument keywords, with `type: float` for the float flags.
 _COMMON = {
     "--dataset": {"help": "dataset file path (default: $POLKIT_DATASET or builtin)"},
     "--format": {"choices": ("table", "machine"), "default": "table"},
-    "--full-precision": {
-        "action": "store_true", "default": False, "help": "disable display rounding"
-    },
+    "--full-precision": {"action": "store_true", "default": False, "help": "no display rounding"},
 }
 _COMMANDS = {
     "polarizability": (cmd_polarizability, "per-state polarizability breakdown", {
@@ -154,87 +128,121 @@ _COMMANDS = {
 }
 
 
-def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
-    """The namespace that argparse gives `argv` when `argv` is in the documented
-    grammar; None for any other argv, which is argparse's to decide."""
-    if not argv or argv[0] not in _COMMANDS:
+# The namespace attribute of each flag, as argparse names it.
+_DEST = {flag: flag[2:].replace("-", "_") for *_, flags in _COMMANDS.values() for flag in flags}
+_HELP = ("-h", "--help")
+_DESCRIPTION = "Static polarizabilities, BBR clock shifts, and radiative lifetimes."
+
+
+def _classify(options: dict, token: str) -> tuple[str | None, str | None] | None:
+    """None for a value, else (flag, attached value or None), the flag None if unknown."""
+    if token[:1] != "-" or token == "-":
         return None
-    func, _, options = _COMMANDS[argv[0]]
-    given = {}
-    tokens = iter(argv[1:])
-    for flag in tokens:
-        kw = options.get(flag)
-        if kw is None or flag in given:
-            return None
-        if "action" in kw:  # store_true: takes no value
-            given[flag] = True
-            continue
-        text = next(tokens, None)
-        if text is None or "choices" in kw and text not in kw["choices"]:
-            return None
-        if "type" in kw:  # a float flag
-            try:  # a negative number that parse_number takes, argparse reads as a value too
-                given[flag] = parse_number(text, "number")
-            except DatasetError:
-                return None
-        elif text.startswith("-"):
-            return None
-        else:
-            given[flag] = text
-    values = {"command": argv[0], "func": func}
-    for flag, kw in options.items():
-        if flag not in given and kw.get("required"):
-            return None
-        values[flag[2:].replace("-", "_")] = given.get(flag, kw.get("default"))
-    return SimpleNamespace(**values)
+    name, eq, value = token.partition("=")
+    if name in options or name in _HELP:
+        return name, value if eq else None
+    if token[1] == "-":  # a unique prefix names a long flag, and a prefix of two is refused
+        matches = [flag for flag in ("--help", *options) if flag.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token[1] == "h":  # -hX is -h with X attached, and -hh is -h -h
+        return "-h", token[2:].lstrip("h") or None
+    try:  # a number, finite or not, is a value, and so is a token with a space
+        parse_number(token, "number")
+    except DatasetError as exc:
+        if " " not in token and not str(exc).startswith("non-finite"):
+            return None, None
+    return None
 
 
-@functools.cache
-def build_parser():
-    """The argparse parser of ``_COMMANDS``, built once per process and only for an
-    argv that ``_fast_args`` leaves to it; ``parse_args`` leaves it unchanged."""
-    import argparse
-    import re
-
-    class _ArgumentParser(argparse.ArgumentParser):
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            # argparse's own pattern misses exponents, so `--eta -1e-3` would read
-            # as a missing value.  argparse asks it only of strings that begin with
-            # '-', and no option string here looks like a number.
-            self._negative_number_matcher = re.compile(NUMBER_PATTERN)
-
-        def error(self, message: str) -> None:  # exit 1, not argparse's 2
-            raise UsageError(message)
-
-    def _finite_float(text: str) -> float:
-        """argparse type of the float flags: the dataset number grammar, exit 1."""
+def _value(name: str, kw: dict, text: str):
+    """`text` read as the value of a flag with settings `kw`, or a UsageError."""
+    if "type" in kw:  # a float flag
         try:
             return parse_number(text, "number")
         except DatasetError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+            raise UsageError(f"argument {name}: {exc}") from None
+    if "choices" in kw and text not in kw["choices"]:
+        listed = ", ".join(map(repr, kw["choices"]))
+        raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from {listed})")
+    return text
 
-    parser = _ArgumentParser(
-        prog="polkit",
-        description="Static polarizabilities, BBR clock shifts, and radiative lifetimes.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, (func, summary, options) in _COMMANDS.items():
-        p = subparsers.add_parser(command, help=summary)
-        for flag, kw in options.items():
-            p.add_argument(flag, **(dict(kw, type=_finite_float) if "type" in kw else kw))
-        p.set_defaults(func=func)
-    return parser
+
+# Tokens are read in order, as argparse reads them: a unique prefix names a long flag, a
+# flag's value may follow `=`, the last of a repeated flag counts, and a value that starts
+# with `-` is taken only if it is a number, `-` or holds a space.  So help answers when it
+# is reached, unless an earlier token is refused; a missing flag or a stray token is
+# refused last.
+def read_args(argv: Sequence[str]) -> SimpleNamespace | str:
+    """argparse's namespace of `argv` under `_COMMANDS`, the help it asks for, or a UsageError."""
+    extras, given, options, command, i = [], {}, {}, None, 0
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if token == "--" and (command or i == len(argv)):  # no flag takes a later token
+            extras += argv[i - 1 :]
+            break
+        # a flag spelled out in full, else as _classify reads it; a `--` here is the subcommand
+        kind = (token, None) if token in options else token != "--" and _classify(options, token)
+        flag, value = kind or (None, None)
+        kw = options.get(flag)
+        if not kind and command is None:  # the subcommand
+            command = _value("command", {"choices": _COMMANDS}, token)
+            options = _COMMANDS[command][2]
+        elif flag is None:
+            extras.append(token)
+        elif kw is None or "action" in kw:  # help or a store_true flag: takes no value
+            if value is not None:
+                name = "-h/--help" if kw is None else flag
+                raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            if kw is None:
+                return _help_text(command)
+            given[flag] = True
+        else:
+            if value is None:
+                value = argv[i] if i < len(argv) else "--"  # no token left reads as `--`
+                if value == "--" or value[:1] == "-" and _classify(options, value):
+                    raise UsageError(f"argument {flag}: expected one argument")
+                i += 1
+            given[flag] = _value(flag, kw, value)
+    if command is None:
+        raise UsageError("the following arguments are required: command")
+    values, missing = {"command": command, "func": _COMMANDS[command][0]}, []
+    for flag, kw in options.items():
+        if flag not in given and kw.get("required"):
+            missing.append(flag)
+        values[_DEST[flag]] = given.get(flag, kw.get("default"))
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
+def _help_text(command: str | None) -> str:
+    """The help of the program or of one subcommand, in one layout, from the table."""
+    rows = {"-h, --help": "show this help and exit"}
+    if command is None:
+        usage = "{" + ",".join(_COMMANDS) + "} ...\n\n" + _DESCRIPTION
+        rows.update((name, summary) for name, (_, summary, _) in _COMMANDS.items())
+    else:
+        usage = f"{command} [options]\n\n{_COMMANDS[command][1]}"
+        for flag, kw in _COMMANDS[command][2].items():
+            value = "{%s}" % ",".join(kw["choices"]) if "choices" in kw else _DEST[flag].upper()
+            left = flag if "action" in kw else f"{flag} {value}"
+            rows[left] = kw.get("help", "") + (" (required)" if kw.get("required") else "")
+    lines = "".join(f"  {left:<27}{right}".rstrip() + "\n" for left, right in rows.items())
+    return f"usage: polkit {usage}\n\n{lines}"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = _fast_args(argv) or build_parser().parse_args(argv, SimpleNamespace())
+        args = read_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return EXIT_OK
         return args.func(args)
-    except SystemExit as exc:  # raised only by the -h/--help action, after printing
-        return exc.code
     except UsageError as exc:
         print(f"polkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

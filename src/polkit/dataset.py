@@ -305,20 +305,11 @@ _set_levels, _set_elements, _set_core_alpha, _set_tails, _set_by_label, _set_row
 )
 
 
-# A number is an ASCII decimal literal with an optional exponent: no '_'
-# separators, no non-ASCII digits.  nan and inf are matched only so that they
-# are refused as non-finite rather than as unparseable.  parse_number does not
-# use this regex; the CLI's argparse fallback compiles it to tell a negative
-# number from an option, and the tests compile it as the grammar's oracle.
-NUMBER_PATTERN = (
-    r"(?ai)[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|nan|inf|infinity)\Z"
-)
-
-
 def parse_number(token: str, what: str) -> float:
     """The finite value of a number literal; anything else is a DatasetError."""
-    # float() reads exactly the literals NUMBER_PATTERN matches, once it is kept from
-    # non-ASCII digits, '_' separators and surrounding whitespace.
+    # A number is an ASCII decimal literal with an optional sign and exponent.  float()
+    # reads exactly these, and nan and inf, once it is kept from non-ASCII digits, '_'
+    # separators and surrounding whitespace.
     if not token.isascii() or "_" in token or token != token.strip():
         raise DatasetError(f"bad {what} {token!r}")
     try:

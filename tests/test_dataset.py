@@ -29,8 +29,16 @@ from polkit import (
     parse_dataset,
     validate,
 )
-from polkit.dataset import NUMBER_PATTERN, parse_number, require_unit
+from polkit.dataset import parse_number, require_unit
 
+# A number is an ASCII decimal literal with an optional exponent: no '_'
+# separators, no non-ASCII digits.  nan and inf are matched only so that they
+# are refused as non-finite rather than as unparseable.  parse_number does not
+# use this regex; it is the grammar's oracle here, and the argparse oracle of
+# test_report_cli.py compiles it to tell a negative number from an option.
+NUMBER_PATTERN = (
+    r"(?ai)[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|nan|inf|infinity)\Z"
+)
 NUMBER_RE = re.compile(NUMBER_PATTERN)
 
 MINIMAL = """\

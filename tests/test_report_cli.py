@@ -1,12 +1,16 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import zipfile
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +28,10 @@ from polkit import (
     format_value_unc,
     parse_dataset,
 )
-from polkit.cli import BUILTIN_DATASET, build_parser, main
+from polkit.cli import BUILTIN_DATASET, main
+from polkit.dataset import parse_number
 from polkit.report import bbr_report, extract_report, lifetime_report, polarizability_report
+from test_dataset import NUMBER_PATTERN
 
 README_COMMANDS = [
     ["polarizability", "--state", "4s1/2", "--multipole", "scalar"],
@@ -626,10 +632,10 @@ class TestCLI:
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
-    """Table output needs none of them, and a call in the documented grammar needs
-    neither argparse nor re; a fresh site-free interpreter, which no start-up hook has
-    loaded them into, shows what `import polkit.cli` and a `bbr` call load.  An
-    abbreviated flag then goes through argparse and prints what the full flag prints."""
+    """Table output needs none of them, and reading argv needs neither argparse nor re; a
+    fresh site-free interpreter, which no start-up hook has loaded them into, shows what
+    `import polkit.cli` and each call load.  Help, an abbreviated flag (which prints what
+    the full flag prints) and a refused number load neither either."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(polkit.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -642,19 +648,27 @@ def test_cli_import_loads_no_dataclasses_inspect_or_json():
         "print('import', *sorted(unwanted & (set(sys.modules) - before)))",
         "def run(*argv):",
         "    stdout, sys.stdout = sys.stdout, io.StringIO()",
+        "    stderr, sys.stderr = sys.stderr, io.StringIO()",
         "    try:",
         "        return polkit.cli.main(list(argv)), sys.stdout.getvalue()",
         "    finally:",
-        "        sys.stdout = stdout",
+        "        sys.stdout, sys.stderr = stdout, stderr",
         "code, _ = run('bbr')",
         "print('bbr', code, *sorted(unwanted & (set(sys.modules) - before)))",
+        "code, _ = run('--help')",
+        "print('help', code, *sorted(unwanted & (set(sys.modules) - before)))",
         "full, abbreviated = run('bbr', '--temperature', '310'), run('bbr', '--temp', '310')",
-        "print('fallback', abbreviated[0], abbreviated == full, 'argparse' in sys.modules)",
+        "print('abbreviated', abbreviated[0], abbreviated == full,",
+        "      *sorted(unwanted & (set(sys.modules) - before)))",
+        "code, _ = run('bbr', '--temperature', 'nan')",
+        "print('refused', code, *sorted(unwanted & (set(sys.modules) - before)))",
     ])
     child = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert child.stdout.splitlines() == ["import", "bbr 0", "fallback 0 True True"]
+    assert child.stdout.splitlines() == [
+        "import", "bbr 0", "help 0", "abbreviated 0 True", "refused 1"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -714,18 +728,16 @@ class TestWarmProcess:
                 path.write_text(text)  # rewritten in place between calls
                 continue
             if fresh:
-                build_parser.cache_clear()
                 builtin_dataset.cache_clear()
                 LevelLabel.parse.cache_clear()
             results.append(run_cli(capsys, *step))
         return results
 
-    def test_cached_parser_changes_no_output(self, tmp_path, capsys, golden_text):
+    def test_cached_state_changes_no_output(self, tmp_path, capsys, golden_text):
         steps = self._steps(tmp_path, golden_text)
         warm = self._run(capsys, steps, fresh=False) + self._run(capsys, steps, fresh=False)
         fresh = self._run(capsys, steps, fresh=True) + self._run(capsys, steps, fresh=True)
         assert warm == fresh
-        assert build_parser() is build_parser()
 
         n = len(warm) // 2
         assert warm[:n] == warm[n:]
@@ -864,17 +876,20 @@ class TestFuzz:
 
 JUNK = ["--temp", "--form", "--full", "--eta=-1e-3", "--state=4s1/2", "--", "-", "-x", "", "x",
         "bbr", "-h", "--help", "-1e-3", "--temperature", "--upper", "--full-precision", "json",
-        "vector", "-a.dat"]
+        "vector", "-a.dat", "-inf", "--f", "--he", "--full-precision=1"]
+TOP_JUNK = ["--x", "-x", "-5", "--he", "x", "--", "-a b"]
 OWN_VALUES = {**FLAG_VALUES, "--dataset": ["a.dat", ""], "--multipole": ["scalar", "tensor"],
               "--format": ["table", "machine"]}
-SPELLINGS = ["+5", "3_00", "\u0663\u0660\u0660", "-.5", "1.", "-inf", "1E3", " 5", "-4s1/2"]
+SPELLINGS = ["+5", "3_00", "\u0663\u0660\u0660", "-.5", "1.", "-inf", "1E3", " 5", "-4s1/2",
+             "-1e400", "-nan", "-", "-a b"]
 
 
 @st.composite
 def grammar_argvs(draw):
     """Mostly a subcommand with its flags in any order: its own flags nearly always and
     the common ones half the time, now and then twice, with values mostly from the flag's
-    own pool; now and then junk as the subcommand, a value or an extra token anywhere."""
+    own pool; now and then junk as the subcommand, a value or an extra token anywhere,
+    or before the subcommand."""
     command = draw(st.sampled_from([*sorted(COMMAND_FLAGS)] * 4 + ["bb", "--help", ""]))
     common = ("--dataset", "--format", "--full-precision")
     flags = [(flag, [0] + [1] * 10 + [2]) for flag in COMMAND_FLAGS.get(command, [])]
@@ -887,45 +902,175 @@ def grammar_argvs(draw):
     argv = [command] + [token for pair in draw(st.permutations(pairs)) for token in pair]
     for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2]))):
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(0, draw(st.sampled_from(TOP_JUNK)))
     return argv
 
 
-def argparse_reading(argv):
-    """vars() of the argparse parser's namespace for `argv`; None if it refuses or helps."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def argparse_oracle():
+    """The argparse parser that the CLI read argv with before `read_args`, built from the
+    same table: its error hook raises UsageError, and a number, negative or not, reads
+    as a value, by the dataset grammar."""
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(NUMBER_PATTERN)
+
+        def error(self, message: str) -> None:
+            raise polkit.cli.UsageError(message)
+
+    def _finite_float(text: str) -> float:
         try:
-            return vars(build_parser().parse_args(argv))
-        except (polkit.cli.UsageError, SystemExit):
-            return None
+            return parse_number(text, "number")
+        except polkit.DatasetError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parser = _ArgumentParser(prog="polkit", description=polkit.cli._DESCRIPTION)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command, (func, summary, options) in polkit.cli._COMMANDS.items():
+        p = subparsers.add_parser(command, help=summary)
+        for flag, kw in options.items():
+            p.add_argument(flag, **(dict(kw, type=_finite_float) if "type" in kw else kw))
+        p.set_defaults(func=func)
+    return parser
 
 
-class TestFastArgs:
-    """The direct reader answers only where argparse answers the same."""
+ORACLE = argparse_oracle()
+
+
+def oracle_args(argv):
+    """argparse's namespace of `argv`, as `read_args` returns one; help exits."""
+    return ORACLE.parse_args(argv, SimpleNamespace())
+
+
+def answer(reader, argv):
+    """What `reader` makes of `argv`: vars() of its namespace, "help" or "refused"."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            args = reader(argv)
+        except polkit.cli.UsageError:
+            return "refused"
+        except SystemExit:  # argparse's help action, after printing
+            return "help"
+    return "help" if isinstance(args, str) else vars(args)
+
+
+def main_with(reader, argv):
+    """Exit code and stdout of `main(argv)` when `reader` reads the argv."""
+    stdout = io.StringIO()
+    with mock.patch.object(polkit.cli, "read_args", reader), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's help action, after printing
+            code = exc.code
+    return code, stdout.getvalue()
+
+
+def version_dependent(argv):
+    """Whether argparse's answer to `argv` depends on the Python release: a `--` before
+    the subcommand, or a help flag and an ambiguous prefix.  Up to 3.13.0, argparse takes
+    `--` for the subcommand and refuses an ambiguous prefix before reading any token;
+    later releases take the token after `--`, and refuse the prefix only on reaching it."""
+    first = next((i for i, token in enumerate(argv) if token in COMMAND_FLAGS), len(argv))
+    helps = any(token == "-h" or token.startswith("--h") for token in argv)
+    return "--" in argv[:first] or helps and "--f" in argv  # the ambiguous prefix drawn
+
+
+class TestReadArgs:
+    """`read_args` reads every argv as the argparse parser of the same table did, and its
+    refusals print argparse's messages as they read on Python 3.10 to 3.13.0."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(argv=grammar_argvs())
-    def test_answers_only_as_argparse_does(self, argv):
-        fast, slow = polkit.cli._fast_args(argv), argparse_reading(argv)
-        if fast is not None:
-            assert vars(fast) == slow
+    def test_main_answers_as_argparse_did(self, argv):
+        if version_dependent(argv):
+            return  # pinned in test_version_dependent_argv_is_pinned
+        expected = answer(oracle_args, argv)
+        assert answer(polkit.cli.read_args, argv) == expected
+        (code, out), oracle = main_with(polkit.cli.read_args, argv), main_with(oracle_args, argv)
+        assert code == oracle[0]
+        assert out == oracle[1] or expected == "help"  # only the help text may differ
 
     @pytest.mark.parametrize(
-        "argv", [*README_COMMANDS, *(case["argv"] for case in GOLDEN_CLI if case["exit"] == 0)]
+        "argv", [*README_COMMANDS, *(case["argv"] for case in GOLDEN_CLI if case["exit"] == 0),
+                 ["bbr", "--temp", "310"], ["bbr", "--temp=310"], ["bbr", "--full"],
+                 ["bbr", "--eta", "0", "--eta", "1"], ["bbr", "--eta", "-1e-3"],
+                 ["bbr", "--ground", "-5"], ["bbr", "--ground=-x"], ["bbr", "--dataset", "-"],
+                 ["bbr", "--ground", "-a b"], ["bbr", "--full-precision"]]
     )
-    def test_documented_calls_are_read_directly(self, argv):
-        assert vars(polkit.cli._fast_args(argv)) == argparse_reading(argv)
+    def test_accepted_argv_reads_as_argparse_read_it(self, argv):
+        def typed(values):
+            return {name: (type(value), value) for name, value in values.items()}
+
+        assert typed(answer(polkit.cli.read_args, argv)) == typed(vars(oracle_args(argv)))
 
     @pytest.mark.parametrize(
-        "argv",
-        [[], ["bb"], ["--help"], ["bbr", "-h"], ["bbr", "--help"], ["bbr", "--temp", "310"],
-         ["bbr", "--temperature=310"], ["bbr", "--eta", "0", "--eta", "1"], ["bbr", "--"],
-         ["bbr", "x"], ["bbr", "--ground", "-4s1/2"], ["bbr", "--temperature", "nan"],
-         ["bbr", "--temperature", "3_00"], ["bbr", "--temperature"], ["polarizability"],
-         ["polarizability", "--state", "4s1/2", "--multipole", "vector"],
-         ["bbr", "--full-precision", "--full-precision"], ["lifetime", "--eta", "1"]],
+        "argv,message",
+        [(["bb"], "argument command: invalid choice: 'bb' "
+                  "(choose from 'polarizability', 'bbr', 'lifetime', 'extract')"),
+         ([], "the following arguments are required: command"),
+         (["bbr", "--format", "json"],
+          "argument --format: invalid choice: 'json' (choose from 'table', 'machine')"),
+         (["polarizability", "--state", "4s1/2", "--multipole", "vector"],
+          "argument --multipole: invalid choice: 'vector' (choose from 'scalar', 'tensor')"),
+         (["bbr", "--f", "x"], "ambiguous option: --f could match --format, --full-precision"),
+         (["bbr", "--ground", "-4s1/2"], "argument --ground: expected one argument"),
+         (["bbr", "--full-precision=1"],
+          "argument --full-precision: ignored explicit argument '1'"),
+         (["bbr", "x"], "unrecognized arguments: x"),
+         (["polarizability"], "the following arguments are required: --state"),
+         (["--"], "the following arguments are required: command"),
+         (["bbr", "--ground"], "argument --ground: expected one argument"),
+         (["bbr", "--ground", "--"], "argument --ground: expected one argument"),
+         (["bbr", "--full-precision="], "argument --full-precision: ignored explicit argument ''"),
+         (["bbr", "--he=x"], "argument -h/--help: ignored explicit argument 'x'"),
+         (["bbr", "--", "x"], "unrecognized arguments: -- x")],
     )
-    def test_other_argv_is_left_to_argparse(self, argv):
-        assert polkit.cli._fast_args(argv) is None
+    def test_refusal_prints_argparse_message(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"polkit: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [(["--", "bbr"], 1, "argument command: invalid choice: '--' "
+                            "(choose from 'polarizability', 'bbr', 'lifetime', 'extract')"),
+         (["bbr", "--help", "--f"], 0, ""),
+         (["bbr", "--format", "json", "--f"], 1,
+          "argument --format: invalid choice: 'json' (choose from 'table', 'machine')"),
+         (["bbr", "-hx"], 1, "argument -h/--help: ignored explicit argument 'x'"),
+         (["bbr", "-hh"], 0, ""),
+         (["polarizability", "--state=--"], 1, "bad level label '--' (expected e.g. '4p3/2')")],
+    )
+    def test_version_dependent_argv_is_pinned(self, capsys, argv, code, message):
+        """Where argparse's answer moved between Python releases, the reader keeps one:
+        `--` before the subcommand is the subcommand, as up to 3.13.0; an ambiguous prefix
+        is refused when it is reached, as in later releases, so help or an earlier refusal
+        comes first; -hX and -hh read as up to 3.12; `--opt=--` gives the value `--`."""
+        result = run_cli(capsys, *argv)
+        assert (result[0], result[2]) == (code, f"polkit: error: {message}\n" if message else "")
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["-h"], ["--he"], ["--x", "--help"], ["bbr", "--help"],
+                 ["bbr", "--hel"], ["bbr", "x", "--help"], ["extract", "--help"],
+                 ["polarizability", "--state", "4s1/2", "-h", "--format", "json"]]
+    )
+    def test_help_answers_when_reached(self, capsys, argv):
+        command = next((token for token in argv if token in COMMAND_FLAGS), None)
+        expected = polkit.cli._help_text(command)
+        assert run_cli(capsys, *argv) == (0, expected, "")
+        assert expected.startswith(f"usage: polkit {command or ''}")
+
+    def test_help_does_not_depend_on_the_terminal_width(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(polkit.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        outputs = [
+            subprocess.run([sys.executable, "-m", "polkit.cli", "bbr", "--help"],
+                           capture_output=True, env=dict(env, COLUMNS=columns), check=True).stdout
+            for columns in ("40", "200")
+        ]
+        assert outputs[0] == outputs[1] == polkit.cli._help_text("bbr").encode()
 
 
 class TestGoldenSnapshot:
