@@ -1,7 +1,10 @@
 """Einstein A-coefficients, radiative lifetimes, and inverse extraction.
 
 The A-coefficient convention divides by the statistical weight 2j+1 of the
-UPPER state.  Rates are reported in MHz and lifetimes in ns.
+UPPER state.  Rates are reported in MHz and lifetimes in ns.  Rate
+uncertainties add in quadrature by ``math.hypot``, and a lifetime's relative
+uncertainty is that of its summed rate, so no rate, rate sum or uncertainty is
+squared.
 """
 
 from __future__ import annotations
@@ -95,16 +98,13 @@ def _rate_sums(channels: Sequence[DecayChannel]) -> tuple[float, float]:
     A sum that overflows is refused, naming the channels' upper state.
     """
     total = sum(ch.A.value for ch in channels)
-    if math.isinf(total):
+    unc = math.hypot(*(ch.A.unc for ch in channels))
+    if math.isinf(total) or math.isinf(unc):
+        what = "sum" if math.isinf(total) else "uncertainty"
         raise ValueError(
-            f"decay rates of {channels[0].upper} are out of range: their sum overflows"
+            f"decay rates of {channels[0].upper} are out of range: their {what} overflows"
         )
-    try:
-        return total, math.sqrt(sum(ch.A.unc**2 for ch in channels))
-    except OverflowError:
-        raise ValueError(
-            f"decay rates of {channels[0].upper} are out of range: their squares overflow"
-        ) from None
+    return total, unc
 
 
 def lifetime(channels: Sequence[DecayChannel]) -> Quantity:
@@ -116,16 +116,10 @@ def lifetime(channels: Sequence[DecayChannel]) -> Quantity:
         raise ValueError("decay channels have mixed upper states")
     total, rate_unc = _rate_sums(channels)
     tau = 1000.0 / total
-    try:
-        tau_unc = 1000.0 * rate_unc / total**2
-    except OverflowError:  # the square of the sum
-        raise ValueError(
-            f"decay rates of {upper} are out of range: their squares overflow"
-        ) from None
-    except ZeroDivisionError:  # total**2 underflows to 0
-        raise ValueError(
-            f"decay rates of {upper} are out of range: the square of their sum underflows"
-        ) from None
+    tau_unc = tau * (rate_unc / total)
+    if math.isinf(tau) or math.isinf(tau_unc):
+        what = "lifetime" if math.isinf(tau) else "lifetime's uncertainty"
+        raise ValueError(f"decay rates of {upper} are out of range: the {what} overflows")
     return Quantity(tau, tau_unc, NANOSECOND)
 
 
@@ -177,9 +171,10 @@ def extract_matrix_element(
             "the rate's uncertainty overflows"
         )
     d_unc = d * math.hypot(tau_term, others_unc) / (2.0 * residual)
-    if math.isinf(d_unc):
-        raise ValueError(
-            f"lifetime uncertainty {tau_expt.unc!r} ns is out of range: "
-            "the matrix element's uncertainty overflows"
-        )
+    if math.isinf(d_unc):  # named after the larger of its two terms
+        if others_unc > tau_term:
+            source = f"other decay rates of {others[0].upper} are"
+        else:
+            source = f"lifetime uncertainty {tau_expt.unc!r} ns is"
+        raise ValueError(f"{source} out of range: the matrix element's uncertainty overflows")
     return Quantity(d, d_unc, E_A0)

@@ -230,13 +230,21 @@ class TestExtraction:
         with pytest.raises(ValueError, match="residual"):
             extract_matrix_element(Quantity(7.098, 0.02, NANOSECOND), others, de, 1)
 
-    def test_residual_of_exactly_zero_is_refused(self):
-        others = [channel("4p1/2", "3d3/2", 125.0)]  # 1000 / 8 ns = 125 MHz exactly
+    @pytest.mark.parametrize(
+        "tau,others,message",
+        [
+            (8.0, [("3d3/2", 125.0)],  # 1000 / 8 ns = 125 MHz exactly
+             "measured lifetime is inconsistent with the other decay channels "
+             "(residual rate 0 MHz)"),
+            (0.0, [], "lifetime must be positive: 0.0"),
+        ],
+        ids=["residual-of-exactly-zero", "zero-lifetime"],
+    )
+    def test_refusal_names_its_input(self, tau, others, message):
+        others = [channel("4p1/2", lower, rate) for lower, rate in others]
         with pytest.raises(ValueError) as info:
-            extract_matrix_element(Quantity(8.0, 0.0, NANOSECOND), others, 0.1, 1)
-        assert str(info.value) == (
-            "measured lifetime is inconsistent with the other decay channels (residual rate 0 MHz)"
-        )
+            extract_matrix_element(Quantity(tau, 0.0, NANOSECOND), others, 0.1, 1)
+        assert str(info.value) == message
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -13,19 +13,22 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polkit
 import polkit.cli
 import polkit.dataset
 from polkit import (
+    MEGAHERTZ,
+    DecayChannel,
     LevelLabel,
     Quantity,
     Report,
     builtin_dataset,
     builtin_dataset_text,
     format_value_unc,
+    lifetime,
     parse_dataset,
 )
 from polkit.cli import BUILTIN_DATASET, main
@@ -79,6 +82,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_range_dataset(tmp_path, elements):
+    """The three lowest Ca+ levels and a core, with `elements`' lines; a `level` line among
+    them adds a level or moves one."""
+    levels = {"4s1/2": "0", "3d3/2": "13650.19", "4p1/2": "25191.51"}
+    lines = elements.splitlines()
+    for line in [line for line in lines if line.startswith("level ")]:
+        lines.remove(line)
+        levels[line.split()[1]] = line.split()[2]
+    path = tmp_path / "overflow.dat"
+    path.write_text(
+        "".join(f"level {label} {energy}\n" for label, energy in levels.items())
+        + "".join(f"{line}\n" for line in lines)
+        + "core 3.25 0.17\n"
+    )
+    return path
 
 
 class TestFormatting:
@@ -256,10 +276,20 @@ class TestCLI:
         assert "bad level label" in err
         assert out == ""
 
-    def test_zero_temperature_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "bbr", "--temperature", "0")
-        assert code == 1
-        assert "temperature" in err
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bbr", "--temperature", "0"], "temperature must be positive, got 0.0"),
+            (["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "0"],
+             "lifetime must be positive, got 0.0"),
+            (["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "7",
+              "--tau-unc-ns", "-0.02"],
+             "lifetime uncertainty must be non-negative, got -0.02"),
+        ],
+        ids=["temperature", "tau", "tau-unc"],
+    )
+    def test_out_of_domain_float_flag_is_usage_error(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"polkit: error: {message}\n")
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -333,21 +363,6 @@ class TestCLI:
                 "its cube overflows",
             ),
             (
-                "e1 4s1/2 4p1/2 1e152 1e149\ne1 3d3/2 4p1/2 1e153 1e150",
-                ["lifetime", "--state", "4p1/2"],
-                "decay rates of 4p1/2 are out of range: their squares overflow",
-            ),
-            (
-                "e1 4s1/2 4p1/2 1e153 0\ne1 3d3/2 4p1/2 1e153 0",
-                ["lifetime", "--state", "4p1/2"],
-                "decay rates of 4p1/2 are out of range: their squares overflow",
-            ),
-            (
-                "level 4p3/2 25414.40\ne1 4s1/2 4p3/2 3.468e153 0",  # a 1e308 MHz rate, zero sigma
-                ["lifetime", "--state", "4p3/2"],
-                "decay rates of 4p3/2 are out of range: their squares overflow",
-            ),
-            (
                 "level 3d5/2 13710.88\nlevel 4p3/2 25414.40\ne1 4s1/2 4p3/2 3.1019e153 0\n"
                 "e1 3d3/2 4p3/2 9.8491e153 0\ne1 3d5/2 4p3/2 9.9258e153 0",
                 ["lifetime", "--state", "4p3/2"],
@@ -362,7 +377,8 @@ class TestCLI:
             (
                 "e1 3d3/2 4p1/2 8e99 8e109",
                 ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e-300"],
-                "decay rates of 4p1/2 are out of range: their squares overflow",
+                "other decay rates of 4p1/2 are out of range: "
+                "the matrix element's uncertainty overflows",
             ),
             (
                 "level 4p1/2 1e107",
@@ -371,14 +387,9 @@ class TestCLI:
                 "A/d^2 overflows",
             ),
             (
-                "e1 4s1/2 4p1/2 1e-100 1e-101",
-                ["lifetime", "--state", "4p1/2"],
-                "decay rates of 4p1/2 are out of range: the square of their sum underflows",
-            ),
-            (
                 "e1 4s1/2 4p1/2 1e-160 0",
                 ["lifetime", "--state", "4p1/2"],
-                "decay rates of 4p1/2 are out of range: the square of their sum underflows",
+                "decay rates of 4p1/2 are out of range: the lifetime overflows",
             ),
             (
                 "e1 4s1/2 4p1/2 1e-200 1e-201",
@@ -451,14 +462,10 @@ class TestCLI:
             "einstein-A-d-squared",
             "lifetime-gap-cubed",
             "extract-gap-cubed",
-            "lifetime-rate-unc-squared",
-            "lifetime-total-rate-squared",
-            "lifetime-rate-above-half-max",
             "lifetime-rate-sum",
             "bbr-polarizability-unc-squared",
             "extract-other-rate-unc-squared",
             "extract-rate-per-d-squared-overflows",
-            "lifetime-total-rate-squared-underflows",
             "lifetime-zero-sigma-total-rate-squared-underflows",
             "lifetime-rate-underflows",
             "extract-other-rate-underflows",
@@ -474,21 +481,43 @@ class TestCLI:
         ],
     )
     def test_overflowing_power_names_its_input(self, tmp_path, capsys, elements, argv, message):
-        levels = {"4s1/2": "0", "3d3/2": "13650.19", "4p1/2": "25191.51"}
-        lines = elements.splitlines()
-        for line in [line for line in lines if line.startswith("level ")]:
-            lines.remove(line)
-            levels[line.split()[1]] = line.split()[2]
-        path = tmp_path / "overflow.dat"
-        path.write_text(
-            "".join(f"level {label} {energy}\n" for label, energy in levels.items())
-            + "".join(f"{line}\n" for line in lines)
-            + "core 3.25 0.17\n"
-        )
+        path = write_range_dataset(tmp_path, elements)
         code, out, err = run_cli(capsys, *argv, "--dataset", str(path))
         assert (code, out) == (3, "")
         assert err == f"polkit: error: {message}\n"
         assert "Numerical result out of range" not in err
+
+    @pytest.mark.parametrize(
+        "elements,state",
+        [
+            ("e1 4s1/2 4p1/2 1e152 1e149\ne1 3d3/2 4p1/2 1e153 1e150", "4p1/2"),
+            ("e1 4s1/2 4p1/2 1e153 0\ne1 3d3/2 4p1/2 1e153 0", "4p1/2"),
+            ("level 4p3/2 25414.40\ne1 4s1/2 4p3/2 3.468e153 0", "4p3/2"),  # a 1e308 MHz rate
+            ("e1 4s1/2 4p1/2 1e-100 1e-101", "4p1/2"),
+        ],
+        ids=[
+            "lifetime-rate-unc-squared",
+            "lifetime-total-rate-squared",
+            "lifetime-rate-above-half-max",
+            "lifetime-total-rate-squared-underflows",
+        ],
+    )
+    def test_lifetime_answers_where_a_square_would_not_fit(self, tmp_path, capsys, elements,
+                                                           state):
+        """The rate sums are never squared, so a finite lifetime is given with the summed
+        rate's relative uncertainty: quadrature by hypot, read back from the printed rows."""
+        path = write_range_dataset(tmp_path, elements)
+        argv = ["lifetime", "--state", state, "--format", "machine", "--dataset", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        tau = report["totals"]["lifetime"]
+        assert math.isfinite(tau["value"]) and math.isfinite(tau["unc"])
+        rates = [row["A"] for row in report["rows"]]
+        total = sum(rate["value"] for rate in rates)
+        assert tau["unc"] / tau["value"] == pytest.approx(
+            math.hypot(*(rate["unc"] for rate in rates)) / total, rel=1e-12
+        )
 
     def test_tiny_lifetime_does_not_underflow(self, capsys):
         argv = ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e-300"]
@@ -566,12 +595,18 @@ class TestCLI:
         assert out == ""
         assert err.startswith(f"polkit: error: cannot read dataset {str(path)!r}: ")
 
-    def test_corrupt_dataset_reports_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text,message",
+        [("level 4s1/2 zero\n", "line 1: bad energy 'zero'"),
+         (None, "line 75: duplicate core entry")],  # the packaged text and a second core line
+        ids=["bad-number", "second-core"],
+    )
+    def test_corrupt_dataset_reports_line(self, tmp_path, capsys, golden_text, text, message):
         path = tmp_path / "bad.dat"
-        path.write_text("level 4s1/2 zero\n")
-        code, _, err = run_cli(capsys, "bbr", "--dataset", str(path))
-        assert code == 2
-        assert "line 1" in err
+        path.write_text(golden_text + "core 3.25 0.17\n" if text is None else text)
+        assert run_cli(capsys, "bbr", "--dataset", str(path)) == (
+            2, "", f"polkit: error: {message}\n"
+        )
 
     def test_env_var_selects_dataset(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "mini.dat"
@@ -629,6 +664,34 @@ class TestCLI:
         totals = json.loads(out)["totals"]
         assert "d_extracted" in totals
         assert "d_theory" not in totals and "percent_difference" not in totals
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(1e-320, 1e308), st.floats(0.0, 10.0)), min_size=1, max_size=4))
+@example([(1e-320, 0.0)])  # the lifetime overflows
+@example([(1e-305, 10.0)])  # a lifetime of 1e308 ns fits, its uncertainty does not
+@example([(1.5e307, 10.0), (1.5e307, 10.0)])  # the quadrature sum of the uncertainties overflows
+@example([(1e308, 0.0), (1e308, 0.0)])  # the rate sum overflows
+def test_lifetime_answers_or_names_its_upper_state(rates):
+    """Any channel set, rates from 1e-320 to 1e308 MHz and uncertainties up to 10x the rate,
+    gets a finite lifetime with the summed rate's relative uncertainty, or a refusal that
+    names the upper state."""
+    upper = LevelLabel.parse("4p3/2")
+    channels = [
+        DecayChannel(upper, LevelLabel.parse(lower),
+                     Quantity(rate, min(rate * factor, sys.float_info.max), MEGAHERTZ))
+        for (rate, factor), lower in zip(rates, ("4s1/2", "3d3/2", "3d5/2", "4p1/2"))
+    ]
+    try:
+        tau = lifetime(channels)
+    except ValueError as error:
+        assert str(error).startswith("decay rates of 4p3/2 are out of range: "), error
+        return
+    assert math.isfinite(tau.value) and math.isfinite(tau.unc)
+    total = sum(ch.A.value for ch in channels)
+    rel = math.hypot(*(ch.A.unc for ch in channels)) / total
+    assert tau.value == 1000.0 / total
+    assert tau.unc == pytest.approx(tau.value * rel, rel=1e-9, abs=1e-300)
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
