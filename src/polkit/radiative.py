@@ -1,10 +1,10 @@
 """Einstein A-coefficients, radiative lifetimes, and inverse extraction.
 
 The A-coefficient convention divides by the statistical weight 2j+1 of the
-UPPER state.  Rates are reported in MHz and lifetimes in ns.  Rate
-uncertainties add in quadrature by ``math.hypot``, and a lifetime's relative
-uncertainty is that of its summed rate, so no rate, rate sum or uncertainty is
-squared.
+UPPER state.  Rates are in MHz and lifetimes in ns.  Rate uncertainties add in
+quadrature by ``math.hypot``, and the relative uncertainty of a lifetime or an
+extracted matrix element is formed from relative terms of the rates it sums,
+so no rate, rate sum or uncertainty is squared.
 """
 
 from __future__ import annotations
@@ -78,8 +78,10 @@ def einstein_A(d: Quantity, delta_e_au: float, j2_upper: int) -> Quantity:
     return Quantity(value, value * d.relative_unc() * 2.0, MEGAHERTZ)
 
 
-def decay_channels(ds: Dataset, upper: LevelLabel) -> list[DecayChannel]:
-    """Every channel from `upper` down to a level it shares an E1 element with.
+def decay_channels(
+    ds: Dataset, upper: LevelLabel, *, skip: LevelLabel | None = None
+) -> list[DecayChannel]:
+    """Every channel from `upper` down to an E1 partner below it, except to `skip`.
 
     Raises :class:`UnknownLevelError` when `upper` or a partner of it is not in
     the dataset; a state with no lower partner (the ground state) has no channels.
@@ -88,7 +90,7 @@ def decay_channels(ds: Dataset, upper: LevelLabel) -> list[DecayChannel]:
     return [
         DecayChannel(upper, el.lower, einstein_A(el.d, 0.0 - gap, upper.j2))
         for _, el, gap in ds.couplings(upper)
-        if el.upper == upper
+        if el.upper == upper and el.lower != skip
     ]
 
 
@@ -133,8 +135,8 @@ def extract_matrix_element(
 
     The residual rate 1/tau - sum(other A) is attributed to the channel of
     energy `delta_e_au` out of an upper state with twice-j `j2_upper`; the
-    positive root is returned.  The uncertainty propagates the lifetime error
-    together with the (usually negligible) other-channel uncertainties.
+    positive root is returned.  sigma_d / d is half the quadrature sum of the
+    residual rate's relative terms from the lifetime and the other channels.
     """
     require_unit(tau_expt, NANOSECOND, "lifetime")
     if tau_expt.value <= 0:
@@ -164,15 +166,13 @@ def extract_matrix_element(
             f"lifetime {tau_expt.value!r} ns and transition energy {delta_e_au!r} hartree "
             "are out of range: the matrix element underflows"
         )
-    tau_term = total_rate * tau_expt.unc / tau_expt.value
-    if math.isinf(tau_term):
-        raise ValueError(
-            f"lifetime uncertainty {tau_expt.unc!r} ns is out of range: "
-            "the rate's uncertainty overflows"
-        )
-    d_unc = d * math.hypot(tau_term, others_unc) / (2.0 * residual)
+    # total/residual is at most 2**53: a positive residual is a float difference of at least
+    # total * 2**-53.  Left to right, the product keeps the recorded golden extract outputs.
+    tau_rel = total_rate / residual * tau_expt.unc / tau_expt.value
+    others_rel = others_unc / residual
+    d_unc = d * (math.hypot(tau_rel, others_rel) / 2.0)
     if math.isinf(d_unc):  # named after the larger of its two terms
-        if others_unc > tau_term:
+        if others_rel > tau_rel:
             source = f"other decay rates of {others[0].upper} are"
         else:
             source = f"lifetime uncertainty {tau_expt.unc!r} ns is"

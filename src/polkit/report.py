@@ -254,22 +254,27 @@ def extract_report(
 ) -> Report:
     """Matrix element of upper -> lower from a measured lifetime of `upper`.
 
-    When the dataset holds that element, the totals also carry it as
-    ``d_theory`` with its ``percent_difference`` from the extracted value.
+    When the dataset holds that element, the totals also carry it as ``d_theory``
+    and its finite ``percent_difference`` from the extracted value.
     """
     delta_e = energy_difference_au(ds, lower, upper).value  # an unknown upper is named first
-    others = [ch for ch in decay_channels(ds, upper) if ch.lower != lower]
     if delta_e <= 0:
         raise ValueError(f"{upper} does not lie above {lower}")
     if not e1_selection_ok(upper, lower):
         raise ValueError(f"{upper} -> {lower} violates E1 selection rules")
+    others = decay_channels(ds, upper, skip=lower)
     tau = Quantity(tau_ns, tau_unc_ns, NANOSECOND)
     d = extract_matrix_element(tau, others, delta_e, upper.j2)
     totals: dict[str, object] = {"d_extracted": d}
     for partner, el, _ in ds.couplings(upper):
         if partner == lower:
             totals["d_theory"] = el.d
-            totals["percent_difference"] = (el.d.value - d.value) / d.value * 100.0
+            totals["percent_difference"] = percent = (el.d.value - d.value) / d.value * 100.0
+            if math.isinf(percent):
+                raise ValueError(
+                    f"dataset d {el.d.value!r} e*a0 and extracted d {d.value!r} e*a0 are "
+                    "out of range: their percent difference overflows"
+                )
             break
     return Report(
         kind="extract",

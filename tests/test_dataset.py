@@ -198,6 +198,11 @@ class TestQuantity:
         with pytest.raises(ValueError, match=fragment):
             Quantity(value, unc, A0_CUBED)
 
+    @pytest.mark.parametrize("value,expected", [(2.0, 0.25), (-2.0, 0.25), (0.0, 0.0)])
+    def test_relative_unc(self, value, expected):
+        """unc / |value|, and zero for a zero value."""
+        assert Quantity(value, 0.5, A0_CUBED).relative_unc() == expected
+
 
 S_HALF, P_HALF = LevelLabel.parse("4s1/2"), LevelLabel.parse("4p1/2")
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,8 @@ class TestDecayChannels:
             golden_channel(golden, "4s1/2", "4p1/2"),
         ]
         assert abs(lifetime(channels).value - 6.87) < 0.005
+        skipped = decay_channels(golden, lab("4p1/2"), skip=lab("4s1/2"))
+        assert skipped == [golden_channel(golden, "3d3/2", "4p1/2")]
 
     def test_ground_state_has_none(self, golden):
         assert decay_channels(golden, lab("4s1/2")) == []
@@ -237,13 +240,23 @@ class TestExtraction:
              "measured lifetime is inconsistent with the other decay channels "
              "(residual rate 0 MHz)"),
             (0.0, [], "lifetime must be positive: 0.0"),
+            (1e300, [("3d3/2", 5e-298, 1e300)],  # sigma_d is about 1e447 e*a0
+             "other decay rates of 4p1/2 are out of range: "
+             "the matrix element's uncertainty overflows"),
+            ((1e-300, 1e10), [("3d3/2", 1.0, 0.5)],
+             "lifetime uncertainty 10000000000.0 ns is out of range: "
+             "the matrix element's uncertainty overflows"),
         ],
-        ids=["residual-of-exactly-zero", "zero-lifetime"],
+        ids=["residual-of-exactly-zero", "zero-lifetime", "d-unc-named-after-other-rates",
+             "d-unc-named-after-lifetime"],
     )
     def test_refusal_names_its_input(self, tau, others, message):
-        others = [channel("4p1/2", lower, rate) for lower, rate in others]
+        """`tau` is a value or a (value, uncertainty) pair; an other channel, (lower, rate) or
+        (lower, rate, uncertainty)."""
+        others = [channel("4p1/2", *other) for other in others]
+        value, unc = tau if isinstance(tau, tuple) else (tau, 0.0)
         with pytest.raises(ValueError) as info:
-            extract_matrix_element(Quantity(tau, 0.0, NANOSECOND), others, 0.1, 1)
+            extract_matrix_element(Quantity(value, unc, NANOSECOND), others, 0.1, 1)
         assert str(info.value) == message
 
     @settings(max_examples=80, deadline=None)
@@ -263,3 +276,40 @@ class TestExtraction:
         tau = lifetime([main, other])
         back = extract_matrix_element(tau, [other], de, j2)
         assert back.value == pytest.approx(d, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        others=st.lists(st.tuples(st.floats(-300.0, 300.0), st.floats(0.0, 10.0)), max_size=3),
+        tau_exp=st.floats(-300.0, 300.0),
+        tau_unc_factor=st.floats(0.0, 10.0),
+        gap_exp=st.floats(-100.0, 100.0),
+        j2=st.sampled_from([1, 3, 5, 7]),
+    )
+    def test_answer_is_finite_with_the_relative_rule_or_a_named_refusal(
+        self, others, tau_exp, tau_unc_factor, gap_exp, j2
+    ):
+        """Rates of 1e-300 to 1e300 MHz with sigma up to 10 A, a lifetime of 1e-300 to 1e300 ns
+        with sigma up to 10 tau: a finite d whose sigma_d / d is half the quadrature sum of the
+        residual rate's relative terms (exact, from the same float residual), or a ValueError
+        that names an input."""
+        channels = [
+            channel("4p1/2", "3d3/2", 10.0**rate_exp, factor * 10.0**rate_exp)
+            for rate_exp, factor in others
+        ]
+        tau = Quantity(10.0**tau_exp, tau_unc_factor * 10.0**tau_exp, NANOSECOND)
+        gap = 10.0**gap_exp
+        try:
+            d = extract_matrix_element(tau, channels, gap, j2)
+        except ValueError as error:
+            message = str(error)
+            assert "non-finite" not in message and "Numerical result" not in message
+            named = (repr(tau.value), repr(tau.unc), repr(gap), "4p1/2", "measured lifetime")
+            assert any(fragment in message for fragment in named), message
+            return
+        assert math.isfinite(d.value) and d.value > 0 and math.isfinite(d.unc)
+        total = 1000.0 / tau.value
+        residual = Fraction(total - sum(ch.A.value for ch in channels))
+        tau_rel = Fraction(total) / residual * Fraction(tau.unc) / Fraction(tau.value)
+        others_rel = Fraction(math.hypot(*(ch.A.unc for ch in channels))) / residual
+        expected = Fraction(d.value) * Fraction(math.hypot(float(tau_rel), float(others_rel)))
+        assert d.unc == pytest.approx(float(expected / 2), rel=1e-12, abs=1e-320)

@@ -168,6 +168,7 @@ class TestRecordContract:
         record, equal, different, _, hashable = RECORDS[name]
         assert record == equal and not record != equal
         assert record != different and not record == different
+        assert record != 1.0 and not record == 1.0
         if hashable:
             assert hash(record) == hash(equal)
             assert len({record, equal, different}) == 2

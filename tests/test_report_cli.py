@@ -30,6 +30,7 @@ from polkit import (
     format_value_unc,
     lifetime,
     parse_dataset,
+    render_table,
 )
 from polkit.cli import BUILTIN_DATASET, main
 from polkit.dataset import parse_number
@@ -165,6 +166,11 @@ class TestReportModel:
         assert report.to_json() == report.to_json()
         payload = json.loads(report.to_json())
         assert list(payload) == sorted(payload)
+
+    def test_table_refuses_an_unknown_kind(self):
+        with pytest.raises(ValueError) as info:
+            render_table(Report("nope", {"dataset": "x"}, (), {}))
+        assert str(info.value) == "unknown report kind 'nope'"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_json_refuses_non_finite(self, value):
@@ -375,12 +381,6 @@ class TestCLI:
                 "its square overflows",
             ),
             (
-                "e1 3d3/2 4p1/2 8e99 8e109",
-                ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e-300"],
-                "other decay rates of 4p1/2 are out of range: "
-                "the matrix element's uncertainty overflows",
-            ),
-            (
                 "level 4p1/2 1e107",
                 ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "7"],
                 "transition energy 4.556335252911937e+101 hartree is out of range: "
@@ -397,7 +397,7 @@ class TestCLI:
                 "matrix element 1e-200 e*a0 is out of range: its rate underflows",
             ),
             (
-                "e1 4s1/2 4p1/2 1e-200 1e-201",
+                "e1 3d3/2 4p1/2 1e-200 1e-201",
                 ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "7"],
                 "matrix element 1e-200 e*a0 is out of range: its rate underflows",
             ),
@@ -415,15 +415,9 @@ class TestCLI:
             (
                 "e1 4s1/2 4p1/2 2.898 0.029",
                 ["extract", "--upper", "4p1/2", "--lower", "4s1/2",
-                 "--tau-ns", "7.098", "--tau-unc-ns", "1e308"],
-                "lifetime uncertainty 1e+308 ns is out of range: the rate's uncertainty overflows",
-            ),
-            (
-                "e1 4s1/2 4p1/2 2.898 0.029",
-                ["extract", "--upper", "4p1/2", "--lower", "4s1/2",
                  "--tau-ns", "1e-300", "--tau-unc-ns", "1e10"],
                 "lifetime uncertainty 10000000000.0 ns is out of range: "
-                "the rate's uncertainty overflows",
+                "the matrix element's uncertainty overflows",
             ),
             (
                 "level 4p1/2 1e-80",
@@ -456,6 +450,18 @@ class TestCLI:
                 "lifetime 1e+303 ns and transition energy 4.556335252911937e+98 hartree "
                 "are out of range: the matrix element underflows",
             ),
+            (
+                "e1 4s1/2 4p1/2 3e153 0",
+                ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e308"],
+                "dataset d 3e+153 e*a0 and extracted d 7.857789256890618e-154 e*a0 are "
+                "out of range: their percent difference overflows",
+            ),
+            (
+                "e1 4s1/2 4p1/2 1e300 0",
+                ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e20"],
+                "dataset d 1e+300 e*a0 and extracted d 7.857789256890618e-10 e*a0 are "
+                "out of range: their percent difference overflows",
+            ),
         ],
         ids=[
             "assembly-d-squared",
@@ -464,28 +470,29 @@ class TestCLI:
             "extract-gap-cubed",
             "lifetime-rate-sum",
             "bbr-polarizability-unc-squared",
-            "extract-other-rate-unc-squared",
             "extract-rate-per-d-squared-overflows",
             "lifetime-zero-sigma-total-rate-squared-underflows",
             "lifetime-rate-underflows",
             "extract-other-rate-underflows",
             "extract-rate-per-d-squared-underflows",
             "extract-reciprocal-lifetime",
-            "extract-lifetime-unc",
             "extract-tiny-lifetime-unc",
             "extract-d-overflows",
             "extract-d-unc-overflows",
             "extract-other-rate-sum",
             "extract-d-underflows",
             "extract-d-underflows-beside-its-element",
+            "extract-percent-difference",
+            "extract-percent-difference-beside-a-huge-element",
         ],
     )
     def test_overflowing_power_names_its_input(self, tmp_path, capsys, elements, argv, message):
         path = write_range_dataset(tmp_path, elements)
-        code, out, err = run_cli(capsys, *argv, "--dataset", str(path))
-        assert (code, out) == (3, "")
-        assert err == f"polkit: error: {message}\n"
-        assert "Numerical result out of range" not in err
+        for fmt in ([], ["--format", "machine"]):
+            code, out, err = run_cli(capsys, *argv, "--dataset", str(path), *fmt)
+            assert (code, out) == (3, "")
+            assert err == f"polkit: error: {message}\n"
+            assert "Numerical result out of range" not in err
 
     @pytest.mark.parametrize(
         "elements,state",
@@ -519,6 +526,44 @@ class TestCLI:
             math.hypot(*(rate["unc"] for rate in rates)) / total, rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "elements,tau,tau_unc,d_unc",
+        [
+            ("e1 3d3/2 4p1/2 8e99 8e109", "1e-300", "0", "7.83e+57"),
+            ("e1 4s1/2 4p1/2 2.898 0.029", "7.098", "1e308", "2.08e+307"),
+            (None, "1e-300", "1e-290", "3.93e+160"),
+            ("e1 4s1/2 4p1/2 1e-200 0.01\ne1 3d3/2 4p1/2 2.46354 0.0120", "7.098", "0.020",
+             "0.00442"),
+        ],
+        ids=[
+            "extract-other-rate-unc-squared",
+            "extract-lifetime-unc",
+            "extract-tiny-lifetime-rate-unc",
+            "extract-replaced-rate-underflows",
+        ],
+    )
+    def test_extract_answers_where_an_absolute_term_would_not_fit(self, tmp_path, capsys,
+                                                                  elements, tau, tau_unc, d_unc):
+        """sigma_d / d is half the quadrature sum of the residual rate's relative terms, with no
+        absolute intermediate and no rate read for the replaced element: checked against the
+        printed rows."""
+        argv = ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", tau,
+                "--tau-unc-ns", tau_unc, "--format", "machine"]
+        if elements is not None:
+            argv += ["--dataset", str(write_range_dataset(tmp_path, elements))]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        d = report["totals"]["d_extracted"]
+        assert math.isfinite(d["value"]) and f"{d['unc']:.3g}" == d_unc
+        total = 1000.0 / float(tau)
+        rates = [row["A"] for row in report["rows"]]
+        residual = total - sum(rate["value"] for rate in rates)
+        tau_rel = total / residual * float(tau_unc) / float(tau)
+        others_rel = math.hypot(*(rate["unc"] for rate in rates)) / residual
+        assert d["unc"] / d["value"] == pytest.approx(math.hypot(tau_rel, others_rel) / 2.0,
+                                                      rel=1e-12)
+
     def test_tiny_lifetime_does_not_underflow(self, capsys):
         argv = ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e-300"]
         code, out, err = run_cli(capsys, *argv, "--format", "machine")
@@ -529,7 +574,7 @@ class TestCLI:
         assert code == 3 and out == ""
         assert err == (
             "polkit: error: lifetime uncertainty 1e-10 ns is out of range: "
-            "the rate's uncertainty overflows\n"
+            "the matrix element's uncertainty overflows\n"
         )
 
     @pytest.mark.parametrize("argv", [["--help"], ["bbr", "-h"]])
@@ -596,14 +641,17 @@ class TestCLI:
         assert err.startswith(f"polkit: error: cannot read dataset {str(path)!r}: ")
 
     @pytest.mark.parametrize(
-        "text,message",
-        [("level 4s1/2 zero\n", "line 1: bad energy 'zero'"),
-         (None, "line 75: duplicate core entry")],  # the packaged text and a second core line
-        ids=["bad-number", "second-core"],
+        "packaged,text,message",
+        [(False, "level 4s1/2 zero\n", "line 1: bad energy 'zero'"),
+         (True, "core 3.25 0.17\n", "line 75: duplicate core entry"),
+         (True, "tail 4s1/2 scalar 0 0\n", "line 75: duplicate tail entry for 4s1/2 scalar")],
+        ids=["bad-number", "second-core", "second-tail"],
     )
-    def test_corrupt_dataset_reports_line(self, tmp_path, capsys, golden_text, text, message):
+    def test_corrupt_dataset_reports_line(self, tmp_path, capsys, golden_text, packaged, text,
+                                          message):
+        """`text` alone, or appended to the packaged text."""
         path = tmp_path / "bad.dat"
-        path.write_text(golden_text + "core 3.25 0.17\n" if text is None else text)
+        path.write_text(golden_text + text if packaged else text)
         assert run_cli(capsys, "bbr", "--dataset", str(path)) == (
             2, "", f"polkit: error: {message}\n"
         )
