@@ -21,14 +21,13 @@ from .dataset import A0_CUBED, HERTZ, SI_POLARIZABILITY, Quantity, _make, requir
 class BBRConditions(namedtuple("BBRConditions", "temperature eta")):
     """Ambient conditions for a blackbody shift evaluation.
 
-    The reference field is the 300 K blackbody RMS field and is fixed;
+    The field is always the 300 K blackbody RMS field, ``BBR_FIELD_300K``;
     temperature scaling is the explicit (T/300)^4 factor.  T = 0 is allowed
     as the trivial zero-field limit.
     """
 
     __slots__ = ()
     _make = _make
-    reference_field = BBR_FIELD_300K
 
     def __new__(cls, temperature: float = 300.0, eta: float = 0.0) -> "BBRConditions":
         if not math.isfinite(temperature):
@@ -38,9 +37,6 @@ class BBRConditions(namedtuple("BBRConditions", "temperature eta")):
         if temperature < 0:
             raise ValueError(f"negative temperature: {temperature}")
         return tuple.__new__(cls, (temperature, eta))
-
-    def __repr__(self) -> str:
-        return f"{super().__repr__()[:-1]}, reference_field={self.reference_field!r})"
 
 
 def au_to_si(alpha: Quantity) -> Quantity:
@@ -56,7 +52,7 @@ def au_to_si(alpha: Quantity) -> Quantity:
 def _shift_per_si_alpha(cond: BBRConditions) -> float:
     """Shift in Hz per unit of alpha/h [Hz/(V/m)^2]: -1/2 E^2 (T/300)^4 (1 + eta)."""
     try:
-        factor = -0.5 * cond.reference_field**2 * (cond.temperature / 300.0) ** 4
+        factor = -0.5 * BBR_FIELD_300K**2 * (cond.temperature / 300.0) ** 4
     except OverflowError:
         factor = -math.inf
     if not math.isfinite(factor):

@@ -3,8 +3,8 @@
 Subcommands: ``polarizability``, ``bbr``, ``lifetime``, ``extract``.
 The dataset is the file that ``--dataset``, else ``POLKIT_DATASET``, names, read
 and parsed at each call, else the packaged Ca+ file, parsed once per process.
-Each command parses its arguments, calls one report builder of
-:mod:`polkit.report` and renders the result.
+Each command reads its arguments and returns the :class:`~polkit.report.Report` of
+one builder of :mod:`polkit.report`; ``main`` writes it as a table or as JSON.
 
 ``read_args`` reads every argv from one table, ``_COMMANDS``, as argparse did.
 
@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from types import SimpleNamespace
 
 from .dataset import SCALAR, TENSOR, Dataset, DatasetError, LevelLabel, UnknownLevelError
-from .dataset import builtin_dataset, parse_dataset, parse_number
+from .dataset import builtin_dataset, number_literal, parse_dataset, parse_number
 from .report import Report, bbr_report, extract_report, lifetime_report, polarizability_report
 from .report import render_table
 
@@ -58,40 +58,32 @@ def _parse_label(text: str) -> LevelLabel:
         raise UsageError(str(exc)) from exc
 
 
-def _emit(report: Report, args: SimpleNamespace) -> int:
-    if args.format == "machine":
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(render_table(report, full_precision=args.full_precision))
-    return EXIT_OK
-
-
-def cmd_polarizability(args: SimpleNamespace) -> int:
+def cmd_polarizability(args: SimpleNamespace) -> Report:
     ds, path = _load_dataset(args)
-    return _emit(polarizability_report(ds, path, _parse_label(args.state), args.multipole), args)
+    return polarizability_report(ds, path, _parse_label(args.state), args.multipole)
 
 
-def cmd_bbr(args: SimpleNamespace) -> int:
+def cmd_bbr(args: SimpleNamespace) -> Report:
     if args.temperature <= 0:
         raise UsageError(f"temperature must be positive, got {args.temperature}")
     ds, path = _load_dataset(args)
     ground, excited = _parse_label(args.ground), _parse_label(args.excited)
-    return _emit(bbr_report(ds, path, ground, excited, args.temperature, args.eta), args)
+    return bbr_report(ds, path, ground, excited, args.temperature, args.eta)
 
 
-def cmd_lifetime(args: SimpleNamespace) -> int:
+def cmd_lifetime(args: SimpleNamespace) -> Report:
     ds, path = _load_dataset(args)
-    return _emit(lifetime_report(ds, path, _parse_label(args.state)), args)
+    return lifetime_report(ds, path, _parse_label(args.state))
 
 
-def cmd_extract(args: SimpleNamespace) -> int:
+def cmd_extract(args: SimpleNamespace) -> Report:
     if args.tau_ns <= 0:
         raise UsageError(f"lifetime must be positive, got {args.tau_ns}")
     if args.tau_unc_ns < 0:
         raise UsageError(f"lifetime uncertainty must be non-negative, got {args.tau_unc_ns}")
     ds, path = _load_dataset(args)
     upper, lower = _parse_label(args.upper), _parse_label(args.lower)
-    return _emit(extract_report(ds, path, upper, lower, args.tau_ns, args.tau_unc_ns), args)
+    return extract_report(ds, path, upper, lower, args.tau_ns, args.tau_unc_ns)
 
 
 # Each subcommand's handler, help and options in help order; an option's settings are
@@ -149,12 +141,9 @@ def _classify(options: dict, token: str) -> tuple[str | None, str | None] | None
             return matches[0], value if eq else None
     elif token[1] == "h":  # -hX is -h with X attached, and -hh is -h -h
         return "-h", token[2:].lstrip("h") or None
-    try:  # a number, finite or not, is a value, and so is a token with a space
-        parse_number(token, "number")
-    except DatasetError as exc:
-        if " " not in token and not str(exc).startswith("non-finite"):
-            return None, None
-    return None
+    if number_literal(token) is None and " " not in token:
+        return None, None
+    return None  # a number, finite or not, is a value, and so is a token with a space
 
 
 def _value(name: str, kw: dict, text: str):
@@ -239,10 +228,13 @@ def _help_text(command: str | None) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = read_args(sys.argv[1:] if argv is None else argv)
-        if isinstance(args, str):
+        if isinstance(args, str):  # the help that argv asks for
             sys.stdout.write(args)
-            return EXIT_OK
-        return args.func(args)
+        elif args.format == "machine":
+            sys.stdout.write(args.func(args).to_json())
+        else:
+            sys.stdout.write(render_table(args.func(args), full_precision=args.full_precision))
+        return EXIT_OK
     except UsageError as exc:
         print(f"polkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -149,7 +149,8 @@ def _label_problem(n: int, l: int, j2: int) -> str | None:
     return None
 
 
-# Every (l, j2) that the rules allow; with n >= 1 a label needs no other check.
+# Every (l, j2) that the rules allow; with n >= 1 an int label needs no other check,
+# and any other breaks a rule, which _label_problem names.
 _VALID_L_J2 = frozenset(
     (l, j2)
     for l in range(len(L_LETTERS))
@@ -165,9 +166,7 @@ class LevelLabel(namedtuple("LevelLabel", "n l j2")):
 
     def __new__(cls, n: int, l: int, j2: int) -> "LevelLabel":
         if not (type(n) is type(l) is type(j2) is int and n >= 1 and (l, j2) in _VALID_L_J2):
-            problem = _label_problem(n, l, j2)
-            if problem is not None:
-                raise ValueError(problem)
+            raise ValueError(_label_problem(n, l, j2))
         return tuple.__new__(cls, (n, l, j2))
 
     _make = _make
@@ -305,19 +304,24 @@ _set_levels, _set_elements, _set_core_alpha, _set_tails, _set_by_label, _set_row
 )
 
 
-def parse_number(token: str, what: str) -> float:
-    """The finite value of a number literal; anything else is a DatasetError."""
+def number_literal(token: str) -> float | None:
+    """The value of a number literal, nan and inf included; None for any other token."""
     # A number is an ASCII decimal literal with an optional sign and exponent.  float()
     # reads exactly these, and nan and inf, once it is kept from non-ASCII digits, '_'
     # separators and surrounding whitespace.
     if not token.isascii() or "_" in token or token != token.strip():
-        raise DatasetError(f"bad {what} {token!r}")
+        return None
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
-        raise DatasetError(f"bad {what} {token!r}") from None
-    if not math.isfinite(value):
-        raise DatasetError(f"non-finite {what} {token!r}")
+        return None
+
+
+def parse_number(token: str, what: str) -> float:
+    """The finite value of a number literal; anything else is a DatasetError."""
+    value = number_literal(token)
+    if value is None or not math.isfinite(value):
+        raise DatasetError(f"{'bad' if value is None else 'non-finite'} {what} {token!r}")
     return value
 
 

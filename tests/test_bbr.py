@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from polkit import (
     A0_CUBED,
+    BBR_FIELD_300K,
     HERTZ,
     POLARIZABILITY_AU_IN_SI,
     SI_POLARIZABILITY,
@@ -44,7 +45,7 @@ class TestConditions:
         cond = BBRConditions()
         assert cond.temperature == 300.0
         assert cond.eta == 0.0
-        assert cond.reference_field == 831.9
+        assert BBR_FIELD_300K == 831.9  # the field's one name
 
     def test_reference_field_not_settable(self):
         with pytest.raises(TypeError):

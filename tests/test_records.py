@@ -9,7 +9,6 @@ import pytest
 
 from polkit import (
     A0_CUBED,
-    BBR_FIELD_300K,
     E_A0,
     MEGAHERTZ,
     BBRConditions,
@@ -121,7 +120,7 @@ RECORDS = {
         BBRConditions(300.0, 0.0),
         BBRConditions(temperature=300.0, eta=0.0),
         BBRConditions(eta=0.01),
-        f"BBRConditions(temperature=300.0, eta=0.0, reference_field={BBR_FIELD_300K!r})",
+        "BBRConditions(temperature=300.0, eta=0.0)",
         True,
     ),
     "Report": (
@@ -142,7 +141,7 @@ FIELDS = {
     "Contribution": ("state", "partner", "d", "alpha0", "alpha2"),
     "PolarizabilityBreakdown": ("state", "multipole", "main", "tail", "core", "total"),
     "DecayChannel": ("upper", "lower", "A"),
-    "BBRConditions": ("temperature", "eta", "reference_field"),
+    "BBRConditions": ("temperature", "eta"),
     "Report": ("kind", "inputs", "rows", "totals"),
 }
 
@@ -202,7 +201,7 @@ def test_defaults():
     assert Quantity(1.0) == Quantity(1.0, 0.0, "1")
     assert (Quantity(1.0).unc, Quantity(1.0).unit) == (0.0, "1")
     cond = BBRConditions()
-    assert (cond.temperature, cond.eta, cond.reference_field) == (300.0, 0.0, BBR_FIELD_300K)
+    assert (cond.temperature, cond.eta) == (300.0, 0.0)
     assert BBRConditions(150.0).temperature == 150.0
 
 
