@@ -83,17 +83,23 @@ def clock_bbr_shift(
     Uncertainties of the two polarizabilities combine in quadrature.  When
     `shared_core_unc` is nonzero, that common (fully correlated) core
     contribution is removed from both before combining, since it cancels in
-    the difference.
+    the difference; it must lie in [0, min(sigma_g, sigma_e)], as a part of each.
     """
     require_unit(alpha_ground, A0_CUBED, "ground polarizability")
     require_unit(alpha_excited, A0_CUBED, "excited polarizability")
+    bound = min(alpha_ground.unc, alpha_excited.unc)
+    if not 0.0 <= shared_core_unc <= bound:
+        raise ValueError(
+            f"shared_core_unc {shared_core_unc!r} a0^3 is out of range: it must lie in "
+            f"[0, {bound!r}], the smaller polarizability uncertainty"
+        )
     factor = _shift_per_si_alpha(cond) * POLARIZABILITY_AU_IN_SI
     diff = alpha_excited.value - alpha_ground.value
     try:
         var = alpha_ground.unc**2 + alpha_excited.unc**2 - 2.0 * shared_core_unc**2
     except OverflowError:
-        unc = max(alpha_ground.unc, alpha_excited.unc, shared_core_unc)
+        unc = max(alpha_ground.unc, alpha_excited.unc)  # shared_core_unc is no larger
         raise ValueError(
             f"polarizability uncertainty {unc!r} a0^3 is out of range: its square overflows"
         ) from None
-    return Quantity(factor * diff, abs(factor) * math.sqrt(max(var, 0.0)), HERTZ)
+    return Quantity(factor * diff, abs(factor) * math.sqrt(var), HERTZ)

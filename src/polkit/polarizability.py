@@ -53,8 +53,17 @@ class Contribution(namedtuple("Contribution", "state partner d alpha0 alpha2")):
         return alpha, abs(alpha) * self.d.relative_unc() * 2.0
 
     def quantity(self, multipole: str) -> Quantity:
-        """The scalar or tensor term with its uncertainty 2 |alpha| dd/d."""
-        return Quantity(*self._term(multipole), A0_CUBED)
+        """The scalar or tensor term with its uncertainty 2 |alpha| dd/d; a finite term
+        whose uncertainty overflows is refused, naming its element's uncertainty."""
+        alpha, sigma = self._term(multipole)
+        if math.isinf(sigma) and math.isfinite(alpha):
+            # alpha0 > 0 when the partner lies above; an e1 line names the lower level first
+            pair = (self.state, self.partner) if self.alpha0 > 0 else (self.partner, self.state)
+            raise ValueError(
+                f"e1 {pair[0]}-{pair[1]} uncertainty {self.d.unc!r} e*a0 is out of range: "
+                "the term's uncertainty overflows"
+            )
+        return Quantity(alpha, sigma, A0_CUBED)
 
 
 PolarizabilityBreakdown = namedtuple(
@@ -116,13 +125,15 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
 
     # value += and a hypot chain over each row's requested term, then tail and
     # core, in that order, stopping at the first non-finite sum, which Quantity
-    # then refuses.  Only the requested multipole's uncertainties are looked at.
+    # then refuses, or the row's own quantity when its term's uncertainty overflows.
+    # Only the requested multipole's uncertainties are looked at.
     value = unc = 0.0
     for row in main:
         alpha, sigma = row._term(multipole)
         value += alpha
         unc = math.hypot(unc, sigma)
         if not (math.isfinite(value) and math.isfinite(unc)):
+            row.quantity(multipole)  # names an element whose term's uncertainty overflows
             break
     else:
         for term in (tail, core):

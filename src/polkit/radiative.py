@@ -75,7 +75,13 @@ def einstein_A(d: Quantity, delta_e_au: float, j2_upper: int) -> Quantity:
     if value == 0.0:
         raise ValueError(f"matrix element {d.value!r} e*a0 is out of range: its rate underflows")
     # Doubled last: 2 * value overflows for a finite rate above half the largest float.
-    return Quantity(value, value * d.relative_unc() * 2.0, MEGAHERTZ)
+    unc = value * d.relative_unc() * 2.0
+    if math.isinf(unc) and math.isfinite(value):
+        raise ValueError(
+            f"matrix element uncertainty {d.unc!r} e*a0 is out of range: "
+            "the rate's uncertainty overflows"
+        )
+    return Quantity(value, unc, MEGAHERTZ)
 
 
 def decay_channels(
@@ -167,8 +173,13 @@ def extract_matrix_element(
             "are out of range: the matrix element underflows"
         )
     # total/residual is at most 2**53: a positive residual is a float difference of at least
-    # total * 2**-53.  Left to right, the product keeps the recorded golden extract outputs.
-    tau_rel = total_rate / residual * tau_expt.unc / tau_expt.value
+    # total * 2**-53.  Left to right, the product keeps the recorded golden extract outputs;
+    # sigma_tau's power of two is applied last, exactly, so no intermediate overflows.
+    mantissa, exponent = math.frexp(tau_expt.unc)
+    try:
+        tau_rel = math.ldexp(total_rate / residual * mantissa / tau_expt.value, exponent)
+    except OverflowError:
+        tau_rel = math.inf  # refused below, as an overflowing sigma_d
     others_rel = others_unc / residual
     d_unc = d * (math.hypot(tau_rel, others_rel) / 2.0)
     if math.isinf(d_unc):  # named after the larger of its two terms

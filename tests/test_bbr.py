@@ -132,6 +132,34 @@ class TestClockShift:
         rev = clock_bbr_shift(alpha(ae), alpha(ag), cond)
         assert fwd.value == -rev.value
 
+    @pytest.mark.parametrize("shared", [5.0, 1.0000000000000002, -0.1, math.nan])
+    def test_shared_core_outside_each_state_is_refused(self, shared):
+        """The shared core is part of each state's sigma, so at most the smaller one: a larger
+        one made the variance negative, which a clamp turned into sigma = 0."""
+        with pytest.raises(ValueError) as info:
+            clock_bbr_shift(alpha(76.0, 1.0), alpha(32.0, 1.0), BBRConditions(),
+                            shared_core_unc=shared)
+        assert str(info.value) == (
+            f"shared_core_unc {shared!r} a0^3 is out of range: it must lie in [0, 1.0], "
+            "the smaller polarizability uncertainty"
+        )
+
+    @given(
+        unc_g=st.floats(0.0, 1e3),
+        unc_e=st.floats(0.0, 1e3),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_shared_core_in_range_keeps_the_clamped_sigma(self, unc_g, unc_e, share):
+        """Wherever s lies in [0, min(sigma_g, sigma_e)], sigma is what the clamped
+        sqrt(max(var, 0)) gave: the variance is never negative there."""
+        shared = share * min(unc_g, unc_e)
+        q = clock_bbr_shift(alpha(76.1, unc_g), alpha(32.0, unc_e), BBRConditions(),
+                            shared_core_unc=shared)
+        var = unc_g**2 + unc_e**2 - 2.0 * shared**2
+        assert var >= 0.0
+        factor = 0.5 * BBR_FIELD_300K**2 * POLARIZABILITY_AU_IN_SI
+        assert q.unc == factor * math.sqrt(max(var, 0.0))
+
     def test_correlated_core_mode_removes_shared_term(self):
         cond = BBRConditions()
         plain = clock_bbr_shift(alpha(76.1, 1.1), alpha(32.0, 1.1), cond)

@@ -29,13 +29,14 @@ from polkit import (
     parse_dataset,
     validate,
 )
-from polkit.dataset import parse_number, require_unit
+from polkit.dataset import number_literal, parse_number, require_unit
 
 # A number is an ASCII decimal literal with an optional exponent: no '_'
-# separators, no non-ASCII digits.  nan and inf are matched only so that they
-# are refused as non-finite rather than as unparseable.  parse_number does not
-# use this regex; it is the grammar's oracle here, and the argparse oracle of
-# test_report_cli.py compiles it to tell a negative number from an option.
+# separators, no non-ASCII digits.  nan and inf are matched too: number_literal
+# reads them, and parse_number refuses them as non-finite rather than as
+# unparseable.  Neither uses this regex; it is the grammar's oracle here, and the
+# argparse oracle of test_report_cli.py compiles it to tell a negative number
+# from an option.
 NUMBER_PATTERN = (
     r"(?ai)[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|nan|inf|infinity)\Z"
 )
@@ -299,6 +300,16 @@ class TestParseNumber:
         with pytest.raises(DatasetError) as err:
             parse_number(token, "energy")
         assert str(err.value) == f"{kind} energy {token!r}"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(token=number_tokens())
+    def test_number_literal_reads_exactly_the_grammar_matches(self, token):
+        """nan and inf included, as the CLI asks it whether a token led by '-' is a value."""
+        value = number_literal(token)
+        if NUMBER_RE.fullmatch(token):
+            assert value is not None and value.hex() == float(token).hex()
+        else:
+            assert value is None
 
 
 class TestParse:

@@ -141,6 +141,16 @@ class TestAssembleBreakdown:
             row.quantity(multipole)
         assert str(err.value) == message
 
+    def test_bad_multipole_is_refused_for_a_state_with_no_rows(self, golden):
+        """With no e1 line on 5s1/2, no row's term looks at the multipole: only the
+        up-front check refuses it, where the sum would be 0(0)."""
+        levels = (Level(lab("4s1/2"), 0.0), Level(lab("5s1/2"), 52166.93))
+        ds = Dataset(levels, (), golden.core_alpha, {})
+        assert assemble_breakdown(ds, lab("5s1/2"), SCALAR).main == ()
+        with pytest.raises(ValueError) as info:
+            assemble_breakdown(ds, lab("5s1/2"), "vector")
+        assert str(info.value) == "bad multipole 'vector'"
+
     def test_downward_rows_are_negative(self, golden):
         rows = {str(c.partner): c for c in assemble_breakdown(golden, lab("4p1/2"), SCALAR).main}
         assert rows["4s1/2"].alpha0 < 0
@@ -237,7 +247,10 @@ class TestConstructorBuiltSums:
         ds = Dataset(levels, elements, golden.core_alpha, {})
         with pytest.raises(ValueError) as info:
             assemble_breakdown(ds, ground, SCALAR)
-        assert str(info.value) == "non-finite uncertainty: inf a0^3"
+        assert str(info.value) == (
+            "e1 4s1/2-4p1/2 uncertainty 7e+153 e*a0 is out of range: "
+            "the term's uncertainty overflows"
+        )
 
     def test_scalar_sum_does_not_look_at_the_tensor_uncertainty(self, golden):
         """3d5/2-4f5/2 has alpha2/alpha0 = 8/7: at |alpha0| = 0.445 max and dd/d = 1 the
@@ -256,7 +269,34 @@ class TestConstructorBuiltSums:
                        lambda: row.quantity(TENSOR)):
             with pytest.raises(ValueError) as info:
                 tensor()
-            assert str(info.value) == "non-finite uncertainty: inf a0^3"
+            assert str(info.value) == (
+                f"e1 3d5/2-4f5/2 uncertainty {d!r} e*a0 is out of range: "
+                "the term's uncertainty overflows"
+            )
+
+    @pytest.mark.parametrize("state", ["4s1/2", "4p1/2"])
+    def test_term_uncertainty_refusal_names_the_element_in_either_direction(self, golden,
+                                                                             state):
+        """4p1/2's row to 4s1/2 points down, and names the e1 line as the dataset does."""
+        levels = [Level(lab("4s1/2"), 0.0), Level(lab("4p1/2"), golden.energy_cm(lab("4p1/2")))]
+        ds = Dataset(levels, [ReducedE1(lab("4s1/2"), lab("4p1/2"), d_q(1.0, 1e308))],
+                     golden.core_alpha, {})
+        message = "e1 4s1/2-4p1/2 uncertainty 1e+308 e*a0 is out of range: " \
+            "the term's uncertainty overflows"
+        with pytest.raises(ValueError) as info:
+            assemble_breakdown(ds, lab(state), SCALAR)
+        assert str(info.value) == message
+
+    def test_overflowing_term_is_not_blamed_on_its_uncertainty(self, golden):
+        """A gap of 1e-300 cm^-1 makes the term itself inf: the refusal is the sum's."""
+        levels = [Level(lab("4s1/2"), 0.0), Level(lab("4p1/2"), 1e-300)]
+        ds = Dataset(levels, [ReducedE1(lab("4s1/2"), lab("4p1/2"), d_q(1e3, 1.0))],
+                     golden.core_alpha, {})
+        for build in (lambda: assemble_breakdown(ds, lab("4s1/2"), SCALAR),
+                      lambda: ds._rows[lab("4s1/2")][0].quantity(SCALAR)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert "inf a0^3" in str(info.value) and "uncertainty" not in str(info.value)
 
     @pytest.mark.parametrize("rel", [0.0, 0.1])
     def test_row_above_half_the_largest_float_keeps_its_uncertainty(self, golden, rel):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,20 @@ class TestEinsteinA:
         a = einstein_A(Quantity(d, rel * d, E_A0), de, 3)
         assert a.value == pytest.approx(1e308, rel=1e-12)
         assert a.unc == pytest.approx(2.0 * rel * a.value, rel=1e-12, abs=0.0)  # 0.0 for rel 0
+
+    def test_rate_whose_uncertainty_overflows_names_the_element_uncertainty(self):
+        with pytest.raises(ValueError) as info:
+            einstein_A(Quantity(1.0, 1e308, E_A0), 0.1, 1)
+        assert str(info.value) == (
+            "matrix element uncertainty 1e+308 e*a0 is out of range: "
+            "the rate's uncertainty overflows"
+        )
+
+    def test_overflowing_rate_is_not_blamed_on_its_uncertainty(self):
+        """d^2 fits and A/d^2 fits, but their product does not: the rate itself is inf."""
+        with pytest.raises(ValueError) as info:
+            einstein_A(Quantity(1e154, 1e153, E_A0), 0.1, 1)
+        assert "inf MHz" in str(info.value) and "uncertainty" not in str(info.value)
 
     @given(d=st.floats(0.05, 8.0), de=st.floats(0.01, 1.0))
     def test_quadratic_in_d(self, d, de):
@@ -246,9 +261,12 @@ class TestExtraction:
             ((1e-300, 1e10), [("3d3/2", 1.0, 0.5)],
              "lifetime uncertainty 10000000000.0 ns is out of range: "
              "the matrix element's uncertainty overflows"),
+            ((1e-3, 1e308), [],  # sigma_tau's power of two overflows as it is applied
+             "lifetime uncertainty 1e+308 ns is out of range: "
+             "the matrix element's uncertainty overflows"),
         ],
         ids=["residual-of-exactly-zero", "zero-lifetime", "d-unc-named-after-other-rates",
-             "d-unc-named-after-lifetime"],
+             "d-unc-named-after-lifetime", "lifetime-unc-exponent-overflows"],
     )
     def test_refusal_names_its_input(self, tau, others, message):
         """`tau` is a value or a (value, uncertainty) pair; an other channel, (lower, rate) or
@@ -313,3 +331,38 @@ class TestExtraction:
         others_rel = Fraction(math.hypot(*(ch.A.unc for ch in channels))) / residual
         expected = Fraction(d.value) * Fraction(math.hypot(float(tau_rel), float(others_rel)))
         assert d.unc == pytest.approx(float(expected / 2), rel=1e-12, abs=1e-320)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        tau_exp=st.floats(-300.0, 300.0),
+        unc_exp=st.floats(-320.0, 308.25),
+        share=st.floats(1e-3, 0.999),
+        other_rel=st.floats(0.0, 1.0),
+    )
+    def test_lifetime_sigma_is_scaled_without_moving_a_bit(self, tau_exp, unc_exp, share,
+                                                            other_rel):
+        """sigma_tau's power of two is applied last: wherever total/residual * sigma_tau and
+        then / tau stay normal floats, sigma_d is the left-to-right product's to the bit, and
+        where only the first product overflows, sigma_d is still the exact value's, or refused
+        only when it does not fit."""
+        tau = Quantity(10.0**tau_exp, 10.0**unc_exp, NANOSECOND)
+        total = 1000.0 / tau.value
+        others = [channel("4p1/2", "3d3/2", share * total, other_rel * share * total)]
+        residual = total - others[0].A.value
+        others_rel = others[0].A.unc / residual
+        # the exact sigma_d / d = hypot(tau_rel, others_rel) / 2 as big * sqrt(1 + ratio^2) / 2
+        tau_rel = Fraction(total) / Fraction(residual) * Fraction(tau.unc) / Fraction(tau.value)
+        big, small = sorted((tau_rel, Fraction(others_rel)))[::-1]
+        stretch = math.sqrt(1.0 + float(small / big) ** 2) if big else 1.0
+        try:
+            d = extract_matrix_element(tau, others, 0.1, 1)
+        except ValueError as error:
+            assert "the matrix element's uncertainty overflows" in str(error)
+            d_value = math.sqrt(residual / einstein_A(Quantity(1.0, 0.0, E_A0), 0.1, 1).value)
+            assert Fraction(d_value) * big * Fraction(stretch) / 2 > Fraction(0.99e308)
+            return
+        expected = float(Fraction(d.value) * big / 2) * stretch
+        assert d.unc == pytest.approx(expected, rel=1e-12, abs=1e-320)
+        scaled = total / residual * tau.unc
+        if sys.float_info.min <= min(tau.unc, scaled, scaled / tau.value) and scaled < math.inf:
+            assert d.unc == d.value * (math.hypot(scaled / tau.value, others_rel) / 2.0)

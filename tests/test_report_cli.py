@@ -462,6 +462,18 @@ class TestCLI:
                 "dataset d 1e+300 e*a0 and extracted d 7.857789256890618e-10 e*a0 are "
                 "out of range: their percent difference overflows",
             ),
+            (
+                "e1 4s1/2 4p1/2 1 1e308",
+                ["lifetime", "--state", "4p1/2"],
+                "matrix element uncertainty 1e+308 e*a0 is out of range: "
+                "the rate's uncertainty overflows",
+            ),
+            (
+                "e1 4s1/2 4p1/2 1 1e308",
+                ["polarizability", "--state", "4s1/2"],
+                "e1 4s1/2-4p1/2 uncertainty 1e+308 e*a0 is out of range: "
+                "the term's uncertainty overflows",
+            ),
         ],
         ids=[
             "assembly-d-squared",
@@ -484,6 +496,8 @@ class TestCLI:
             "extract-d-underflows-beside-its-element",
             "extract-percent-difference",
             "extract-percent-difference-beside-a-huge-element",
+            "einstein-A-unc",
+            "assembly-term-unc",
         ],
     )
     def test_overflowing_power_names_its_input(self, tmp_path, capsys, elements, argv, message):
@@ -563,6 +577,17 @@ class TestCLI:
         others_rel = math.hypot(*(rate["unc"] for rate in rates)) / residual
         assert d["unc"] / d["value"] == pytest.approx(math.hypot(tau_rel, others_rel) / 2.0,
                                                       rel=1e-12)
+
+    def test_extract_answers_where_sigma_tau_times_a_rate_would_overflow(self, capsys):
+        """total/residual * sigma_tau is about 1.8e308 here: sigma_tau's power of two is
+        applied after the product and the division by tau, so sigma_d fits."""
+        argv = ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "7.098",
+                "--tau-unc-ns", "1.7e308"]
+        code, out, err = run_cli(capsys, *argv, "--format", "machine")
+        assert (code, err) == (0, "")
+        assert f"{json.loads(out)['totals']['d_extracted']['unc']:.4g}" == "3.657e+307"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
 
     def test_tiny_lifetime_does_not_underflow(self, capsys):
         argv = ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e-300"]
