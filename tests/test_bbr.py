@@ -134,8 +134,8 @@ class TestClockShift:
 
     @pytest.mark.parametrize("shared", [5.0, 1.0000000000000002, -0.1, math.nan])
     def test_shared_core_outside_each_state_is_refused(self, shared):
-        """The shared core is part of each state's sigma, so at most the smaller one: a larger
-        one made the variance negative, which a clamp turned into sigma = 0."""
+        """The shared core is part of each state's sigma, so it is at most the smaller one;
+        a larger one would make the variance negative."""
         with pytest.raises(ValueError) as info:
             clock_bbr_shift(alpha(76.0, 1.0), alpha(32.0, 1.0), BBRConditions(),
                             shared_core_unc=shared)
@@ -149,9 +149,9 @@ class TestClockShift:
         unc_e=st.floats(0.0, 1e3),
         share=st.floats(0.0, 1.0),
     )
-    def test_shared_core_in_range_keeps_the_clamped_sigma(self, unc_g, unc_e, share):
-        """Wherever s lies in [0, min(sigma_g, sigma_e)], sigma is what the clamped
-        sqrt(max(var, 0)) gave: the variance is never negative there."""
+    def test_variance_is_never_negative_for_a_shared_core_in_range(self, unc_g, unc_e, share):
+        """Wherever s lies in [0, min(sigma_g, sigma_e)], sigma is the square root of a
+        non-negative variance, as a clamp at 0 would give it."""
         shared = share * min(unc_g, unc_e)
         q = clock_bbr_shift(alpha(76.1, unc_g), alpha(32.0, unc_e), BBRConditions(),
                             shared_core_unc=shared)

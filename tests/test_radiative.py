@@ -76,14 +76,6 @@ class TestEinsteinA:
         assert a.value == pytest.approx(1e308, rel=1e-12)
         assert a.unc == pytest.approx(2.0 * rel * a.value, rel=1e-12, abs=0.0)  # 0.0 for rel 0
 
-    def test_rate_whose_uncertainty_overflows_names_the_element_uncertainty(self):
-        with pytest.raises(ValueError) as info:
-            einstein_A(Quantity(1.0, 1e308, E_A0), 0.1, 1)
-        assert str(info.value) == (
-            "matrix element uncertainty 1e+308 e*a0 is out of range: "
-            "the rate's uncertainty overflows"
-        )
-
     def test_overflowing_rate_is_not_blamed_on_its_uncertainty(self):
         """d^2 fits and A/d^2 fits, but their product does not: the rate itself is inf."""
         with pytest.raises(ValueError) as info:

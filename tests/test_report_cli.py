@@ -474,6 +474,12 @@ class TestCLI:
                 "e1 4s1/2-4p1/2 uncertainty 1e+308 e*a0 is out of range: "
                 "the term's uncertainty overflows",
             ),
+            (  # 4p1/2's row to 4s1/2 points down, and names the e1 line as the dataset does
+                "e1 4s1/2 4p1/2 1 1e308",
+                ["polarizability", "--state", "4p1/2"],
+                "e1 4s1/2-4p1/2 uncertainty 1e+308 e*a0 is out of range: "
+                "the term's uncertainty overflows",
+            ),
         ],
         ids=[
             "assembly-d-squared",
@@ -498,6 +504,7 @@ class TestCLI:
             "extract-percent-difference-beside-a-huge-element",
             "einstein-A-unc",
             "assembly-term-unc",
+            "assembly-downward-term-unc",
         ],
     )
     def test_overflowing_power_names_its_input(self, tmp_path, capsys, elements, argv, message):
