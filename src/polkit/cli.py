@@ -2,7 +2,8 @@
 
 Subcommands: ``polarizability``, ``bbr``, ``lifetime``, ``extract``.
 The dataset is the file that ``--dataset``, else ``POLKIT_DATASET``, names, read
-and parsed at each call, else the packaged Ca+ file, parsed once per process.
+at each call and parsed once per distinct text, else the packaged Ca+ file, parsed
+once per process.
 Each command reads its arguments and returns the :class:`~polkit.report.Report` of
 one builder of :mod:`polkit.report`; ``main`` writes it as a table or as JSON.
 

@@ -10,7 +10,8 @@ A dataset is a line-oriented UTF-8 text file::
 
 Level labels use the spectroscopic form ``<n><letter><2j>/2``, e.g. ``4p3/2``.
 A parsed :class:`Dataset` is immutable and safe for unrestricted concurrent reads;
-:func:`builtin_dataset` is the packaged Ca+ dataset, parsed once per process.
+:func:`parse_dataset` returns one shared Dataset per text for the last 16 texts it
+accepted, and :func:`builtin_dataset` is the packaged Ca+ dataset, parsed once per process.
 """
 
 from __future__ import annotations
@@ -339,11 +340,13 @@ def _quantity(value: str, unc: str, what: str, unit: str) -> Quantity:
     return Quantity(parse_number(value, what), parse_number(unc, "uncertainty"), unit)
 
 
+@functools.lru_cache(maxsize=16)
 def parse_dataset(text: str) -> Dataset:
     """Parse dataset text and return a fully validated :class:`Dataset`.
 
-    Raises :class:`DatasetError` with a line number for syntax problems and
-    with the full violation list for semantic ones.
+    Identical text returns one shared Dataset, rows memo included, while it stays
+    cached.  Raises :class:`DatasetError` with a line number for syntax problems and
+    with the full violation list for semantic ones; a refused text is not cached.
     """
     levels: list[Level] = []
     elements: list[ReducedE1] = []

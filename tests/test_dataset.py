@@ -421,11 +421,13 @@ class TestParserState:
         return parsed + [lab for lab, _ in ds.tails]
 
     def test_parsed_labels_are_the_labels_of_their_text(self, golden_text):
+        parse_dataset.cache_clear()  # each parse below is cold: a memoized text reads no label
         LevelLabel.parse.cache_clear()
         ds = parse_dataset(golden_text)
         parsed = self._labels(ds)
         assert len(parsed) == 88
         assert LevelLabel.parse.cache_info().misses == len({str(lab) for lab in parsed}) == 27
+        parse_dataset.cache_clear()
         parse_dataset(golden_text)
         assert LevelLabel.parse.cache_info().misses == 27  # the second parse misses 0 times
         for lab in parsed:
@@ -433,7 +435,9 @@ class TestParserState:
             assert type(lab) is LevelLabel and lab == fresh and hash(lab) == hash(fresh)
 
     def test_two_parses_share_their_labels(self, golden_text):
-        first, second = parse_dataset(golden_text), parse_dataset(golden_text)
+        first = parse_dataset(golden_text)
+        parse_dataset.cache_clear()  # so that the second call parses the text again
+        second = parse_dataset(golden_text)
         assert first is not second
         pairs = list(zip(self._labels(first), self._labels(second), strict=True))
         assert len(pairs) == 88 and all(a is b for a, b in pairs)
@@ -473,6 +477,37 @@ class TestParserState:
             parse_dataset("level 4p4/2 0\n" + MINIMAL)
         assert parse_dataset(MINIMAL) == first
         assert parse_dataset(other) == second
+
+
+class TestParseMemo:
+    """parse_dataset keeps one shared Dataset per accepted text, for the last 16 texts."""
+
+    def test_identical_text_returns_one_dataset(self, golden_text):
+        ds = parse_dataset(golden_text)
+        assert parse_dataset(golden_text) is ds
+        equal = "".join(golden_text)  # the same text in another str object
+        assert equal is not golden_text and parse_dataset(equal) is ds
+
+    def test_a_refused_text_raises_at_every_call_and_is_not_stored(self):
+        text = MINIMAL.replace("core 3.25", "core -3.25")
+        before = parse_dataset.cache_info()
+        messages = []
+        for _ in range(3):
+            with pytest.raises(DatasetError) as err:
+                parse_dataset(text)
+            messages.append(str(err.value))
+        after = parse_dataset.cache_info()
+        assert messages == ["core polarizability must be positive"] * 3
+        assert after.misses == before.misses + 3 and after.currsize == before.currsize
+
+    def test_at_most_16_texts_are_kept(self):
+        parse_dataset.cache_clear()
+        datasets = [parse_dataset(MINIMAL + f"# text {i}\n") for i in range(17)]
+        info = parse_dataset.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (17, 16, 16)
+        assert parse_dataset(MINIMAL + "# text 16\n") is datasets[16]
+        assert parse_dataset(MINIMAL + "# text 0\n") is not datasets[0]  # the oldest was dropped
+        assert len({id(ds) for ds in datasets}) == 17 and all(ds == datasets[0] for ds in datasets)
 
 
 class TestValidate:
@@ -656,7 +691,13 @@ class TestFuzz:
     @given(text=dataset_texts())
     def test_parse_roundtrips_or_raises_dataset_error(self, text):
         try:
-            ds = parse_dataset(text)
-        except DatasetError:
+            fresh = parse_dataset.__wrapped__(text)
+        except DatasetError as exc:
+            for _ in range(2):  # refused at every call, as the unmemoized parse refuses it
+                with pytest.raises(DatasetError) as err:
+                    parse_dataset(text)
+                assert str(err.value) == str(exc)
             return
+        ds = parse_dataset(text)
+        assert ds == fresh and parse_dataset(text) is ds
         assert parse_dataset(ds.to_text()) == ds

@@ -348,7 +348,7 @@ class TestRowMemo:
         assert tensor.main is scalar.main and len(scalar.main) == 21
 
     def test_one_coupling_walk_for_both_multipoles(self, golden_text, monkeypatch):
-        ds = parse_dataset(golden_text)
+        ds = copy.copy(parse_dataset(golden_text))  # cold: the shared dataset may hold rows
         walks = []
         couplings = Dataset.couplings
 
@@ -396,7 +396,7 @@ class TestRowMemo:
 
 def test_tensor_angular_calls_the_module_level_kernels(golden_text, monkeypatch):
     """The 6j and prefactor names stay patchable on polkit.polarizability."""
-    ds = parse_dataset(golden_text)  # fresh: a warm dataset would not rebuild its rows
+    ds = copy.copy(parse_dataset(golden_text))  # cold: a warm dataset would not rebuild its rows
     called = []
 
     def counted(name, kernel):

@@ -872,6 +872,7 @@ class TestWarmProcess:
                 continue
             if fresh:
                 builtin_dataset.cache_clear()
+                parse_dataset.cache_clear()
                 LevelLabel.parse.cache_clear()
             results.append(run_cli(capsys, *step))
         return results
@@ -905,7 +906,8 @@ class TestWarmProcess:
 
 
 class TestBuiltinDataset:
-    """The packaged dataset is parsed once per process; a dataset file at every call."""
+    """The packaged dataset is parsed once per process; a dataset file is read at every
+    call and parsed once per distinct text."""
 
     @pytest.fixture
     def parses(self, monkeypatch):
@@ -919,6 +921,7 @@ class TestBuiltinDataset:
         monkeypatch.setattr(polkit.dataset, "parse_dataset", counting)
         monkeypatch.setattr(polkit.cli, "parse_dataset", counting)
         builtin_dataset.cache_clear()
+        parse_dataset.cache_clear()
         yield calls
         builtin_dataset.cache_clear()  # drop what was parsed under the patch
 
@@ -931,15 +934,23 @@ class TestBuiltinDataset:
         assert builtin_dataset() is builtin_dataset()
         assert builtin_dataset() == parse_dataset(builtin_dataset_text())
 
-    def test_a_dataset_file_is_parsed_at_every_call(self, tmp_path, capsys, monkeypatch, parses):
+    def test_a_dataset_file_is_read_at_every_call_and_parsed_once_per_text(
+        self, tmp_path, capsys, monkeypatch, parses
+    ):
         path = tmp_path / "copy.dat"
         path.write_text(builtin_dataset_text(), encoding="utf-8")
         flag = [run_cli(capsys, "bbr", "--dataset", str(path)) for _ in range(5)]
-        assert len(parses) == 5
         monkeypatch.setenv("POLKIT_DATASET", str(path))
         env = [run_cli(capsys, "bbr") for _ in range(5)]
-        assert len(parses) == 10
+        assert len(parses) == 10  # each call reads the file and passes its text on
+        assert parse_dataset.cache_info().misses == 1
         assert flag == env == [flag[0]] * 5 and flag[0][0] == 0
+        path.write_text(builtin_dataset_text().replace("core 3.25", "core 4.25"), encoding="utf-8")
+        rewritten = [run_cli(capsys, "bbr") for _ in range(2)]
+        assert len(parses) == 12 and parse_dataset.cache_info().misses == 2
+        assert rewritten[0] == rewritten[1] and rewritten[0][0] == 0
+        assert rewritten[0][1].splitlines()[3].split() == ["4s1/2", "77.1(1.1)", "-0.664(9)"]
+        assert flag[0][1].splitlines()[3].split() == ["4s1/2", "76.1(1.1)", "-0.655(9)"]
 
     def test_a_refused_parse_is_not_cached(self, monkeypatch, parses):
         monkeypatch.setattr(polkit.dataset, "builtin_dataset_text", lambda: "core 3.25\n")
