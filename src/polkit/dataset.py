@@ -12,15 +12,18 @@ Level labels use the spectroscopic form ``<n><letter><2j>/2``, e.g. ``4p3/2``.
 A parsed :class:`Dataset` is immutable and safe for unrestricted concurrent reads;
 :func:`parse_dataset` returns one shared Dataset per text for the last 16 texts it
 accepted, and :func:`builtin_dataset` is the packaged Ca+ dataset, parsed once per process.
+:meth:`Dataset.couplings` is the one walk over the E1 elements on a level, which the
+polarizability rows and the decay channels read; it and :func:`energy_difference_au` read
+each level from the dataset's label index directly, one dict lookup per level.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import os
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
+from math import isfinite
 from types import MappingProxyType
 
 from .constants import HARTREE_IN_CM
@@ -56,6 +59,10 @@ class UnknownLevelError(KeyError):
 def _setters(cls: type) -> tuple:
     """The ``__set__`` of each of `cls`'s own slots, in ``__slots__`` order."""
     return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+# The tuple records' constructors end in this, bound once: one attribute lookup fewer per record.
+_tuple_new = tuple.__new__
 
 
 @classmethod
@@ -105,11 +112,11 @@ class Quantity(Record):
     __slots__ = _fields = ("value", "unc", "unit")
 
     def __init__(self, value: float, unc: float = 0.0, unit: str = DIMENSIONLESS) -> None:
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value: {value!r} {unit}")
-        if not math.isfinite(unc):
-            raise ValueError(f"non-finite uncertainty: {unc!r} {unit}")
-        if unc < 0:
+        if not (isfinite(value) and isfinite(unc) and unc >= 0):  # one branch when valid
+            if not isfinite(value):
+                raise ValueError(f"non-finite value: {value!r} {unit}")
+            if not isfinite(unc):
+                raise ValueError(f"non-finite uncertainty: {unc!r} {unit}")
             raise ValueError(f"negative uncertainty: {unc!r}")
         _set_value(self, value)
         _set_unc(self, unc)
@@ -168,7 +175,7 @@ class LevelLabel(namedtuple("LevelLabel", "n l j2")):
     def __new__(cls, n: int, l: int, j2: int) -> "LevelLabel":
         if not (type(n) is type(l) is type(j2) is int and n >= 1 and (l, j2) in _VALID_L_J2):
             raise ValueError(_label_problem(n, l, j2))
-        return tuple.__new__(cls, (n, l, j2))
+        return _tuple_new(cls, (n, l, j2))
 
     _make = _make
 
@@ -200,11 +207,11 @@ class Level(namedtuple("Level", "label energy_cm")):
     _make = _make
 
     def __new__(cls, label: LevelLabel, energy_cm: float) -> "Level":
-        if not math.isfinite(energy_cm):
-            raise ValueError(f"non-finite level energy: {energy_cm!r}")
-        if energy_cm < 0:
+        if not (isfinite(energy_cm) and energy_cm >= 0):  # one branch when valid
+            if not isfinite(energy_cm):
+                raise ValueError(f"non-finite level energy: {energy_cm!r}")
             raise ValueError(f"negative level energy: {energy_cm}")
-        return tuple.__new__(cls, (label, energy_cm))
+        return _tuple_new(cls, (label, energy_cm))
 
 
 class ReducedE1(namedtuple("ReducedE1", "lower upper d")):
@@ -222,7 +229,7 @@ class ReducedE1(namedtuple("ReducedE1", "lower upper d")):
         require_unit(d, E_A0, "matrix element")
         if d.value <= 0:
             raise ValueError(f"matrix element magnitude must be positive: {d.value}")
-        return tuple.__new__(cls, (lower, upper, d))
+        return _tuple_new(cls, (lower, upper, d))
 
 
 def e1_selection_ok(a: LevelLabel, b: LevelLabel) -> bool:
@@ -277,6 +284,7 @@ class Dataset(Record):
 
     def couplings(self, label: LevelLabel) -> Iterator[tuple[LevelLabel, ReducedE1, float]]:
         """(partner, element, E(partner) - E(label) in hartree) per element on `label`, in order."""
+        by_label = self._by_label
         energy = self.energy_cm(label)
         for el in self.elements:
             if el.lower == label:
@@ -285,7 +293,11 @@ class Dataset(Record):
                 partner = el.lower
             else:
                 continue
-            yield partner, el, (self.energy_cm(partner) - energy) / HARTREE_IN_CM
+            try:
+                level = by_label[partner]
+            except KeyError:
+                raise UnknownLevelError(str(partner)) from None
+            yield partner, el, (level.energy_cm - energy) / HARTREE_IN_CM
 
     def to_text(self) -> str:
         """Canonical text form; parses back to an identical dataset."""
@@ -321,7 +333,7 @@ def number_literal(token: str) -> float | None:
 def parse_number(token: str, what: str) -> float:
     """The finite value of a number literal; anything else is a DatasetError."""
     value = number_literal(token)
-    if value is None or not math.isfinite(value):
+    if value is None or not isfinite(value):
         raise DatasetError(f"{'bad' if value is None else 'non-finite'} {what} {token!r}")
     return value
 
@@ -462,4 +474,9 @@ def energy_difference_au(ds: Dataset, a: LevelLabel, b: LevelLabel) -> Quantity:
 
     Experimental energies are treated as exact, so the uncertainty is zero.
     """
-    return Quantity((ds.energy_cm(b) - ds.energy_cm(a)) / HARTREE_IN_CM, 0.0, DIMENSIONLESS)
+    by_label = ds._by_label
+    try:
+        gap_cm = by_label[b].energy_cm - by_label[a].energy_cm
+    except KeyError as exc:  # b is looked up first, so an unknown b is named first
+        raise UnknownLevelError(str(exc.args[0])) from None
+    return Quantity(gap_cm / HARTREE_IN_CM, 0.0, DIMENSIONLESS)

@@ -3,30 +3,37 @@
 Per-transition scalar and tensor terms are summed as plain floats, with tail
 and core inputs, into a breakdown whose uncertainties combine in quadrature.
 Energies are treated as exact, so each term's uncertainty is 2*|alpha|*(dd/d).
-A state's rows are built once per dataset and memoized on it, so the scalar
-and tensor breakdowns of one state share them.  The fold that sums a total
-computes each row's term of the requested multipole once, so a scalar sum never
-looks at a tensor term's uncertainty; a row builds its term as a
-:class:`Quantity` only when a report asks for it.
+A state's rows are built in one pass over :meth:`Dataset.couplings`, sorted by
+(partner j, gap, partner, element order) and memoized on the dataset, so the
+scalar and tensor breakdowns of one state share them.  A total is one flat loop
+over the rows (:func:`_fold`) that computes each row's term of the requested
+multipole and its uncertainty inline, the one place of that rule, so a scalar
+sum never looks at a tensor term's uncertainty; a row builds its term as a
+:class:`Quantity` only when a report asks for it, from a one-row fold.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections import namedtuple
+from math import hypot, isfinite, isinf
 
 from .angular import tensor_prefactor_C, wigner6j
 from .dataset import (
     A0_CUBED,
+    MULTIPOLES,
     SCALAR,
     TENSOR,
     ZERO_A0_CUBED,
     Dataset,
     LevelLabel,
     Quantity,
+    _tuple_new,
     require_unit,
 )
+
+
+_ALPHA0, _ALPHA2 = 3, 4  # the Contribution fields of the scalar and tensor terms
 
 
 class Contribution(namedtuple("Contribution", "state partner d alpha0 alpha2")):
@@ -39,24 +46,17 @@ class Contribution(namedtuple("Contribution", "state partner d alpha0 alpha2")):
     def transition(self) -> str:
         return f"{self.state}-{self.partner}"
 
-    def _term(self, multipole: str) -> tuple[float, float]:
-        """The scalar or tensor term and its uncertainty 2 |alpha| dd/d, as floats."""
-        if multipole == SCALAR:
-            alpha = self.alpha0
-        elif multipole == TENSOR:
-            alpha = self.alpha2
-        else:
-            raise ValueError(f"bad multipole {multipole!r}")
-        if alpha is None:
-            raise ValueError(f"no tensor contribution for {self.transition}")
-        # Doubled last: 2 |alpha| overflows above half the largest float.
-        return alpha, abs(alpha) * self.d.relative_unc() * 2.0
-
     def quantity(self, multipole: str) -> Quantity:
         """The scalar or tensor term with its uncertainty 2 |alpha| dd/d; a finite term
         whose uncertainty overflows is refused, naming its element's uncertainty."""
-        alpha, sigma = self._term(multipole)
-        if math.isinf(sigma) and math.isfinite(alpha):
+        if multipole not in MULTIPOLES:
+            raise ValueError(f"bad multipole {multipole!r}")
+        index = _ALPHA0 if multipole == SCALAR else _ALPHA2
+        alpha = self[index]
+        if alpha is None:
+            raise ValueError(f"no tensor contribution for {self.transition}")
+        sigma = _fold((self,), index)[1]  # hypot(0.0, s) is |s| exactly
+        if isinf(sigma) and isfinite(alpha):
             # alpha0 > 0 when the partner lies above; an e1 line names the lower level first
             pair = (self.state, self.partner) if self.alpha0 > 0 else (self.partner, self.state)
             raise ValueError(
@@ -64,6 +64,23 @@ class Contribution(namedtuple("Contribution", "state partner d alpha0 alpha2")):
                 "the term's uncertainty overflows"
             )
         return Quantity(alpha, sigma, A0_CUBED)
+
+
+def _fold(rows: tuple[Contribution, ...], index: int) -> tuple[float, float, Contribution | None]:
+    """(value, unc, stop): the rows' terms at field `index` summed by +=, and their
+    uncertainties 2 |alpha| dd/d, the one place of that rule, chained by hypot.  The
+    fold stops at the first row after which either sum is non-finite, returned as
+    `stop`; `stop` is None when every sum stayed finite."""
+    value = unc = 0.0
+    for row in rows:
+        alpha = row[index]
+        # Doubled last: 2 |alpha| overflows above half the largest float.
+        sigma = abs(alpha) * row.d.relative_unc() * 2.0
+        value += alpha
+        unc = hypot(unc, sigma)
+        if not (isfinite(value) and isfinite(unc)):
+            return value, unc, row
+    return value, unc, None
 
 
 PolarizabilityBreakdown = namedtuple(
@@ -81,27 +98,32 @@ def _tensor_angular(j2_v: int, j2_k: int) -> float:
 
 
 def _main_rows(ds: Dataset, state: LevelLabel) -> tuple[Contribution, ...]:
-    """Build the rows of `state`, ordered by (partner j, partner energy), and memoize them on `ds`."""
+    """Build the rows of `state`, ordered by (partner j, gap, partner) and then element
+    order, and memoize them on `ds`."""
     # Each term is an angular factor times d^2/deltaE: 2/(3(2j_v+1)) for the
     # scalar part; the tensor part vanishes identically for j_v < 1.
     j2_v = state.j2
     scalar = 2.0 / (3.0 * (j2_v + 1))
-    rows: list[tuple[tuple[int, float, LevelLabel], Contribution]] = []
-    for partner, el, de in ds.couplings(state):
+    keyed: list[tuple[int, float, LevelLabel, int, Contribution]] = []
+    for i, (partner, el, de) in enumerate(ds.couplings(state)):
         if de == 0.0:
             raise ZeroDivisionError("zero energy denominator")
+        d = el.d
         try:
-            d2 = el.d.value**2
+            d2 = d.value**2
         except OverflowError:
             raise ValueError(
-                f"e1 {el.lower}-{el.upper} value {el.d.value!r} e*a0 is out of range: d^2 overflows"
+                f"e1 {el.lower}-{el.upper} value {d.value!r} e*a0 is out of range: d^2 overflows"
             ) from None
         alpha0 = scalar * d2 / de
         alpha2 = _tensor_angular(j2_v, partner.j2) * d2 / de if j2_v >= 2 else None
-        rows.append(((partner.j2, de, partner), Contribution(state, partner, el.d, alpha0, alpha2)))
-    rows.sort(key=lambda row: row[0])  # gap order is partner-energy order: no energies ulps apart
+        # _tuple_new: the generated __new__ of a plain namedtuple checks nothing
+        row = _tuple_new(Contribution, (state, partner, d, alpha0, alpha2))
+        # The element index i ends every key, so no two keys tie and rows are never compared.
+        keyed.append((partner.j2, de, partner, i, row))
+    keyed.sort()  # gap order is partner-energy order: no energies ulps apart
     # setdefault: concurrent first readers of one state all get the one stored tuple
-    return ds._rows.setdefault(state, tuple(row[1] for row in rows))
+    return ds._rows.setdefault(state, tuple([key[4] for key in keyed]))
 
 
 def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> PolarizabilityBreakdown:
@@ -111,8 +133,9 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
     by (partner j, partner energy); the core term enters the scalar total
     only.  The total's uncertainty is the quadrature of all components.
     """
-    if multipole not in (SCALAR, TENSOR):
+    if multipole not in MULTIPOLES:
         raise ValueError(f"bad multipole {multipole!r}")
+    index = _ALPHA0 if multipole == SCALAR else _ALPHA2
     ds.level(state)  # raises UnknownLevelError
     if multipole == TENSOR and state.j2 < 2:
         raise ValueError(f"tensor polarizability vanishes for j={state.j2}/2")
@@ -123,25 +146,19 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
     tail = ds.tail(state, multipole)
     core = ds.core_alpha if multipole == SCALAR else ZERO_A0_CUBED
 
-    # value += and a hypot chain over each row's requested term, then tail and
-    # core, in that order, stopping at the first non-finite sum, which Quantity
-    # then refuses, or the row's own quantity when its term's uncertainty overflows.
-    # Only the requested multipole's uncertainties are looked at.
-    value = unc = 0.0
-    for row in main:
-        alpha, sigma = row._term(multipole)
-        value += alpha
-        unc = math.hypot(unc, sigma)
-        if not (math.isfinite(value) and math.isfinite(unc)):
-            row.quantity(multipole)  # names an element whose term's uncertainty overflows
-            break
+    # The rows' fold, then tail and core in that order, stopping at the first non-finite
+    # sum, which Quantity then refuses, or the row's own quantity when its term's
+    # uncertainty overflows.  Only the requested multipole's uncertainties are looked at.
+    value, unc, stop = _fold(main, index)
+    if stop is not None:
+        stop.quantity(multipole)  # names an element whose term's uncertainty overflows
     else:
         for term in (tail, core):
             require_unit(term, A0_CUBED, "addend")  # unit-checked only when reached
             value += term.value
-            unc = math.hypot(unc, term.unc)
-            if not (math.isfinite(value) and math.isfinite(unc)):
+            unc = hypot(unc, term.unc)
+            if not (isfinite(value) and isfinite(unc)):
                 break
     total = Quantity(value, unc, A0_CUBED)
 
-    return PolarizabilityBreakdown(state, multipole, main, tail, core, total)
+    return _tuple_new(PolarizabilityBreakdown, (state, multipole, main, tail, core, total))

@@ -22,6 +22,7 @@ from .dataset import (
     LevelLabel,
     Quantity,
     _make,
+    _tuple_new,
     require_unit,
 )
 
@@ -36,7 +37,7 @@ class DecayChannel(namedtuple("DecayChannel", "upper lower A")):
         require_unit(A, MEGAHERTZ, "rate")
         if A.value <= 0:
             raise ValueError(f"decay rate must be positive: {A.value}")
-        return tuple.__new__(cls, (upper, lower, A))
+        return _tuple_new(cls, (upper, lower, A))
 
 
 def _rate_per_d_squared_mhz(delta_e_au: float, j2_upper: int) -> float:
@@ -105,8 +106,8 @@ def _rate_sums(channels: Sequence[DecayChannel]) -> tuple[float, float]:
 
     A sum that overflows is refused, naming the channels' upper state.
     """
-    total = sum(ch.A.value for ch in channels)
-    unc = math.hypot(*(ch.A.unc for ch in channels))
+    total = sum([ch.A.value for ch in channels])
+    unc = math.hypot(*[ch.A.unc for ch in channels])
     if math.isinf(total) or math.isinf(unc):
         what = "sum" if math.isinf(total) else "uncertainty"
         raise ValueError(
@@ -120,8 +121,9 @@ def lifetime(channels: Sequence[DecayChannel]) -> Quantity:
     if not channels:
         raise ValueError("no decay channels")
     upper = channels[0].upper
-    if any(ch.upper != upper for ch in channels):
-        raise ValueError("decay channels have mixed upper states")
+    for ch in channels:
+        if ch.upper != upper:
+            raise ValueError("decay channels have mixed upper states")
     total, rate_unc = _rate_sums(channels)
     tau = 1000.0 / total
     tau_unc = tau * (rate_unc / total)
