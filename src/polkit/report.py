@@ -29,13 +29,22 @@ def _fmt_value(value: float, decimals: int) -> str:
     return text
 
 
+# From this uncertainty on, a table prints value and uncertainty over the uncertainty's
+# power of ten, with that power after them: a huge uncertainty is not a long integer.
+EXPONENT_FORM_UNC = 1e6
+
+
 def format_value_unc(value: float, unc: float) -> str:
     """Render value(unc) in compact parenthesized notation.
 
     The uncertainty is shown to two significant digits when its leading
     digit is 1 or 2, otherwise one; the value is rounded to the same
-    decimal place, capped at three decimals.  An uncertainty that is not
-    positive at three decimals is omitted.  A non-finite value or
+    decimal place, capped at three decimals.  Below 100 the uncertainty
+    keeps its integer digits (``483(47)``); from 100 on it is rounded to its
+    significant digits, and the value to the same place (``12300(1200)``).
+    From ``EXPONENT_FORM_UNC`` on, both are printed over the uncertainty's
+    power of ten, which follows them (``0(4)e+307``).  An uncertainty that is
+    not positive at three decimals is omitted.  A non-finite value or
     uncertainty is a ValueError.
     """
     if not (math.isfinite(value) and math.isfinite(unc)):
@@ -44,8 +53,14 @@ def format_value_unc(value: float, unc: float) -> str:
     if round(unc, 3) <= 0.0:
         return _fmt_value(value, 3)
     exponent = math.floor(math.log10(unc))
+    if unc >= EXPONENT_FORM_UNC:  # unc / scale is below 100, so this recurses once
+        scale = 10.0**exponent
+        return f"{format_value_unc(value / scale, unc / scale)}e{exponent:+03d}"
     sig = 2 if unc / 10.0**exponent < 3.0 else 1
-    decimals = min(3, max(0, sig - 1 - exponent))
+    place = sig - 1 - exponent  # the decimal place of the uncertainty's last digit
+    if unc >= 100.0:  # place <= -1: round both to tens or beyond
+        return f"{_fmt_value(round(value, place), 0)}({round(unc, place):.0f})"
+    decimals = min(3, max(0, place))
     unc_rounded = round(unc, decimals)
     text = _fmt_value(value, decimals)
     if unc_rounded >= 1.0:

@@ -125,6 +125,14 @@ class TestFormatting:
             (3.25, 1e-323, "3.250"),
             (1.0, 3.0, "1(3)"),  # a leading digit of exactly 3 gets one digit
             (0.5, 0.003, "0.500(3)"),
+            (483.2, 47.3, "483(47)"),  # below 100 the uncertainty keeps its integer digits
+            (12345.6, 1234.5, "12300(1200)"),  # from 100 on, rounded to significant digits
+            (123456.0, 345.0, "123500(300)"),
+            (0.0, 999999.9, "0(1000000)"),  # rounds up to the bound, still fixed-point
+            (1e12, 1.5e6, "1000000.0(1.5)e+06"),  # from EXPONENT_FORM_UNC on, over 10**6
+            (-5e9, 2.5e6, "-5000.0(2.5)e+06"),
+            (3.0, 3.656751558653931e307, "0(4)e+307"),
+            (1.7976931348623157e308, 1.7976931348623157e308, "1.8(1.8)e+308"),
         ],
     )
     def test_value_unc_rendering(self, value, unc, expected):
@@ -595,6 +603,7 @@ class TestCLI:
         assert f"{json.loads(out)['totals']['d_extracted']['unc']:.4g}" == "3.657e+307"
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
+        assert "extracted d [e*a0]: 0(4)e+307\n" in out  # not a 308-digit integer
 
     def test_tiny_lifetime_does_not_underflow(self, capsys):
         argv = ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "1e-300"]
