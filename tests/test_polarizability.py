@@ -14,6 +14,7 @@ from polkit import (
     HERTZ,
     SCALAR,
     TENSOR,
+    Contribution,
     Dataset,
     Level,
     LevelLabel,
@@ -25,9 +26,12 @@ from polkit import (
     builtin_dataset_text,
     energy_difference_au,
     parse_dataset,
+    render_table,
     tensor_prefactor_C,
     wigner6j,
 )
+from polkit.cli import main
+from polkit.report import polarizability_report
 
 lab = LevelLabel.parse
 
@@ -336,6 +340,77 @@ class TestConstructorBuiltSums:
         with pytest.raises(ValueError) as info:
             assemble_breakdown(self._dataset(golden, rows, tail), lab("4s1/2"), SCALAR)
         assert str(info.value) == message
+
+
+def reference_rows(ds, state):
+    """`state`'s rows as the sum over states defines them, from Dataset.couplings alone:
+    sorted by (partner j, gap, partner), each term an angular factor times d^2/gap."""
+    j2_v = state.j2
+    scalar = 2.0 / (3.0 * (j2_v + 1))
+    rows = []
+    for partner, el, de in sorted(ds.couplings(state), key=lambda c: (c[0].j2, c[2], c[0])):
+        d2 = el.d.value**2
+        alpha2 = None
+        if j2_v >= 2:
+            phase = (-1) ** ((j2_v + partner.j2) // 2 + 1)
+            sixj = wigner6j(j2_v, 2, partner.j2, 2, j2_v, 4)
+            alpha2 = -4.0 * tensor_prefactor_C(j2_v) * phase * sixj * d2 / de
+        rows.append(Contribution(state, partner, el.d, scalar * d2 / de, alpha2))
+    return tuple(rows)
+
+
+class TestRowBuild:
+    """The rows of a state, float for float and in order."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rows_are_the_reference_rows_bit_for_bit(self, golden, data):
+        """Drawn E1 values and distinct level energies on the golden levels: every row of
+        every state is the reference's, compared by repr, so -0.0 and every last bit count."""
+        n = len(golden.levels)
+        quarters = data.draw(st.lists(st.integers(0, 400_000), min_size=n, max_size=n,
+                                      unique=True), label="energies in quarter cm^-1")
+        levels = [Level(level.label, q / 4.0) for level, q in zip(golden.levels, quarters)]
+        elements = [
+            ReducedE1(el.lower, el.upper, d_q(value, 0.01 * value))
+            for el, value in zip(golden.elements, data.draw(
+                st.lists(st.floats(1e-3, 50.0), min_size=len(golden.elements),
+                         max_size=len(golden.elements)), label="d"))
+        ]
+        ds = Dataset(levels, elements, golden.core_alpha, golden.tails)
+        for level in levels:
+            rows = pol._main_rows(ds, level.label)
+            assert all(type(row) is Contribution for row in rows)
+            assert repr(rows) == repr(reference_rows(ds, level.label))
+
+    def test_equal_j_and_energy_partners_come_in_label_order(self, tmp_path, capsys):
+        """5p3/2 and 4p3/2 share an energy, which a parsed dataset accepts; their rows
+        follow the labels, not the file's element order."""
+        text = (
+            "level 4s1/2 0\nlevel 3d5/2 13710.88\nlevel 5p3/2 25414.40\nlevel 4p3/2 25414.40\n"
+            "e1 3d5/2 5p3/2 0.5 0.01\ne1 3d5/2 4p3/2 3.3 0.03\ncore 3.25 0.17\n"
+        )
+        rows = assemble_breakdown(parse_dataset(text), lab("3d5/2"), SCALAR).main
+        assert [str(row.partner) for row in rows] == ["4p3/2", "5p3/2"]
+        path = tmp_path / "tie.dat"
+        path.write_text(text, encoding="utf-8")
+        assert main(["polarizability", "--state", "3d5/2", "--dataset", str(path)]) == 0
+        table = capsys.readouterr().out
+        assert table.index("3d5/2-4p3/2") < table.index("3d5/2-5p3/2")
+
+    @pytest.mark.parametrize("values", [(3.0, 2.0), (2.0, 3.0)])
+    def test_two_elements_to_one_partner_keep_their_element_order(self, golden, values):
+        """A constructor-built dataset may hold a pair twice: the two rows tie on every
+        key but the element index, and the element order decides, in the table too."""
+        ground, upper = lab("4s1/2"), lab("4p1/2")
+        levels = (Level(ground, 0.0), Level(upper, 25191.51))
+        elements = [ReducedE1(ground, upper, d_q(value, 0.1)) for value in values]
+        ds = Dataset(levels, elements, golden.core_alpha, {})
+        rows = assemble_breakdown(ds, ground, SCALAR).main
+        assert [row.d.value for row in rows] == list(values)
+        table = render_table(polarizability_report(ds, "constructed", ground, SCALAR))
+        first, second = (f"{value:.2f}(10)" for value in values)
+        assert table.index(first) < table.index(second)
 
 
 class TestRowMemo:
