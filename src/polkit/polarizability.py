@@ -130,8 +130,8 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
     """Assemble the full polarizability breakdown for one state.
 
     Main contributions are the dataset elements coupled to `state`, ordered
-    by (partner j, partner energy); the core term enters the scalar total
-    only.  The total's uncertainty is the quadrature of all components.
+    by (partner j, partner energy), then partner label and element order; the
+    core term enters the scalar total only.  The total's uncertainty is the quadrature of all components.
     """
     if multipole not in MULTIPOLES:
         raise ValueError(f"bad multipole {multipole!r}")
