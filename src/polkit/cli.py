@@ -78,13 +78,14 @@ def cmd_lifetime(args: SimpleNamespace) -> Report:
 
 
 def cmd_extract(args: SimpleNamespace) -> Report:
-    if args.tau_ns <= 0:
-        raise UsageError(f"lifetime must be positive, got {args.tau_ns}")
-    if args.tau_unc_ns < 0:
-        raise UsageError(f"lifetime uncertainty must be non-negative, got {args.tau_unc_ns}")
+    tau, tau_unc = args.tau_ns, args.tau_unc_ns + 0.0  # -0.0 is stored as 0.0, unsigned
+    if tau <= 0:
+        raise UsageError(f"lifetime must be positive, got {tau}")
+    if tau_unc < 0:
+        raise UsageError(f"lifetime uncertainty must be non-negative, got {tau_unc}")
     ds, path = _load_dataset(args)
     upper, lower = _parse_label(args.upper), _parse_label(args.lower)
-    return extract_report(ds, path, upper, lower, args.tau_ns, args.tau_unc_ns)
+    return extract_report(ds, path, upper, lower, tau, tau_unc)
 
 
 # Each subcommand's handler, help and options in help order; an option's settings are

@@ -349,7 +349,8 @@ _ARITY = {kind: usage.count(" ") for kind, usage in _DIRECTIVES.items()}
 
 
 def _quantity(value: str, unc: str, what: str, unit: str) -> Quantity:
-    return Quantity(parse_number(value, what), parse_number(unc, "uncertainty"), unit)
+    # + 0.0 stores an uncertainty of -0.0 as 0.0, so that no report prints its sign
+    return Quantity(parse_number(value, what), parse_number(unc, "uncertainty") + 0.0, unit)
 
 
 @functools.lru_cache(maxsize=16)

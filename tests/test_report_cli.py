@@ -738,6 +738,31 @@ class TestCLI:
             ["core", "3.250"]
         ]
 
+    def test_negative_zero_uncertainty_prints_unsigned(self, tmp_path, capsys):
+        """A σ of -0.0, from a dataset or from --tau-unc-ns, is printed as 0.0: the table's
+        title and the machine format carry no sign."""
+        argv = ["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "7.098"]
+        code, out, err = run_cli(capsys, *argv, "--tau-unc-ns", "-0.0")
+        assert (code, err) == (0, "")
+        assert out.startswith("# extract  transition=4p1/2 -> 4s1/2  tau=7.098(0.0) ns\n")
+        assert out == run_cli(capsys, *argv, "--tau-unc-ns", "0.0")[1]
+        code, out, err = run_cli(capsys, *argv, "--tau-unc-ns", "-0.0", "--format", "machine")
+        assert (code, err) == (0, "")
+        assert '"tau_unc_ns": 0.0,' in out and "-0.0" not in out
+        path = tmp_path / "negative-zero.dat"
+        path.write_text(
+            "level 4s1/2 0.0\nlevel 4p1/2 25191.51\n"
+            "e1 4s1/2 4p1/2 2.898 -0.0\ncore 3.25 -0.0\ntail 4s1/2 scalar 0.5 -0.0\n"
+        )
+        for fmt in ([], ["--full-precision"], ["--format", "machine"]):
+            code, out, err = run_cli(
+                capsys, "polarizability", "--state", "4s1/2", "--dataset", str(path), *fmt
+            )
+            assert (code, err) == (0, "") and "-0.0" not in out
+        report = json.loads(out)
+        assert [report["totals"][key]["unc"] for key in ("core", "tail")] == [0.0, 0.0]
+        assert math.copysign(1.0, report["rows"][0]["d"]["unc"]) == 1.0
+
     def test_extract_without_dataset_element_omits_comparison(self, tmp_path, capsys):
         path = tmp_path / "mini.dat"
         path.write_text(
