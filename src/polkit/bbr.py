@@ -15,27 +15,25 @@ import math
 from collections import namedtuple
 
 from .constants import BBR_FIELD_300K, POLARIZABILITY_AU_IN_SI
-from .dataset import A0_CUBED, HERTZ, SI_POLARIZABILITY, Quantity, _make, require_unit
+from .dataset import A0_CUBED, HERTZ, MAX_ETA, MAX_TEMPERATURE_K, SI_POLARIZABILITY, Quantity
+from .dataset import _make, out_of_bounds, require_unit
 
 
 class BBRConditions(namedtuple("BBRConditions", "temperature eta")):
     """Ambient conditions for a blackbody shift evaluation.
 
     The field is always the 300 K blackbody RMS field, ``BBR_FIELD_300K``;
-    temperature scaling is the explicit (T/300)^4 factor.  T = 0 is allowed
-    as the trivial zero-field limit.
+    temperature scaling is the explicit (T/300)^4 factor.  T lies in [0, 1e5] K,
+    T = 0 being the trivial zero-field limit, and |eta| is at most 1.
     """
 
     __slots__ = ()
     _make = _make
 
     def __new__(cls, temperature: float = 300.0, eta: float = 0.0) -> "BBRConditions":
-        if not math.isfinite(temperature):
-            raise ValueError(f"non-finite temperature: {temperature!r}")
-        if not math.isfinite(eta):
-            raise ValueError(f"non-finite eta: {eta!r}")
-        if temperature < 0:
-            raise ValueError(f"negative temperature: {temperature}")
+        if not (0.0 <= temperature <= MAX_TEMPERATURE_K and -MAX_ETA <= eta <= MAX_ETA):
+            raise ValueError(out_of_bounds(("temperature [K]", temperature, 0.0, MAX_TEMPERATURE_K),
+                                           ("eta", eta, -MAX_ETA, MAX_ETA)))
         return tuple.__new__(cls, (temperature, eta))
 
 
@@ -51,18 +49,7 @@ def au_to_si(alpha: Quantity) -> Quantity:
 
 def _shift_per_si_alpha(cond: BBRConditions) -> float:
     """Shift in Hz per unit of alpha/h [Hz/(V/m)^2]: -1/2 E^2 (T/300)^4 (1 + eta)."""
-    try:
-        factor = -0.5 * BBR_FIELD_300K**2 * (cond.temperature / 300.0) ** 4
-    except OverflowError:
-        factor = -math.inf
-    if not math.isfinite(factor):
-        raise ValueError(
-            f"temperature {cond.temperature!r} K is out of range: the (T/300)^4 factor overflows"
-        )
-    factor *= 1.0 + cond.eta
-    if not math.isfinite(factor):
-        raise ValueError(f"eta {cond.eta!r} is out of range: the (1 + eta) factor overflows")
-    return factor
+    return -0.5 * BBR_FIELD_300K**2 * (cond.temperature / 300.0) ** 4 * (1.0 + cond.eta)
 
 
 def bbr_shift_state(alpha0: Quantity, cond: BBRConditions) -> Quantity:
@@ -95,11 +82,5 @@ def clock_bbr_shift(
         )
     factor = _shift_per_si_alpha(cond) * POLARIZABILITY_AU_IN_SI
     diff = alpha_excited.value - alpha_ground.value
-    try:
-        var = alpha_ground.unc**2 + alpha_excited.unc**2 - 2.0 * shared_core_unc**2
-    except OverflowError:
-        unc = max(alpha_ground.unc, alpha_excited.unc)  # shared_core_unc is no larger
-        raise ValueError(
-            f"polarizability uncertainty {unc!r} a0^3 is out of range: its square overflows"
-        ) from None
+    var = alpha_ground.unc**2 + alpha_excited.unc**2 - 2.0 * shared_core_unc**2
     return Quantity(factor * diff, abs(factor) * math.sqrt(var), HERTZ)

@@ -20,8 +20,9 @@ import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
 
+from .dataset import MAX_ETA, MAX_TAU_NS, MAX_TEMPERATURE_K, MIN_TAU_NS
 from .dataset import SCALAR, TENSOR, Dataset, DatasetError, LevelLabel, UnknownLevelError
-from .dataset import builtin_dataset, number_literal, parse_dataset, parse_number
+from .dataset import builtin_dataset, number_literal, out_of_bounds, parse_dataset, parse_number
 from .report import Report, bbr_report, extract_report, lifetime_report, polarizability_report
 from .report import render_table
 
@@ -52,6 +53,13 @@ def _load_dataset(args: SimpleNamespace) -> tuple[Dataset, str]:
     return builtin_dataset(), BUILTIN_DATASET
 
 
+def _check_bounds(*inputs: tuple[str, float, float, float]) -> None:
+    """Refuse, as a usage error, the first flag of `inputs` outside its bounds."""
+    problem = out_of_bounds(*inputs)
+    if problem is not None:
+        raise UsageError(problem)
+
+
 def _parse_label(text: str) -> LevelLabel:
     try:
         return LevelLabel.parse(text)
@@ -67,6 +75,8 @@ def cmd_polarizability(args: SimpleNamespace) -> Report:
 def cmd_bbr(args: SimpleNamespace) -> Report:
     if args.temperature <= 0:
         raise UsageError(f"temperature must be positive, got {args.temperature}")
+    _check_bounds(("temperature [K]", args.temperature, 0.0, MAX_TEMPERATURE_K),
+                  ("eta", args.eta, -MAX_ETA, MAX_ETA))
     ds, path = _load_dataset(args)
     ground, excited = _parse_label(args.ground), _parse_label(args.excited)
     return bbr_report(ds, path, ground, excited, args.temperature, args.eta)
@@ -83,6 +93,8 @@ def cmd_extract(args: SimpleNamespace) -> Report:
         raise UsageError(f"lifetime must be positive, got {tau}")
     if tau_unc < 0:
         raise UsageError(f"lifetime uncertainty must be non-negative, got {tau_unc}")
+    _check_bounds(("lifetime [ns]", tau, MIN_TAU_NS, MAX_TAU_NS),
+                  ("lifetime uncertainty [ns]", tau_unc, 0.0, MAX_TAU_NS))
     ds, path = _load_dataset(args)
     upper, lower = _parse_label(args.upper), _parse_label(args.lower)
     return extract_report(ds, path, upper, lower, tau, tau_unc)

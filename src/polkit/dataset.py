@@ -43,6 +43,18 @@ NANOSECOND = "ns"
 SI_POLARIZABILITY = "Hz/(V/m)^2"
 DIMENSIONLESS = "1"
 
+# The input box: the physical bounds of every number that enters polkit, ends included.
+# Each is checked where it enters: dataset numbers by Level, ReducedE1 and validate, CLI
+# floats by the commands, library floats by the records, einstein_A and extraction.  Inside
+# it no term, sum, shift, rate or extraction over- or underflows (README, "Input bounds").
+MAX_ENERGY_CM, MIN_GAP_CM = 1e7, 1e-3     # energies in [0, 1e7] cm^-1; e1 pairs 1e-3 apart
+MIN_GAP_AU, MAX_GAP_AU = MIN_GAP_CM / HARTREE_IN_CM, MAX_ENERGY_CM / HARTREE_IN_CM
+MIN_D, MAX_D = 1e-6, 1e4                  # e*a0, and sigma_d <= 1e4: d ~ n^2 up to n ~ 100
+MAX_ALPHA = 1e6                           # a0^3: |core|, |tail| and their sigmas
+MAX_TEMPERATURE_K, MAX_ETA = 1e5, 1.0     # T in [0, 1e5] K and |eta| <= 1
+MIN_TAU_NS, MAX_TAU_NS = 1e-6, 1e15       # ns, and sigma_tau <= 1e15 ns
+MIN_RATE_MHZ, MAX_RATE_MHZ = 1e-35, 1e18  # MHz, and sigma_A <= 1e18: E1 rates in the box
+
 
 class DatasetError(ValueError):
     """Unparseable or physically inconsistent dataset input."""
@@ -54,6 +66,15 @@ class UnitMismatchError(ValueError):
 
 class UnknownLevelError(KeyError):
     """A level label is not declared in the dataset."""
+
+
+def out_of_bounds(*inputs: tuple[str, float, float, float]) -> str | None:
+    """The refusal that names the first (name, value, low, high) of `inputs` whose value
+    lies outside [low, high], and its bounds; None when every value lies inside."""
+    for what, value, low, high in inputs:
+        if not low <= value <= high:
+            return f"{what} must lie in [{low:g}, {high:g}], got {value!r}"
+    return None
 
 
 def _setters(cls: type) -> tuple:
@@ -207,10 +228,8 @@ class Level(namedtuple("Level", "label energy_cm")):
     _make = _make
 
     def __new__(cls, label: LevelLabel, energy_cm: float) -> "Level":
-        if not (isfinite(energy_cm) and energy_cm >= 0):  # one branch when valid
-            if not isfinite(energy_cm):
-                raise ValueError(f"non-finite level energy: {energy_cm!r}")
-            raise ValueError(f"negative level energy: {energy_cm}")
+        if not 0.0 <= energy_cm <= MAX_ENERGY_CM:
+            raise ValueError(out_of_bounds(("level energy [cm^-1]", energy_cm, 0.0, MAX_ENERGY_CM)))
         return _tuple_new(cls, (label, energy_cm))
 
 
@@ -227,8 +246,11 @@ class ReducedE1(namedtuple("ReducedE1", "lower upper d")):
 
     def __new__(cls, lower: LevelLabel, upper: LevelLabel, d: Quantity) -> "ReducedE1":
         require_unit(d, E_A0, "matrix element")
-        if d.value <= 0:
-            raise ValueError(f"matrix element magnitude must be positive: {d.value}")
+        if not (MIN_D <= d.value <= MAX_D and d.unc <= MAX_D):  # one branch when valid
+            raise ValueError(out_of_bounds(
+                ("matrix element [e*a0]", d.value, MIN_D, MAX_D),
+                ("matrix element uncertainty [e*a0]", d.unc, 0.0, MAX_D),
+            ))
         return _tuple_new(cls, (lower, upper, d))
 
 
@@ -446,8 +468,9 @@ def validate(ds: Dataset) -> list[str]:
             problems = []
             if not e1_selection_ok(el.lower, el.upper):
                 problems.append("violates E1 selection rules")
-            if lower.energy_cm >= upper.energy_cm:
-                problems.append("lower level is not energetically lower")
+            gap = upper.energy_cm - lower.energy_cm
+            if not gap >= MIN_GAP_CM:
+                problems.append(out_of_bounds(("gap [cm^-1]", gap, MIN_GAP_CM, MAX_ENERGY_CM)))
             key = (el.lower, el.upper) if el.lower <= el.upper else (el.upper, el.lower)
             if key in pairs:
                 problems.append("duplicate matrix element for this pair")
@@ -466,6 +489,12 @@ def validate(ds: Dataset) -> list[str]:
             violations.append(f"tail {label}: bad multipole {multipole!r}")
         if q.unit != A0_CUBED:
             violations.append(f"tail {label} {multipole}: must be in {A0_CUBED!r}")
+    terms = {"core": ds.core_alpha, **{f"tail {lab} {m}": q for (lab, m), q in ds.tails.items()}}
+    violations += filter(None, [
+        out_of_bounds((f"{what} [a0^3]", q.value, -MAX_ALPHA, MAX_ALPHA),
+                      (f"{what} uncertainty [a0^3]", q.unc, 0.0, MAX_ALPHA))
+        for what, q in terms.items()
+    ])
 
     return violations
 

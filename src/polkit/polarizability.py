@@ -9,14 +9,17 @@ scalar and tensor breakdowns of one state share them.  A total is one flat loop
 over the rows (:func:`_fold`) that computes each row's term of the requested
 multipole and its uncertainty inline, the one place of that rule, so a scalar
 sum never looks at a tensor term's uncertainty; a row builds its term as a
-:class:`Quantity` only when a report asks for it, from a one-row fold.
+:class:`Quantity` only when a report asks for it, from a one-row fold.  The
+input bounds of :mod:`polkit.dataset` keep every term and sum finite; for a
+constructor-built dataset outside them, :class:`Quantity` refuses a
+non-finite total.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from math import hypot, isfinite, isinf
+from math import hypot
 
 from .angular import tensor_prefactor_C, wigner6j
 from .dataset import (
@@ -47,40 +50,25 @@ class Contribution(namedtuple("Contribution", "state partner d alpha0 alpha2")):
         return f"{self.state}-{self.partner}"
 
     def quantity(self, multipole: str) -> Quantity:
-        """The scalar or tensor term with its uncertainty 2 |alpha| dd/d; a finite term
-        whose uncertainty overflows is refused, naming its element's uncertainty."""
+        """The scalar or tensor term with its uncertainty 2 |alpha| dd/d."""
         if multipole not in MULTIPOLES:
             raise ValueError(f"bad multipole {multipole!r}")
         index = _ALPHA0 if multipole == SCALAR else _ALPHA2
         alpha = self[index]
         if alpha is None:
             raise ValueError(f"no tensor contribution for {self.transition}")
-        sigma = _fold((self,), index)[1]  # hypot(0.0, s) is |s| exactly
-        if isinf(sigma) and isfinite(alpha):
-            # alpha0 > 0 when the partner lies above; an e1 line names the lower level first
-            pair = (self.state, self.partner) if self.alpha0 > 0 else (self.partner, self.state)
-            raise ValueError(
-                f"e1 {pair[0]}-{pair[1]} uncertainty {self.d.unc!r} e*a0 is out of range: "
-                "the term's uncertainty overflows"
-            )
-        return Quantity(alpha, sigma, A0_CUBED)
+        return Quantity(alpha, _fold((self,), index)[1], A0_CUBED)  # hypot(0, s) is |s|
 
 
-def _fold(rows: tuple[Contribution, ...], index: int) -> tuple[float, float, Contribution | None]:
-    """(value, unc, stop): the rows' terms at field `index` summed by +=, and their
-    uncertainties 2 |alpha| dd/d, the one place of that rule, chained by hypot.  The
-    fold stops at the first row after which either sum is non-finite, returned as
-    `stop`; `stop` is None when every sum stayed finite."""
+def _fold(rows: tuple[Contribution, ...], index: int) -> tuple[float, float]:
+    """(value, unc): the rows' terms at field `index` summed by +=, and their
+    uncertainties 2 |alpha| dd/d, the one place of that rule, chained by hypot."""
     value = unc = 0.0
     for row in rows:
         alpha = row[index]
-        # Doubled last: 2 |alpha| overflows above half the largest float.
-        sigma = abs(alpha) * row.d.relative_unc() * 2.0
         value += alpha
-        unc = hypot(unc, sigma)
-        if not (isfinite(value) and isfinite(unc)):
-            return value, unc, row
-    return value, unc, None
+        unc = hypot(unc, abs(alpha) * row.d.relative_unc() * 2.0)
+    return value, unc
 
 
 PolarizabilityBreakdown = namedtuple(
@@ -109,12 +97,7 @@ def _main_rows(ds: Dataset, state: LevelLabel) -> tuple[Contribution, ...]:
         if de == 0.0:
             raise ZeroDivisionError("zero energy denominator")
         d = el.d
-        try:
-            d2 = d.value**2
-        except OverflowError:
-            raise ValueError(
-                f"e1 {el.lower}-{el.upper} value {d.value!r} e*a0 is out of range: d^2 overflows"
-            ) from None
+        d2 = d.value**2
         alpha0 = scalar * d2 / de
         alpha2 = _tensor_angular(j2_v, partner.j2) * d2 / de if j2_v >= 2 else None
         # _tuple_new: the generated __new__ of a plain namedtuple checks nothing
@@ -146,19 +129,13 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
     tail = ds.tail(state, multipole)
     core = ds.core_alpha if multipole == SCALAR else ZERO_A0_CUBED
 
-    # The rows' fold, then tail and core in that order, stopping at the first non-finite
-    # sum, which Quantity then refuses, or the row's own quantity when its term's
-    # uncertainty overflows.  Only the requested multipole's uncertainties are looked at.
-    value, unc, stop = _fold(main, index)
-    if stop is not None:
-        stop.quantity(multipole)  # names an element whose term's uncertainty overflows
-    else:
-        for term in (tail, core):
-            require_unit(term, A0_CUBED, "addend")  # unit-checked only when reached
-            value += term.value
-            unc = hypot(unc, term.unc)
-            if not (isfinite(value) and isfinite(unc)):
-                break
+    # The rows' fold, then tail and core in that order.  Only the requested multipole's
+    # uncertainties are looked at.
+    value, unc = _fold(main, index)
+    for term in (tail, core):
+        require_unit(term, A0_CUBED, "addend")
+        value += term.value
+        unc = hypot(unc, term.unc)
     total = Quantity(value, unc, A0_CUBED)
 
     return _tuple_new(PolarizabilityBreakdown, (state, multipole, main, tail, core, total))

@@ -1,5 +1,4 @@
 import math
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -55,11 +54,14 @@ class TestConditions:
         with pytest.raises(ValueError):
             BBRConditions(temperature=-1.0)
 
-    @pytest.mark.parametrize("field", ["temperature", "eta"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_field_is_named(self, field, value):
-        with pytest.raises(ValueError, match=re.escape(f"non-finite {field}: {value!r}")):
-            BBRConditions(**{field: value})
+    @pytest.mark.parametrize("field, bounds", [("temperature [K]", "[0, 100000]"),
+                                               ("eta", "[-1, 1]")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308, -1e308])
+    def test_field_outside_its_bounds_is_named(self, field, bounds, value):
+        """nan and the infinities fail the bound comparison too; 1e308 is the old overflow."""
+        with pytest.raises(ValueError) as info:
+            BBRConditions(**{field.split()[0]: value})
+        assert str(info.value) == f"{field} must lie in {bounds}, got {value!r}"
 
 
 class TestStateShift:
@@ -85,15 +87,6 @@ class TestStateShift:
         base = bbr_shift_state(alpha(76.1), BBRConditions())
         corrected = bbr_shift_state(alpha(76.1), BBRConditions(eta=eta))
         assert corrected.value == pytest.approx((1.0 + eta) * base.value, rel=1e-14)
-
-    @pytest.mark.parametrize("eta", [1e308, -1e308])
-    def test_overflowing_eta_is_named(self, eta):
-        cond = BBRConditions(eta=eta)
-        message = re.escape(f"eta {eta!r} is out of range")
-        with pytest.raises(ValueError, match=message):
-            bbr_shift_state(alpha(76.1), cond)
-        with pytest.raises(ValueError, match=message):
-            clock_bbr_shift(alpha(76.1), alpha(32.0), cond)
 
 
 class TestClockShift:

@@ -11,6 +11,7 @@ import polkit.polarizability as pol
 from polkit import (
     A0_CUBED,
     E_A0,
+    HARTREE_IN_CM,
     HERTZ,
     SCALAR,
     TENSOR,
@@ -31,6 +32,7 @@ from polkit import (
     wigner6j,
 )
 from polkit.cli import main
+from polkit.dataset import MAX_D
 from polkit.report import polarizability_report
 
 lab = LevelLabel.parse
@@ -214,21 +216,24 @@ class TestAssembleBreakdown:
 
 
 class TestConstructorBuiltSums:
-    """Datasets built by constructors skip validate; the sum still refuses bad input."""
+    """Datasets built by constructors skip validate.  Their elements still lie in the input
+    box, which ReducedE1 checks, but their levels may lie closer than any e1 pair that
+    validate takes: Quantity's finiteness check then refuses a non-finite total."""
 
     @staticmethod
     def _dataset(golden, rows, tail=None):
-        """4s1/2 coupled to each (upper, alpha0 as a share of the largest float, relative
-        d uncertainty) in `rows`, with `tail` as its scalar tail."""
+        """4s1/2 coupled by d = MAX_D to each (upper, alpha0 as a share of the largest float,
+        relative d uncertainty) in `rows`, the upper level set near-degenerate to give that
+        alpha0, with `tail` as its scalar tail."""
         ground = lab("4s1/2")
         levels = [Level(ground, 0.0)]
         elements = []
         for upper, share, rel in rows:
             upper = lab(upper)
-            levels.append(Level(upper, golden.energy_cm(upper)))
-            de = energy_difference_au(golden, ground, upper).value
-            d = math.sqrt(share * sys.float_info.max * de * 3.0)
-            elements.append(ReducedE1(ground, upper, d_q(d, rel * d)))
+            # alpha0 = d^2 / (3 gap) for j = 1/2
+            gap_cm = MAX_D * MAX_D / 3.0 / share / sys.float_info.max * HARTREE_IN_CM
+            levels.append(Level(upper, gap_cm))
+            elements.append(ReducedE1(ground, upper, d_q(MAX_D, rel * MAX_D)))
         tails = {} if tail is None else {(ground, SCALAR): tail}
         return Dataset(levels, elements, golden.core_alpha, tails)
 
@@ -242,28 +247,29 @@ class TestConstructorBuiltSums:
             assemble_breakdown(ds, lab("4s1/2"), SCALAR)
         assert str(info.value) == "addend must be in 'a0^3', got 'Hz'"
 
-    def test_row_that_overflows_raises(self, golden):
-        """At d = 7e153 (|alpha| ~ 1.4e308) with dd/d = 1, the row's 2|alpha| dd/d is inf."""
-        ground = lab("4s1/2")
-        uppers = (lab("4p1/2"), lab("4p3/2"))
-        levels = [Level(ground, 0.0)] + [Level(u, golden.energy_cm(u)) for u in uppers]
-        elements = [ReducedE1(ground, u, d_q(7e153, 7e153)) for u in uppers]
-        ds = Dataset(levels, elements, golden.core_alpha, {})
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            (d_q(7e153, 7e153), "matrix element [e*a0] must lie in [1e-06, 10000], got 7e+153"),
+            (d_q(7e153), "matrix element [e*a0] must lie in [1e-06, 10000], got 7e+153"),
+            (d_q(1.0, 1e308),
+             "matrix element uncertainty [e*a0] must lie in [0, 10000], got 1e+308"),
+        ],
+        ids=["term-and-its-uncertainty", "term-above-half-the-largest-float", "uncertainty"],
+    )
+    def test_element_whose_term_overflowed_is_refused_at_the_gate(self, d, message):
+        """A d of 7e153 gave |alpha| ~ 1.4e308 at the 4p1/2 gap; ReducedE1 now refuses it."""
         with pytest.raises(ValueError) as info:
-            assemble_breakdown(ds, ground, SCALAR)
-        assert str(info.value) == (
-            "e1 4s1/2-4p1/2 uncertainty 7e+153 e*a0 is out of range: "
-            "the term's uncertainty overflows"
-        )
+            ReducedE1(lab("4s1/2"), lab("4p1/2"), d)
+        assert str(info.value) == message
 
     def test_scalar_sum_does_not_look_at_the_tensor_uncertainty(self, golden):
         """3d5/2-4f5/2 has alpha2/alpha0 = 8/7: at |alpha0| = 0.445 max and dd/d = 1 the
         scalar term's 2|alpha| dd/d is finite and the tensor term's is not."""
         state, upper = lab("3d5/2"), lab("4f5/2")
-        de = energy_difference_au(golden, state, upper).value
-        d = math.sqrt(0.445 * sys.float_info.max * de * 9.0)
-        levels = [Level(label, golden.energy_cm(label)) for label in (state, upper)]
-        ds = Dataset(levels, [ReducedE1(state, upper, d_q(d, d))], golden.core_alpha, {})
+        gap_cm = MAX_D * MAX_D / 9.0 / 0.445 / sys.float_info.max * HARTREE_IN_CM
+        levels = [Level(state, 0.0), Level(upper, gap_cm)]
+        ds = Dataset(levels, [ReducedE1(state, upper, d_q(MAX_D, MAX_D))], golden.core_alpha, {})
         b = assemble_breakdown(ds, state, SCALAR)
         row, core = b.main[0], golden.core_alpha
         assert row.alpha2 / row.alpha0 == pytest.approx(8.0 / 7.0, rel=1e-12)
@@ -273,10 +279,7 @@ class TestConstructorBuiltSums:
                        lambda: row.quantity(TENSOR)):
             with pytest.raises(ValueError) as info:
                 tensor()
-            assert str(info.value) == (
-                f"e1 3d5/2-4f5/2 uncertainty {d!r} e*a0 is out of range: "
-                "the term's uncertainty overflows"
-            )
+            assert str(info.value) == "non-finite uncertainty: inf a0^3"
 
     def test_overflowing_term_is_not_blamed_on_its_uncertainty(self, golden):
         """A gap of 1e-300 cm^-1 makes the term itself inf: the refusal is the sum's."""
@@ -289,20 +292,6 @@ class TestConstructorBuiltSums:
                 build()
             assert "inf a0^3" in str(info.value) and "uncertainty" not in str(info.value)
 
-    @pytest.mark.parametrize("rel", [0.0, 0.1])
-    def test_row_above_half_the_largest_float_keeps_its_uncertainty(self, golden, rel):
-        """|alpha| ~ 1.4e308: 2 |alpha| overflows, 2 |alpha| dd/d does not."""
-        ground, upper = lab("4s1/2"), lab("4p1/2")
-        levels = (Level(ground, 0.0), Level(upper, golden.energy_cm(upper)))
-        element = ReducedE1(ground, upper, d_q(7e153, rel * 7e153))
-        ds = Dataset(levels, (element,), golden.core_alpha, {})
-        b = assemble_breakdown(ds, ground, SCALAR)
-        row = b.main[0].quantity(SCALAR)
-        assert row.value > sys.float_info.max / 2
-        assert row.unc == row.value * rel * 2.0
-        assert b.total == Quantity(row.value + golden.core_alpha.value,
-                                   math.hypot(row.unc, golden.core_alpha.unc), A0_CUBED)
-
     @pytest.mark.parametrize(
         "rows, tail, message",
         [
@@ -314,19 +303,7 @@ class TestConstructorBuiltSums:
                 None,
                 "non-finite value: inf a0^3",
             ),
-            # the uncertainty overflows first (rows 1-2), the value later (row 3)
-            (
-                [("4p1/2", 0.4, 1.0), ("5p1/2", 0.4, 1.0), ("4p3/2", 0.4, 0.0)],
-                None,
-                "non-finite uncertainty: inf a0^3",
-            ),
-            # the rows overflow before the tail's unit is checked
-            (
-                [("4p1/2", 0.4, 0.0), ("5p1/2", 0.4, 0.0), ("4p3/2", 0.4, 0.0)],
-                Quantity(1.0, 0.1, HERTZ),
-                "non-finite value: inf a0^3",
-            ),
-            # a finite tail overflows the sum of the rows
+            # a finite tail, beyond the bounds that validate takes, overflows the sum
             (
                 [("4p1/2", 0.4, 0.0)],
                 Quantity(0.9 * sys.float_info.max, 0.0, A0_CUBED),
@@ -453,22 +430,24 @@ class TestRowMemo:
         assert again == warm and again.main is not warm.main
 
     @pytest.mark.parametrize(
-        "p_energy, d, error, message",
+        "p_energy, error, message, stored",
         [
-            (0.0, 2.898, ZeroDivisionError, "zero energy denominator"),
-            (25191.51, 1e155, ValueError,
-             "e1 4s1/2-4p1/2 value 1e+155 e*a0 is out of range: d^2 overflows"),
+            (0.0, ZeroDivisionError, "zero energy denominator", False),
+            (1e-300, ValueError, "non-finite value: inf a0^3", True),
         ],
-        ids=["zero-gap", "d-squared-overflows"],
+        ids=["zero-gap", "near-degenerate"],
     )
-    def test_a_refused_state_is_refused_again(self, golden, p_energy, d, error, message):
+    def test_a_refused_state_is_refused_again(self, golden, p_energy, error, message, stored):
+        """Rows that cannot be built store nothing; rows whose total is not finite are
+        stored, and refused again at each assembly."""
         levels = (Level(lab("4s1/2"), 0.0), Level(lab("4p1/2"), p_energy))
-        ds = Dataset(levels, (ReducedE1(lab("4s1/2"), lab("4p1/2"), d_q(d)),), golden.core_alpha, {})
+        element = ReducedE1(lab("4s1/2"), lab("4p1/2"), d_q(MAX_D))
+        ds = Dataset(levels, (element,), golden.core_alpha, {})
         for _ in range(2):
             with pytest.raises(error) as info:
                 assemble_breakdown(ds, lab("4s1/2"), SCALAR)
             assert str(info.value) == message
-        assert ds._rows == {}
+        assert (lab("4s1/2") in ds._rows) is stored
 
 
 def test_tensor_angular_calls_the_module_level_kernels(golden_text, monkeypatch):

@@ -232,10 +232,12 @@ def test_level_label_validates_every_construction():
 # name -> (a field, a value the constructor refuses for it, the refusal's message)
 REFUSED = {
     "LevelLabel": ("j2", 5, "incompatible with l='p'"),
-    "Level": ("energy_cm", -1.0, "negative level energy: -1.0"),
-    "ReducedE1": ("d", Quantity(0.0, 0.0, E_A0), "matrix element magnitude must be positive"),
-    "DecayChannel": ("A", Quantity(0.0, 0.0, MEGAHERTZ), "decay rate must be positive: 0.0"),
-    "BBRConditions": ("temperature", -1.0, "negative temperature: -1.0"),
+    "Level": ("energy_cm", -1.0, "level energy [cm^-1] must lie in [0, 1e+07], got -1.0"),
+    "ReducedE1": ("d", Quantity(0.0, 0.0, E_A0),
+                  "matrix element [e*a0] must lie in [1e-06, 10000], got 0.0"),
+    "DecayChannel": ("A", Quantity(0.0, 0.0, MEGAHERTZ),
+                     "decay rate [MHz] must lie in [1e-35, 1e+18], got 0.0"),
+    "BBRConditions": ("temperature", -1.0, "temperature [K] must lie in [0, 100000], got -1.0"),
 }
 BUILDERS = {
     "_replace": lambda record, changes: record._replace(**changes),
