@@ -89,10 +89,6 @@ def cmd_lifetime(args: SimpleNamespace) -> Report:
 
 def cmd_extract(args: SimpleNamespace) -> Report:
     tau, tau_unc = args.tau_ns, args.tau_unc_ns + 0.0  # -0.0 is stored as 0.0, unsigned
-    if tau <= 0:
-        raise UsageError(f"lifetime must be positive, got {tau}")
-    if tau_unc < 0:
-        raise UsageError(f"lifetime uncertainty must be non-negative, got {tau_unc}")
     _check_bounds(("lifetime [ns]", tau, MIN_TAU_NS, MAX_TAU_NS),
                   ("lifetime uncertainty [ns]", tau_unc, 0.0, MAX_TAU_NS))
     ds, path = _load_dataset(args)

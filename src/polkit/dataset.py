@@ -247,10 +247,8 @@ class ReducedE1(namedtuple("ReducedE1", "lower upper d")):
     def __new__(cls, lower: LevelLabel, upper: LevelLabel, d: Quantity) -> "ReducedE1":
         require_unit(d, E_A0, "matrix element")
         if not (MIN_D <= d.value <= MAX_D and d.unc <= MAX_D):  # one branch when valid
-            raise ValueError(out_of_bounds(
-                ("matrix element [e*a0]", d.value, MIN_D, MAX_D),
-                ("matrix element uncertainty [e*a0]", d.unc, 0.0, MAX_D),
-            ))
+            raise ValueError(out_of_bounds(("d [e*a0]", d.value, MIN_D, MAX_D),
+                                           ("d uncertainty [e*a0]", d.unc, 0.0, MAX_D)))
         return _tuple_new(cls, (lower, upper, d))
 
 

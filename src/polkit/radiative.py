@@ -18,15 +18,7 @@ from collections.abc import Iterable, Sequence
 from .constants import RATE_AU_IN_PER_S, SPEED_OF_LIGHT_AU
 from .dataset import (
     E_A0,
-    MAX_D,
-    MAX_GAP_AU,
-    MAX_RATE_MHZ,
-    MAX_TAU_NS,
     MEGAHERTZ,
-    MIN_D,
-    MIN_GAP_AU,
-    MIN_RATE_MHZ,
-    MIN_TAU_NS,
     NANOSECOND,
     Dataset,
     LevelLabel,
@@ -36,6 +28,8 @@ from .dataset import (
     out_of_bounds,
     require_unit,
 )
+from .dataset import MAX_D, MAX_GAP_AU, MAX_RATE_MHZ, MAX_TAU_NS, MIN_D, MIN_GAP_AU, MIN_RATE_MHZ
+from .dataset import MIN_TAU_NS
 
 
 class DecayChannel(namedtuple("DecayChannel", "upper lower A")):
@@ -47,10 +41,8 @@ class DecayChannel(namedtuple("DecayChannel", "upper lower A")):
     def __new__(cls, upper: LevelLabel, lower: LevelLabel, A: Quantity) -> "DecayChannel":
         require_unit(A, MEGAHERTZ, "rate")
         if not (MIN_RATE_MHZ <= A.value <= MAX_RATE_MHZ and A.unc <= MAX_RATE_MHZ):
-            raise ValueError(out_of_bounds(
-                ("decay rate [MHz]", A.value, MIN_RATE_MHZ, MAX_RATE_MHZ),
-                ("decay rate uncertainty [MHz]", A.unc, 0.0, MAX_RATE_MHZ),
-            ))
+            raise ValueError(out_of_bounds(("A [MHz]", A.value, MIN_RATE_MHZ, MAX_RATE_MHZ),
+                                           ("A uncertainty [MHz]", A.unc, 0.0, MAX_RATE_MHZ)))
         return _tuple_new(cls, (upper, lower, A))
 
 
@@ -68,11 +60,9 @@ def einstein_A(d: Quantity, delta_e_au: float, j2_upper: int) -> Quantity:
     require_unit(d, E_A0, "matrix element")
     if not (MIN_GAP_AU <= delta_e_au <= MAX_GAP_AU
             and (MIN_D <= d.value <= MAX_D and d.unc <= MAX_D or d.value == 0.0)):
-        raise ValueError(out_of_bounds(
-            ("transition energy [hartree]", delta_e_au, MIN_GAP_AU, MAX_GAP_AU),
-            ("matrix element [e*a0]", d.value, MIN_D, MAX_D),
-            ("matrix element uncertainty [e*a0]", d.unc, 0.0, MAX_D),
-        ))
+        raise ValueError(out_of_bounds(("gap [hartree]", delta_e_au, MIN_GAP_AU, MAX_GAP_AU),
+                                       ("d [e*a0]", d.value, MIN_D, MAX_D),
+                                       ("d uncertainty [e*a0]", d.unc, 0.0, MAX_D)))
     if d.value == 0.0:
         return Quantity(0.0, 0.0, MEGAHERTZ)
     value = _rate_per_d_squared_mhz(delta_e_au, j2_upper) * d.value**2
@@ -130,11 +120,9 @@ def extract_matrix_element(
     tau, tau_unc = tau_expt.value, tau_expt.unc
     if not (MIN_TAU_NS <= tau <= MAX_TAU_NS and tau_unc <= MAX_TAU_NS
             and MIN_GAP_AU <= delta_e_au <= MAX_GAP_AU):
-        raise ValueError(out_of_bounds(
-            ("lifetime [ns]", tau, MIN_TAU_NS, MAX_TAU_NS),
-            ("lifetime uncertainty [ns]", tau_unc, 0.0, MAX_TAU_NS),
-            ("transition energy [hartree]", delta_e_au, MIN_GAP_AU, MAX_GAP_AU),
-        ))
+        raise ValueError(out_of_bounds(("lifetime [ns]", tau, MIN_TAU_NS, MAX_TAU_NS),
+                                       ("lifetime uncertainty [ns]", tau_unc, 0.0, MAX_TAU_NS),
+                                       ("gap [hartree]", delta_e_au, MIN_GAP_AU, MAX_GAP_AU)))
     total_rate = 1000.0 / tau
     others_rate, others_unc = _rate_sums(list(other_channels))
     residual = total_rate - others_rate

@@ -79,8 +79,8 @@ def bound_message(name, low, high, value):
     return f"{name} must lie in [{low:g}, {high:g}], got {value!r}"
 
 
-D_OUT = "matrix element [e*a0] must lie in [1e-06, 10000], got "
-D_UNC_OUT = "matrix element uncertainty [e*a0] must lie in [0, 10000], got 1e+308"
+D_OUT = "d [e*a0] must lie in [1e-06, 10000], got "
+D_UNC_OUT = "d uncertainty [e*a0] must lie in [0, 10000], got 1e+308"
 ENERGY_OUT = "level energy [cm^-1] must lie in [0, 1e+07], got "
 TAU_OUT = "lifetime [ns] must lie in [1e-06, 1e+15], got "
 TAU_UNC_OUT = "lifetime uncertainty [ns] must lie in [0, 1e+15], got "
@@ -122,7 +122,7 @@ GATE_CASES = {
     # pair's gap is refused by extract_matrix_element, a precondition like its other ones
     "extract-rate-per-d-squared-underflows": (
         "level 4p1/2 1e-300", EXTRACT + ["7"], 3,
-        "transition energy [hartree] must lie in [4.55634e-09, 45.5634], "
+        "gap [hartree] must lie in [4.55634e-09, 45.5634], "
         "got 4.556335252911937e-306"),
     "extract-reciprocal-lifetime": ("e1 4s1/2 4p1/2 2.898 0.029", EXTRACT + ["1e-310"],
                                     1, TAU_OUT + "1e-310"),
@@ -205,8 +205,8 @@ PIN_DEFAULTS = dict(G=0.0, E=25191.51, d=2.898, sd=0.029, c=3.25, sc=0.17, t=0.5
 DATASET_BOUNDS = {
     "G": ("level energy [cm^-1]", 0.0, MAX_ENERGY_CM),
     "E": ("gap [cm^-1]", MIN_GAP_CM, MAX_ENERGY_CM),
-    "d": ("matrix element [e*a0]", MIN_D, MAX_D),
-    "sd": ("matrix element uncertainty [e*a0]", 0.0, MAX_D),
+    "d": ("d [e*a0]", MIN_D, MAX_D),
+    "sd": ("d uncertainty [e*a0]", 0.0, MAX_D),
     "c": ("core [a0^3]", -MAX_ALPHA, MAX_ALPHA),
     "sc": ("core uncertainty [a0^3]", 0.0, MAX_ALPHA),
     "t": ("tail 4s1/2 scalar [a0^3]", -MAX_ALPHA, MAX_ALPHA),
@@ -250,7 +250,7 @@ FLAG_BOUNDS = {
     "--eta": (["bbr"], "eta", -MAX_ETA, MAX_ETA, ("low", "high")),
     "--tau-ns": (EXTRACT[:-1], "lifetime [ns]", MIN_TAU_NS, MAX_TAU_NS, ("low", "high")),
     "--tau-unc-ns": (EXTRACT + ["7.098"], "lifetime uncertainty [ns]", 0.0, MAX_TAU_NS,
-                     ("high",)),
+                     ("low", "high")),
 }
 FLAG_PINS = [(flag, side) for flag, spec in FLAG_BOUNDS.items() for side in spec[-1]]
 
@@ -280,29 +280,29 @@ def _extract(tau=7.0, unc=0.0, gap=0.1):
 LIBRARY_BOUNDS = {
     "Level": ("level energy [cm^-1]", 0.0, MAX_ENERGY_CM, ("low", "high"),
               lambda x: Level(lab("4p1/2"), x)),
-    "ReducedE1.d": ("matrix element [e*a0]", MIN_D, MAX_D, ("low", "high"),
+    "ReducedE1.d": ("d [e*a0]", MIN_D, MAX_D, ("low", "high"),
                     lambda x: ReducedE1(lab("4s1/2"), lab("4p1/2"), Quantity(x, 0.0, E_A0))),
-    "ReducedE1.unc": ("matrix element uncertainty [e*a0]", 0.0, MAX_D, ("high",),
+    "ReducedE1.unc": ("d uncertainty [e*a0]", 0.0, MAX_D, ("high",),
                       lambda x: ReducedE1(lab("4s1/2"), lab("4p1/2"), Quantity(1.0, x, E_A0))),
     "BBRConditions.temperature": ("temperature [K]", 0.0, MAX_TEMPERATURE_K, ("low", "high"),
                                   lambda x: BBRConditions(temperature=x)),
     "BBRConditions.eta": ("eta", -MAX_ETA, MAX_ETA, ("low", "high"),
                           lambda x: BBRConditions(eta=x)),
-    "DecayChannel.A": ("decay rate [MHz]", MIN_RATE_MHZ, MAX_RATE_MHZ, ("low", "high"),
+    "DecayChannel.A": ("A [MHz]", MIN_RATE_MHZ, MAX_RATE_MHZ, ("low", "high"),
                        _channel),
-    "DecayChannel.unc": ("decay rate uncertainty [MHz]", 0.0, MAX_RATE_MHZ, ("high",),
+    "DecayChannel.unc": ("A uncertainty [MHz]", 0.0, MAX_RATE_MHZ, ("high",),
                          lambda x: _channel(1.0, x)),
-    "einstein_A.gap": ("transition energy [hartree]", MIN_GAP_AU, MAX_GAP_AU, ("low", "high"),
+    "einstein_A.gap": ("gap [hartree]", MIN_GAP_AU, MAX_GAP_AU, ("low", "high"),
                        lambda x: einstein_A(Quantity(1.0, 0.0, E_A0), x, 1)),
-    "einstein_A.d": ("matrix element [e*a0]", MIN_D, MAX_D, ("low", "high"),
+    "einstein_A.d": ("d [e*a0]", MIN_D, MAX_D, ("low", "high"),
                      lambda x: einstein_A(Quantity(x, 0.0, E_A0), 0.1, 1)),
-    "einstein_A.unc": ("matrix element uncertainty [e*a0]", 0.0, MAX_D, ("high",),
+    "einstein_A.unc": ("d uncertainty [e*a0]", 0.0, MAX_D, ("high",),
                        lambda x: einstein_A(Quantity(1.0, x, E_A0), 0.1, 1)),
     "extract.tau": ("lifetime [ns]", MIN_TAU_NS, MAX_TAU_NS, ("low", "high"),
                     lambda x: _extract(tau=x)),
     "extract.unc": ("lifetime uncertainty [ns]", 0.0, MAX_TAU_NS, ("high",),
                     lambda x: _extract(unc=x)),
-    "extract.gap": ("transition energy [hartree]", MIN_GAP_AU, MAX_GAP_AU, ("low", "high"),
+    "extract.gap": ("gap [hartree]", MIN_GAP_AU, MAX_GAP_AU, ("low", "high"),
                     lambda x: _extract(gap=x)),
 }
 LIBRARY_PINS = [(name, side) for name, spec in LIBRARY_BOUNDS.items() for side in spec[3]]
@@ -323,8 +323,9 @@ def test_library_argument_is_pinned_at_its_bound(what, side):
 
 
 def test_einstein_a_keeps_a_zero_element_at_zero():
-    assert einstein_A(Quantity(0.0, 0.0, E_A0), MAX_GAP_AU, 1) == Quantity(0.0, 0.0, MEGAHERTZ)
-    with pytest.raises(ValueError, match=r"^transition energy \[hartree\]"):
+    """d = 0 gives 0(0) whatever its uncertainty; the gap is still checked."""
+    assert einstein_A(Quantity(0.0, 1e308, E_A0), MAX_GAP_AU, 1) == Quantity(0.0, 0.0, MEGAHERTZ)
+    with pytest.raises(ValueError, match=r"^gap \[hartree\]"):
         einstein_A(Quantity(0.0, 0.0, E_A0), 0.0, 1)
 
 

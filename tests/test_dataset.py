@@ -346,7 +346,7 @@ class TestParse:
             ("level 4s1/2 zero", "energy"),
             ("e1 4s1/2 4p1/2 2.898", "expected"),
             ("e1 4s1/2 4p1/2 2.898 -0.1", "negative uncertainty"),
-            ("e1 4s1/2 4p1/2 0.0 0.1", "matrix element [e*a0] must lie in [1e-06, 10000]"),
+            ("e1 4s1/2 4p1/2 0.0 0.1", "d [e*a0] must lie in [1e-06, 10000]"),
             ("wibble 1 2", "unknown directive"),
             ("tail 4s1/2 vector 1 0", "multipole"),
             ("level \u0664s1/2 0.0", "bad level label"),

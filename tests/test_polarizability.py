@@ -250,10 +250,10 @@ class TestConstructorBuiltSums:
     @pytest.mark.parametrize(
         "d, message",
         [
-            (d_q(7e153, 7e153), "matrix element [e*a0] must lie in [1e-06, 10000], got 7e+153"),
-            (d_q(7e153), "matrix element [e*a0] must lie in [1e-06, 10000], got 7e+153"),
+            (d_q(7e153, 7e153), "d [e*a0] must lie in [1e-06, 10000], got 7e+153"),
+            (d_q(7e153), "d [e*a0] must lie in [1e-06, 10000], got 7e+153"),
             (d_q(1.0, 1e308),
-             "matrix element uncertainty [e*a0] must lie in [0, 10000], got 1e+308"),
+             "d uncertainty [e*a0] must lie in [0, 10000], got 1e+308"),
         ],
         ids=["term-and-its-uncertainty", "term-above-half-the-largest-float", "uncertainty"],
     )

@@ -37,11 +37,11 @@ lab = LevelLabel.parse
 
 # Each gate input's name, as the refusal names it, and its bounds.
 BOUNDS = {
-    "decay rate [MHz]": (MIN_RATE_MHZ, MAX_RATE_MHZ),
-    "decay rate uncertainty [MHz]": (0.0, MAX_RATE_MHZ),
+    "A [MHz]": (MIN_RATE_MHZ, MAX_RATE_MHZ),
+    "A uncertainty [MHz]": (0.0, MAX_RATE_MHZ),
     "lifetime [ns]": (MIN_TAU_NS, MAX_TAU_NS),
     "lifetime uncertainty [ns]": (0.0, MAX_TAU_NS),
-    "transition energy [hartree]": (MIN_GAP_AU, MAX_GAP_AU),
+    "gap [hartree]": (MIN_GAP_AU, MAX_GAP_AU),
 }
 
 
@@ -87,10 +87,10 @@ class TestEinsteinA:
     @pytest.mark.parametrize(
         "d, unc, message",
         [
-            (1.7e153, 0.0, "matrix element [e*a0] must lie in [1e-06, 10000], got 1.7e+153"),
-            (1e154, 1e153, "matrix element [e*a0] must lie in [1e-06, 10000], got 1e+154"),
-            (1.0, 1e308, "matrix element uncertainty [e*a0] must lie in [0, 10000], got 1e+308"),
-            (1e-200, 0.0, "matrix element [e*a0] must lie in [1e-06, 10000], got 1e-200"),
+            (1.7e153, 0.0, "d [e*a0] must lie in [1e-06, 10000], got 1.7e+153"),
+            (1e154, 1e153, "d [e*a0] must lie in [1e-06, 10000], got 1e+154"),
+            (1.0, 1e308, "d uncertainty [e*a0] must lie in [0, 10000], got 1e+308"),
+            (1e-200, 0.0, "d [e*a0] must lie in [1e-06, 10000], got 1e-200"),
         ],
         ids=["rate-above-half-the-largest-float", "rate-overflows", "rate-unc-overflows",
              "rate-underflows"],
@@ -102,8 +102,6 @@ class TestEinsteinA:
             einstein_A(Quantity(d, unc, E_A0), 0.1, 1)
         assert str(info.value) == message
 
-    def test_zero_coupling_with_any_uncertainty(self):
-        assert einstein_A(Quantity(0.0, 1e308, E_A0), 0.1, 1) == Quantity(0.0, 0.0, MEGAHERTZ)
 
     @given(d=st.floats(0.05, 8.0), de=st.floats(0.01, 1.0))
     def test_quadratic_in_d(self, d, de):
@@ -167,7 +165,7 @@ class TestDecayChannels:
         with pytest.raises(ValueError) as info:
             decay_channels(ds, lab("4p1/2"))
         assert str(info.value) == (
-            "transition energy [hartree] must lie in [4.55634e-09, 45.5634], got 0.0"
+            "gap [hartree] must lie in [4.55634e-09, 45.5634], got 0.0"
         )
 
     def test_unknown_higher_partner_is_named(self):
@@ -184,7 +182,7 @@ class TestDecayChannels:
         """8e307 MHz: three such rates summed to inf, and the lifetime to 0(0) ns."""
         with pytest.raises(ValueError) as info:
             channel("4p1/2", "4s1/2", rate)
-        assert str(info.value) == f"decay rate [MHz] must lie in [1e-35, 1e+18], got {rate!r}"
+        assert str(info.value) == f"A [MHz] must lie in [1e-35, 1e+18], got {rate!r}"
 
 
 class TestLifetime:
@@ -273,7 +271,7 @@ class TestExtraction:
             ((1e-3, 1e308), [], 0.1,  # sigma_tau's power of two overflowed as it was applied
              "lifetime uncertainty [ns] must lie in [0, 1e+15], got 1e+308"),
             (7.0, [], 1e-300,  # A/d^2 underflowed
-             "transition energy [hartree] must lie in [4.55634e-09, 45.5634], got 1e-300"),
+             "gap [hartree] must lie in [4.55634e-09, 45.5634], got 1e-300"),
         ],
         ids=["residual-of-exactly-zero", "zero-lifetime", "d-unc-overflowed-by-other-rates",
              "d-unc-overflowed-by-lifetime", "lifetime-unc-exponent-overflowed",

@@ -234,9 +234,9 @@ REFUSED = {
     "LevelLabel": ("j2", 5, "incompatible with l='p'"),
     "Level": ("energy_cm", -1.0, "level energy [cm^-1] must lie in [0, 1e+07], got -1.0"),
     "ReducedE1": ("d", Quantity(0.0, 0.0, E_A0),
-                  "matrix element [e*a0] must lie in [1e-06, 10000], got 0.0"),
+                  "d [e*a0] must lie in [1e-06, 10000], got 0.0"),
     "DecayChannel": ("A", Quantity(0.0, 0.0, MEGAHERTZ),
-                     "decay rate [MHz] must lie in [1e-35, 1e+18], got 0.0"),
+                     "A [MHz] must lie in [1e-35, 1e+18], got 0.0"),
     "BBRConditions": ("temperature", -1.0, "temperature [K] must lie in [0, 100000], got -1.0"),
 }
 BUILDERS = {

@@ -278,10 +278,10 @@ class TestCLI:
         [
             (["bbr", "--temperature", "0"], "temperature must be positive, got 0.0"),
             (["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "0"],
-             "lifetime must be positive, got 0.0"),
+             "lifetime [ns] must lie in [1e-06, 1e+15], got 0.0"),
             (["extract", "--upper", "4p1/2", "--lower", "4s1/2", "--tau-ns", "7",
               "--tau-unc-ns", "-0.02"],
-             "lifetime uncertainty must be non-negative, got -0.02"),
+             "lifetime uncertainty [ns] must lie in [0, 1e+15], got -0.02"),
         ],
         ids=["temperature", "tau", "tau-unc"],
     )
@@ -498,8 +498,8 @@ def test_lifetime_answers_or_refuses_a_channel_outside_the_box(rates):
             for (rate, factor), lower in zip(rates, ("4s1/2", "3d3/2", "3d5/2", "4p1/2"))
         ]
     except ValueError as error:
-        assert str(error).startswith(("decay rate [MHz] must lie in [1e-35, 1e+18], got ",
-                                      "decay rate uncertainty [MHz] must lie in [0, 1e+18], got ")
+        assert str(error).startswith(("A [MHz] must lie in [1e-35, 1e+18], got ",
+                                      "A uncertainty [MHz] must lie in [0, 1e+18], got ")
                                      ), error
         return
     tau = lifetime(channels)
