@@ -44,6 +44,7 @@ from .polarizability import (
     assemble_breakdown,
 )
 from .radiative import DecayChannel, decay_channels, einstein_A, extract_matrix_element, lifetime
+from .radiative import measured_lifetime
 from .report import Report, format_quantity, format_value_unc, render_table
 
 __version__ = "0.1.0"
@@ -89,6 +90,7 @@ __all__ = [
     "format_quantity",
     "format_value_unc",
     "lifetime",
+    "measured_lifetime",
     "parse_dataset",
     "render_table",
     "tensor_prefactor_C",

@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .constants import BBR_FIELD_300K, POLARIZABILITY_AU_IN_SI
 from .dataset import A0_CUBED, HERTZ, MAX_ETA, MAX_TEMPERATURE_K, SI_POLARIZABILITY, Quantity
-from .dataset import _make, out_of_bounds, require_unit
+from .dataset import _make, _tuple_new, out_of_bounds, require_unit
 
 
 class BBRConditions(namedtuple("BBRConditions", "temperature eta")):
@@ -34,7 +34,7 @@ class BBRConditions(namedtuple("BBRConditions", "temperature eta")):
         if not (0.0 <= temperature <= MAX_TEMPERATURE_K and -MAX_ETA <= eta <= MAX_ETA):
             raise ValueError(out_of_bounds(("temperature [K]", temperature, 0.0, MAX_TEMPERATURE_K),
                                            ("eta", eta, -MAX_ETA, MAX_ETA)))
-        return tuple.__new__(cls, (temperature, eta))
+        return _tuple_new(cls, (temperature, eta))
 
 
 def au_to_si(alpha: Quantity) -> Quantity:

@@ -5,7 +5,9 @@ The dataset is the file that ``--dataset``, else ``POLKIT_DATASET``, names, read
 at each call and parsed once per distinct text, else the packaged Ca+ file, parsed
 once per process.
 Each command reads its arguments and returns the :class:`~polkit.report.Report` of
-one builder of :mod:`polkit.report`; ``main`` writes it as a table or as JSON.
+one builder of :mod:`polkit.report`; ``main`` writes it as a table or as JSON.  A flag
+is checked by the library call that owns its input (``LevelLabel.parse``,
+``BBRConditions``, ``measured_lifetime``), whose refusal is a usage error.
 
 ``read_args`` reads every argv from one table, ``_COMMANDS``, as argparse did.
 
@@ -17,12 +19,13 @@ from __future__ import annotations
 
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
-from .dataset import MAX_ETA, MAX_TAU_NS, MAX_TEMPERATURE_K, MIN_TAU_NS
+from .bbr import BBRConditions
 from .dataset import SCALAR, TENSOR, Dataset, DatasetError, LevelLabel, UnknownLevelError
-from .dataset import builtin_dataset, number_literal, out_of_bounds, parse_dataset, parse_number
+from .dataset import builtin_dataset, number_literal, parse_dataset, parse_number
+from .radiative import measured_lifetime
 from .report import Report, bbr_report, extract_report, lifetime_report, polarizability_report
 from .report import render_table
 
@@ -53,47 +56,39 @@ def _load_dataset(args: SimpleNamespace) -> tuple[Dataset, str]:
     return builtin_dataset(), BUILTIN_DATASET
 
 
-def _check_bounds(*inputs: tuple[str, float, float, float]) -> None:
-    """Refuse, as a usage error, the first flag of `inputs` outside its bounds."""
-    problem = out_of_bounds(*inputs)
-    if problem is not None:
-        raise UsageError(problem)
-
-
-def _parse_label(text: str) -> LevelLabel:
+def _flag(check: Callable, *values: object):
+    """`check(*values)`, the library call that owns a flag's input; its refusal is a
+    usage error."""
     try:
-        return LevelLabel.parse(text)
-    except DatasetError as exc:
+        return check(*values)
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def cmd_polarizability(args: SimpleNamespace) -> Report:
     ds, path = _load_dataset(args)
-    return polarizability_report(ds, path, _parse_label(args.state), args.multipole)
+    return polarizability_report(ds, path, _flag(LevelLabel.parse, args.state), args.multipole)
 
 
 def cmd_bbr(args: SimpleNamespace) -> Report:
-    if args.temperature <= 0:
+    if args.temperature <= 0:  # the library's T = 0 is the zero-field limit
         raise UsageError(f"temperature must be positive, got {args.temperature}")
-    _check_bounds(("temperature [K]", args.temperature, 0.0, MAX_TEMPERATURE_K),
-                  ("eta", args.eta, -MAX_ETA, MAX_ETA))
+    cond = _flag(BBRConditions, args.temperature, args.eta)
     ds, path = _load_dataset(args)
-    ground, excited = _parse_label(args.ground), _parse_label(args.excited)
-    return bbr_report(ds, path, ground, excited, args.temperature, args.eta)
+    ground, excited = _flag(LevelLabel.parse, args.ground), _flag(LevelLabel.parse, args.excited)
+    return bbr_report(ds, path, ground, excited, cond)
 
 
 def cmd_lifetime(args: SimpleNamespace) -> Report:
     ds, path = _load_dataset(args)
-    return lifetime_report(ds, path, _parse_label(args.state))
+    return lifetime_report(ds, path, _flag(LevelLabel.parse, args.state))
 
 
 def cmd_extract(args: SimpleNamespace) -> Report:
-    tau, tau_unc = args.tau_ns, args.tau_unc_ns + 0.0  # -0.0 is stored as 0.0, unsigned
-    _check_bounds(("lifetime [ns]", tau, MIN_TAU_NS, MAX_TAU_NS),
-                  ("lifetime uncertainty [ns]", tau_unc, 0.0, MAX_TAU_NS))
+    tau = _flag(measured_lifetime, args.tau_ns, args.tau_unc_ns)
     ds, path = _load_dataset(args)
-    upper, lower = _parse_label(args.upper), _parse_label(args.lower)
-    return extract_report(ds, path, upper, lower, tau, tau_unc)
+    upper, lower = _flag(LevelLabel.parse, args.upper), _flag(LevelLabel.parse, args.lower)
+    return extract_report(ds, path, upper, lower, tau)
 
 
 # Each subcommand's handler, help and options in help order; an option's settings are

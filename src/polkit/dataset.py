@@ -128,7 +128,7 @@ class Record:
 
 
 class Quantity(Record):
-    """A number with a one-sigma uncertainty and a unit tag; both numbers are finite."""
+    """A number with an unsigned one-sigma uncertainty and a unit tag; both are finite."""
 
     __slots__ = _fields = ("value", "unc", "unit")
 
@@ -140,7 +140,7 @@ class Quantity(Record):
                 raise ValueError(f"non-finite uncertainty: {unc!r} {unit}")
             raise ValueError(f"negative uncertainty: {unc!r}")
         _set_value(self, value)
-        _set_unc(self, unc)
+        _set_unc(self, unc + 0.0)  # -0.0 is stored as 0.0, so that no report prints its sign
         _set_unit(self, unit)
 
     def relative_unc(self) -> float:
@@ -369,8 +369,7 @@ _ARITY = {kind: usage.count(" ") for kind, usage in _DIRECTIVES.items()}
 
 
 def _quantity(value: str, unc: str, what: str, unit: str) -> Quantity:
-    # + 0.0 stores an uncertainty of -0.0 as 0.0, so that no report prints its sign
-    return Quantity(parse_number(value, what), parse_number(unc, "uncertainty") + 0.0, unit)
+    return Quantity(parse_number(value, what), parse_number(unc, "uncertainty"), unit)
 
 
 @functools.lru_cache(maxsize=16)

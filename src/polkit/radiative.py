@@ -4,8 +4,8 @@ The A-coefficient convention divides by the statistical weight 2j+1 of the
 UPPER state.  Rates are in MHz and lifetimes in ns.  Rate uncertainties add in
 quadrature by ``math.hypot``, and the relative uncertainty of a lifetime or an
 extracted matrix element is formed from relative terms of the rates it sums.
-``einstein_A``, ``DecayChannel`` and ``extract_matrix_element`` check their
-inputs against the bounds of :mod:`polkit.dataset`, inside which no rate, sum
+``einstein_A``, ``DecayChannel``, ``measured_lifetime`` and ``extract_matrix_element``
+check their inputs against the bounds of :mod:`polkit.dataset`, inside which no rate, sum
 or uncertainty over- or underflows.
 """
 
@@ -103,6 +103,14 @@ def lifetime(channels: Sequence[DecayChannel]) -> Quantity:
     return Quantity(tau, tau * (rate_unc / total), NANOSECOND)
 
 
+def measured_lifetime(tau_ns: float, unc_ns: float = 0.0) -> Quantity:
+    """A measured lifetime in ns, with tau in [1e-6, 1e15] ns and sigma_tau in [0, 1e15] ns."""
+    if not (MIN_TAU_NS <= tau_ns <= MAX_TAU_NS and 0.0 <= unc_ns <= MAX_TAU_NS):
+        raise ValueError(out_of_bounds(("lifetime [ns]", tau_ns, MIN_TAU_NS, MAX_TAU_NS),
+                                       ("lifetime uncertainty [ns]", unc_ns, 0.0, MAX_TAU_NS)))
+    return Quantity(tau_ns, unc_ns, NANOSECOND)
+
+
 def extract_matrix_element(
     tau_expt: Quantity,
     other_channels: Iterable[DecayChannel],
@@ -118,11 +126,9 @@ def extract_matrix_element(
     """
     require_unit(tau_expt, NANOSECOND, "lifetime")
     tau, tau_unc = tau_expt.value, tau_expt.unc
-    if not (MIN_TAU_NS <= tau <= MAX_TAU_NS and tau_unc <= MAX_TAU_NS
-            and MIN_GAP_AU <= delta_e_au <= MAX_GAP_AU):
-        raise ValueError(out_of_bounds(("lifetime [ns]", tau, MIN_TAU_NS, MAX_TAU_NS),
-                                       ("lifetime uncertainty [ns]", tau_unc, 0.0, MAX_TAU_NS),
-                                       ("gap [hartree]", delta_e_au, MIN_GAP_AU, MAX_GAP_AU)))
+    measured_lifetime(tau, tau_unc)  # the one check of a lifetime's bounds
+    if not MIN_GAP_AU <= delta_e_au <= MAX_GAP_AU:
+        raise ValueError(out_of_bounds(("gap [hartree]", delta_e_au, MIN_GAP_AU, MAX_GAP_AU)))
     total_rate = 1000.0 / tau
     others_rate, others_unc = _rate_sums(list(other_channels))
     residual = total_rate - others_rate

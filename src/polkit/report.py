@@ -16,7 +16,7 @@ import math
 from collections.abc import Callable, Mapping, Sequence
 
 from .bbr import BBRConditions, bbr_shift_state, clock_bbr_shift
-from .dataset import NANOSECOND, SCALAR, TENSOR, Dataset, LevelLabel, Quantity, Record, _setters
+from .dataset import SCALAR, TENSOR, Dataset, LevelLabel, Quantity, Record, _setters
 from .dataset import e1_selection_ok, energy_difference_au
 from .polarizability import assemble_breakdown
 from .radiative import DecayChannel, decay_channels, extract_matrix_element, lifetime
@@ -187,15 +187,9 @@ def _render_polarizability(report: Report, fq: _Format) -> _Table:
 
 
 def bbr_report(
-    ds: Dataset,
-    source: str,
-    ground: LevelLabel,
-    excited: LevelLabel,
-    temperature: float,
-    eta: float,
+    ds: Dataset, source: str, ground: LevelLabel, excited: LevelLabel, cond: BBRConditions
 ) -> Report:
     """BBR shifts of the two clock states and of the transition between them."""
-    cond = BBRConditions(temperature=temperature, eta=eta)
     alpha_g = assemble_breakdown(ds, ground, SCALAR).total
     alpha_e = assemble_breakdown(ds, excited, SCALAR).total
     rows = tuple(
@@ -208,8 +202,8 @@ def bbr_report(
             "dataset": source,
             "ground": str(ground),
             "excited": str(excited),
-            "temperature": temperature,
-            "eta": eta,
+            "temperature": cond.temperature,
+            "eta": cond.eta,
         },
         rows=rows,
         totals={
@@ -265,9 +259,9 @@ def _render_lifetime(report: Report, fq: _Format) -> _Table:
 
 
 def extract_report(
-    ds: Dataset, source: str, upper: LevelLabel, lower: LevelLabel, tau_ns: float, tau_unc_ns: float
+    ds: Dataset, source: str, upper: LevelLabel, lower: LevelLabel, tau: Quantity
 ) -> Report:
-    """Matrix element of upper -> lower from a measured lifetime of `upper`.
+    """Matrix element of upper -> lower from `tau`, a measured lifetime of `upper` in ns.
 
     When the dataset holds that element, the totals also carry it as ``d_theory``
     and its ``percent_difference`` from the extracted value.
@@ -278,7 +272,6 @@ def extract_report(
     if not e1_selection_ok(upper, lower):
         raise ValueError(f"{upper} -> {lower} violates E1 selection rules")
     others = decay_channels(ds, upper, skip=lower)
-    tau = Quantity(tau_ns, tau_unc_ns, NANOSECOND)
     d = extract_matrix_element(tau, others, delta_e, upper.j2)
     totals: dict[str, object] = {"d_extracted": d}
     for partner, el, _ in ds.couplings(upper):
@@ -292,8 +285,8 @@ def extract_report(
             "dataset": source,
             "upper": str(upper),
             "lower": str(lower),
-            "tau_ns": tau_ns,
-            "tau_unc_ns": tau_unc_ns,
+            "tau_ns": tau.value,
+            "tau_unc_ns": tau.unc,
         },
         rows=_channel_rows(others),
         totals=totals,

@@ -30,6 +30,7 @@ from polkit import (
     clock_bbr_shift,
     einstein_A,
     extract_matrix_element,
+    measured_lifetime,
 )
 from polkit.cli import main
 from polkit.dataset import (
@@ -243,29 +244,35 @@ def test_level_energy_is_pinned_at_its_upper_bound(tmp_path, capsys):
                    + "\n")
 
 
-# flag -> (command argv before it, the input's name, low, high, sides pinned); a temperature
-# of 0 is refused as not positive, so its low side is not a bound of the box.
+# flag -> (command argv before it, the input's name, low, high, sides pinned, the library
+# call that owns the flag's input); a temperature of 0 is refused as not positive, so its
+# low side is not a bound of the box.
 FLAG_BOUNDS = {
-    "--temperature": (["bbr"], "temperature [K]", 0.0, MAX_TEMPERATURE_K, ("high",)),
-    "--eta": (["bbr"], "eta", -MAX_ETA, MAX_ETA, ("low", "high")),
-    "--tau-ns": (EXTRACT[:-1], "lifetime [ns]", MIN_TAU_NS, MAX_TAU_NS, ("low", "high")),
+    "--temperature": (["bbr"], "temperature [K]", 0.0, MAX_TEMPERATURE_K, ("high",),
+                      lambda x: BBRConditions(temperature=x)),
+    "--eta": (["bbr"], "eta", -MAX_ETA, MAX_ETA, ("low", "high"), lambda x: BBRConditions(eta=x)),
+    "--tau-ns": (EXTRACT[:-1], "lifetime [ns]", MIN_TAU_NS, MAX_TAU_NS, ("low", "high"),
+                 measured_lifetime),
     "--tau-unc-ns": (EXTRACT + ["7.098"], "lifetime uncertainty [ns]", 0.0, MAX_TAU_NS,
-                     ("low", "high")),
+                     ("low", "high"), lambda x: measured_lifetime(7.098, x)),
 }
-FLAG_PINS = [(flag, side) for flag, spec in FLAG_BOUNDS.items() for side in spec[-1]]
+FLAG_PINS = [(flag, side) for flag, spec in FLAG_BOUNDS.items() for side in spec[4]]
 
 
 @pytest.mark.parametrize("flag, side", FLAG_PINS, ids=[f"{f}-{s}" for f, s in FLAG_PINS])
 def test_flag_is_pinned_at_its_bound(capsys, flag, side):
     """The bound itself is not refused for its range; the nearest float outside it is a usage
-    error, exit 1, naming the input and its bounds."""
-    argv, name, low, high, _ = FLAG_BOUNDS[flag]
+    error, exit 1, naming the input and its bounds, in the words of the library call that
+    owns the flag's input."""
+    argv, name, low, high, _, owner = FLAG_BOUNDS[flag]
     bound, outside = (low, down(low)) if side == "low" else (high, up(high))
     code, _, err = run(capsys, *argv, flag, repr(bound))
     assert code != 1 and "must lie in" not in err, err
-    assert run(capsys, *argv, flag, repr(outside)) == (
-        1, "", f"polkit: error: {bound_message(name, low, high, outside)}\n"
-    )
+    owner(bound)
+    with pytest.raises(ValueError) as info:
+        owner(outside)
+    assert str(info.value) == bound_message(name, low, high, outside)
+    assert run(capsys, *argv, flag, repr(outside)) == (1, "", f"polkit: error: {info.value}\n")
 
 
 def _channel(rate, unc=0.0):
@@ -298,6 +305,10 @@ LIBRARY_BOUNDS = {
                      lambda x: einstein_A(Quantity(x, 0.0, E_A0), 0.1, 1)),
     "einstein_A.unc": ("d uncertainty [e*a0]", 0.0, MAX_D, ("high",),
                        lambda x: einstein_A(Quantity(1.0, x, E_A0), 0.1, 1)),
+    "measured_lifetime.tau": ("lifetime [ns]", MIN_TAU_NS, MAX_TAU_NS, ("low", "high"),
+                              measured_lifetime),
+    "measured_lifetime.unc": ("lifetime uncertainty [ns]", 0.0, MAX_TAU_NS, ("low", "high"),
+                              lambda x: measured_lifetime(7.0, x)),
     "extract.tau": ("lifetime [ns]", MIN_TAU_NS, MAX_TAU_NS, ("low", "high"),
                     lambda x: _extract(tau=x)),
     "extract.unc": ("lifetime uncertainty [ns]", 0.0, MAX_TAU_NS, ("high",),

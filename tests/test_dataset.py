@@ -201,6 +201,9 @@ class TestQuantity:
         with pytest.raises(ValueError, match=fragment):
             Quantity(value, unc, A0_CUBED)
 
+    def test_stores_a_negative_zero_uncertainty_unsigned(self):
+        assert math.copysign(1.0, Quantity(1.0, -0.0).unc) == 1.0
+
     @pytest.mark.parametrize("value,expected", [(2.0, 0.25), (-2.0, 0.25), (0.0, 0.0)])
     def test_relative_unc(self, value, expected):
         """unc / |value|, and zero for a zero value."""

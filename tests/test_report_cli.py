@@ -21,6 +21,7 @@ import polkit.cli
 import polkit.dataset
 from polkit import (
     MEGAHERTZ,
+    BBRConditions,
     DecayChannel,
     LevelLabel,
     Quantity,
@@ -29,6 +30,7 @@ from polkit import (
     builtin_dataset_text,
     format_value_unc,
     lifetime,
+    measured_lifetime,
     parse_dataset,
     render_table,
 )
@@ -58,10 +60,11 @@ def readme_reports(ds):
     return [
         polarizability_report(ds, BUILTIN_DATASET, lab("4s1/2"), "scalar"),
         polarizability_report(ds, BUILTIN_DATASET, lab("3d5/2"), "tensor"),
-        bbr_report(ds, BUILTIN_DATASET, lab("4s1/2"), lab("3d5/2"), 300.0, 0.0),
-        bbr_report(ds, BUILTIN_DATASET, lab("4s1/2"), lab("3d5/2"), 600.0, 0.0),
+        bbr_report(ds, BUILTIN_DATASET, lab("4s1/2"), lab("3d5/2"), BBRConditions(300.0, 0.0)),
+        bbr_report(ds, BUILTIN_DATASET, lab("4s1/2"), lab("3d5/2"), BBRConditions(600.0, 0.0)),
         lifetime_report(ds, BUILTIN_DATASET, lab("4p1/2")),
-        extract_report(ds, BUILTIN_DATASET, lab("4p1/2"), lab("4s1/2"), 7.098, 0.020),
+        extract_report(ds, BUILTIN_DATASET, lab("4p1/2"), lab("4s1/2"),
+                       measured_lifetime(7.098, 0.020)),
     ]
 
 
