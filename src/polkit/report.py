@@ -16,8 +16,9 @@ import math
 from collections.abc import Callable, Mapping, Sequence
 
 from .bbr import BBRConditions, bbr_shift_state, clock_bbr_shift
-from .dataset import SCALAR, TENSOR, Dataset, LevelLabel, Quantity, Record, _setters
-from .dataset import e1_selection_ok, energy_difference_au
+from .constants import HARTREE_IN_CM
+from .dataset import MAX_ENERGY_CM, MIN_GAP_CM, SCALAR, TENSOR, Dataset, DatasetError, LevelLabel
+from .dataset import Quantity, Record, _setters, e1_selection_ok, out_of_bounds
 from .polarizability import assemble_breakdown
 from .radiative import DecayChannel, decay_channels, extract_matrix_element, lifetime
 
@@ -264,15 +265,19 @@ def extract_report(
     """Matrix element of upper -> lower from `tau`, a measured lifetime of `upper` in ns.
 
     When the dataset holds that element, the totals also carry it as ``d_theory``
-    and its ``percent_difference`` from the extracted value.
+    and its ``percent_difference`` from the extracted value.  A pair less than an e1
+    pair's least gap apart is a DatasetError, as :func:`validate` refuses an e1 pair.
     """
-    delta_e = energy_difference_au(ds, lower, upper).value  # an unknown upper is named first
-    if delta_e <= 0:
+    gap = ds.energy_cm(upper) - ds.energy_cm(lower)  # an unknown upper is named first
+    if gap <= 0:
         raise ValueError(f"{upper} does not lie above {lower}")
     if not e1_selection_ok(upper, lower):
         raise ValueError(f"{upper} -> {lower} violates E1 selection rules")
+    if gap < MIN_GAP_CM:  # a pair with no e1 line, whose gap validate did not check
+        bound = out_of_bounds(("gap [cm^-1]", gap, MIN_GAP_CM, MAX_ENERGY_CM))
+        raise DatasetError(f"{upper} -> {lower}: {bound}")
     others = decay_channels(ds, upper, skip=lower)
-    d = extract_matrix_element(tau, others, delta_e, upper.j2)
+    d = extract_matrix_element(tau, others, gap / HARTREE_IN_CM, upper.j2)
     totals: dict[str, object] = {"d_extracted": d}
     for partner, el, _ in ds.couplings(upper):
         if partner == lower:

@@ -120,11 +120,10 @@ GATE_CASES = {
     "extract-other-rate-underflows": ("e1 3d3/2 4p1/2 1e-200 1e-201", EXTRACT + ["7"],
                                       2, "line 4: " + D_OUT + "1e-200"),
     # 4s1/2 and 4p1/2 share no e1 line, so validate does not compare their energies: the
-    # pair's gap is refused by extract_matrix_element, a precondition like its other ones
+    # pair's gap is refused by extract_report as a data error, in validate's e1 gap words
     "extract-rate-per-d-squared-underflows": (
-        "level 4p1/2 1e-300", EXTRACT + ["7"], 3,
-        "gap [hartree] must lie in [4.55634e-09, 45.5634], "
-        "got 4.556335252911937e-306"),
+        "level 4p1/2 1e-300", EXTRACT + ["7"], 2,
+        "4p1/2 -> 4s1/2: gap [cm^-1] must lie in [0.001, 1e+07], got 1e-300"),
     "extract-reciprocal-lifetime": ("e1 4s1/2 4p1/2 2.898 0.029", EXTRACT + ["1e-310"],
                                     1, TAU_OUT + "1e-310"),
     "extract-tiny-lifetime-unc": ("e1 4s1/2 4p1/2 2.898 0.029",
