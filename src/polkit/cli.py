@@ -57,8 +57,7 @@ def _load_dataset(args: SimpleNamespace) -> tuple[Dataset, str]:
 
 
 def _flag(check: Callable, *values: object):
-    """`check(*values)`, the library call that owns a flag's input; its refusal is a
-    usage error."""
+    """`check(*values)`, the library call that owns a flag's input; a refusal is a usage error."""
     try:
         return check(*values)
     except ValueError as exc:

@@ -36,7 +36,11 @@ from .dataset import (
 )
 
 
-_ALPHA0, _ALPHA2 = 3, 4  # the Contribution fields of the scalar and tensor terms
+def _field(multipole: str) -> int:
+    """The Contribution field of `multipole`'s term; any other multipole is a ValueError."""
+    if multipole not in MULTIPOLES:
+        raise ValueError(f"bad multipole {multipole!r}")
+    return 3 if multipole == SCALAR else 4
 
 
 class Contribution(namedtuple("Contribution", "state partner d alpha0 alpha2")):
@@ -51,9 +55,7 @@ class Contribution(namedtuple("Contribution", "state partner d alpha0 alpha2")):
 
     def quantity(self, multipole: str) -> Quantity:
         """The scalar or tensor term with its uncertainty 2 |alpha| dd/d."""
-        if multipole not in MULTIPOLES:
-            raise ValueError(f"bad multipole {multipole!r}")
-        index = _ALPHA0 if multipole == SCALAR else _ALPHA2
+        index = _field(multipole)
         alpha = self[index]
         if alpha is None:
             raise ValueError(f"no tensor contribution for {self.transition}")
@@ -116,9 +118,7 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
     by (partner j, partner energy), then partner label and element order; the
     core term enters the scalar total only.  The total's uncertainty is the quadrature of all components.
     """
-    if multipole not in MULTIPOLES:
-        raise ValueError(f"bad multipole {multipole!r}")
-    index = _ALPHA0 if multipole == SCALAR else _ALPHA2
+    index = _field(multipole)
     ds.level(state)  # raises UnknownLevelError
     if multipole == TENSOR and state.j2 < 2:
         raise ValueError(f"tensor polarizability vanishes for j={state.j2}/2")

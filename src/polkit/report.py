@@ -265,15 +265,16 @@ def extract_report(
     """Matrix element of upper -> lower from `tau`, a measured lifetime of `upper` in ns.
 
     When the dataset holds that element, the totals also carry it as ``d_theory``
-    and its ``percent_difference`` from the extracted value.  A pair less than an e1
-    pair's least gap apart is a DatasetError, as :func:`validate` refuses an e1 pair.
+    and its ``percent_difference`` from the extracted value.
     """
     gap = ds.energy_cm(upper) - ds.energy_cm(lower)  # an unknown upper is named first
     if gap <= 0:
         raise ValueError(f"{upper} does not lie above {lower}")
     if not e1_selection_ok(upper, lower):
         raise ValueError(f"{upper} -> {lower} violates E1 selection rules")
-    if gap < MIN_GAP_CM:  # a pair with no e1 line, whose gap validate did not check
+    # A pair with no e1 line has a gap that validate did not check: refused as validate
+    # refuses an e1 pair's, a DatasetError.
+    if gap < MIN_GAP_CM:
         bound = out_of_bounds(("gap [cm^-1]", gap, MIN_GAP_CM, MAX_ENERGY_CM))
         raise DatasetError(f"{upper} -> {lower}: {bound}")
     others = decay_channels(ds, upper, skip=lower)

@@ -136,7 +136,7 @@ class TestAssembleBreakdown:
         with pytest.raises(ValueError, match="no tensor contribution for 4s1/2-4p1/2"):
             s_row.quantity(TENSOR)
 
-    @pytest.mark.parametrize("multipole", ["bogus", "Tensor", "", "scalar "])
+    @pytest.mark.parametrize("multipole", ["bogus", "Tensor", "", "scalar ", None, ["scalar"]])
     def test_row_quantity_refuses_a_bad_multipole_as_assembly_does(self, golden, multipole):
         row = assemble_breakdown(golden, lab("3d5/2"), TENSOR).main[0]
         message = f"bad multipole {multipole!r}"
