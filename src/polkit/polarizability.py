@@ -40,7 +40,7 @@ def _field(multipole: str) -> int:
     """The Contribution field of `multipole`'s term; any other multipole is a ValueError."""
     if multipole not in MULTIPOLES:
         raise ValueError(f"bad multipole {multipole!r}")
-    return 3 if multipole == SCALAR else 4
+    return 3 if multipole == SCALAR else 4  # alpha0, else alpha2
 
 
 class Contribution(namedtuple("Contribution", "state partner d alpha0 alpha2")):
