@@ -304,10 +304,6 @@ LIBRARY_BOUNDS = {
                      lambda x: einstein_A(Quantity(x, 0.0, E_A0), 0.1, 1)),
     "einstein_A.unc": ("d uncertainty [e*a0]", 0.0, MAX_D, ("high",),
                        lambda x: einstein_A(Quantity(1.0, x, E_A0), 0.1, 1)),
-    "measured_lifetime.tau": ("lifetime [ns]", MIN_TAU_NS, MAX_TAU_NS, ("low", "high"),
-                              measured_lifetime),
-    "measured_lifetime.unc": ("lifetime uncertainty [ns]", 0.0, MAX_TAU_NS, ("low", "high"),
-                              lambda x: measured_lifetime(7.0, x)),
     "extract.tau": ("lifetime [ns]", MIN_TAU_NS, MAX_TAU_NS, ("low", "high"),
                     lambda x: _extract(tau=x)),
     "extract.unc": ("lifetime uncertainty [ns]", 0.0, MAX_TAU_NS, ("high",),
