@@ -14,7 +14,8 @@ A parsed :class:`Dataset` is immutable and safe for unrestricted concurrent read
 accepted, and :func:`builtin_dataset` is the packaged Ca+ dataset, parsed once per process.
 :meth:`Dataset.couplings` is the one walk over the E1 elements on a level, which the
 polarizability rows and the decay channels read; it and :func:`energy_difference_au` read
-each level from the dataset's label index directly, one dict lookup per level.
+each level from the dataset's label index directly, one dict lookup per level.  That index
+is the one place that refuses an unknown label, with :class:`UnknownLevelError`.
 """
 
 from __future__ import annotations
@@ -252,6 +253,15 @@ class ReducedE1(namedtuple("ReducedE1", "lower upper d")):
         return _tuple_new(cls, (lower, upper, d))
 
 
+class _LevelIndex(dict):
+    """A dataset's levels by label; looking up an undeclared label raises UnknownLevelError."""
+
+    __slots__ = ()
+
+    def __missing__(self, label: LevelLabel) -> Level:
+        raise UnknownLevelError(str(label))
+
+
 def e1_selection_ok(a: LevelLabel, b: LevelLabel) -> bool:
     """Electric-dipole selection rules: |dl| = 1 and |dj| <= 1."""
     return abs(a.l - b.l) == 1 and abs(a.j2 - b.j2) <= 2
@@ -280,7 +290,7 @@ class Dataset(Record):
         _set_elements(self, tuple(elements))
         _set_core_alpha(self, core_alpha)
         _set_tails(self, MappingProxyType(dict(tails)))
-        _set_by_label(self, {level.label: level for level in levels})
+        _set_by_label(self, _LevelIndex({level.label: level for level in levels}))
         # Each state's sorted polarizability rows, filled on first assembly; outside
         # _fields, so ==, repr, copy and pickle ignore it.
         _set_rows(self, {})
@@ -290,10 +300,7 @@ class Dataset(Record):
         return type(self), (self.levels, self.elements, self.core_alpha, dict(self.tails))
 
     def level(self, label: LevelLabel) -> Level:
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise UnknownLevelError(str(label)) from None
+        return self._by_label[label]
 
     def energy_cm(self, label: LevelLabel) -> float:
         return self.level(label).energy_cm
@@ -313,11 +320,7 @@ class Dataset(Record):
                 partner = el.lower
             else:
                 continue
-            try:
-                level = by_label[partner]
-            except KeyError:
-                raise UnknownLevelError(str(partner)) from None
-            yield partner, el, (level.energy_cm - energy) / HARTREE_IN_CM
+            yield partner, el, (by_label[partner].energy_cm - energy) / HARTREE_IN_CM
 
     def to_text(self) -> str:
         """Canonical text form; parses back to an identical dataset."""
@@ -501,9 +504,6 @@ def energy_difference_au(ds: Dataset, a: LevelLabel, b: LevelLabel) -> Quantity:
 
     Experimental energies are treated as exact, so the uncertainty is zero.
     """
-    by_label = ds._by_label
-    try:
-        gap_cm = by_label[b].energy_cm - by_label[a].energy_cm
-    except KeyError as exc:  # b is looked up first, so an unknown b is named first
-        raise UnknownLevelError(str(exc.args[0])) from None
+    by_label = ds._by_label  # b is looked up first, so an unknown b is named first
+    gap_cm = by_label[b].energy_cm - by_label[a].energy_cm
     return Quantity(gap_cm / HARTREE_IN_CM, 0.0, DIMENSIONLESS)

@@ -55,24 +55,20 @@ def _rate_per_d_squared_mhz(delta_e_au: float, j2_upper: int) -> float:
 def einstein_A(d: Quantity, delta_e_au: float, j2_upper: int) -> Quantity:
     """Spontaneous decay rate in MHz for a channel of energy delta_e_au.
 
-    ``j2_upper`` is twice the upper state's j.  d = 0 gives 0(0).
+    ``j2_upper`` is twice the upper state's j.
     """
     require_unit(d, E_A0, "matrix element")
     if not (MIN_GAP_AU <= delta_e_au <= MAX_GAP_AU
-            and (MIN_D <= d.value <= MAX_D and d.unc <= MAX_D or d.value == 0.0)):
+            and MIN_D <= d.value <= MAX_D and d.unc <= MAX_D):
         raise ValueError(out_of_bounds(("gap [hartree]", delta_e_au, MIN_GAP_AU, MAX_GAP_AU),
                                        ("d [e*a0]", d.value, MIN_D, MAX_D),
                                        ("d uncertainty [e*a0]", d.unc, 0.0, MAX_D)))
-    if d.value == 0.0:
-        return Quantity(0.0, 0.0, MEGAHERTZ)
     value = _rate_per_d_squared_mhz(delta_e_au, j2_upper) * d.value**2
     return Quantity(value, value * d.relative_unc() * 2.0, MEGAHERTZ)
 
 
-def decay_channels(
-    ds: Dataset, upper: LevelLabel, *, skip: LevelLabel | None = None
-) -> list[DecayChannel]:
-    """Every channel from `upper` down to an E1 partner below it, except to `skip`.
+def decay_channels(ds: Dataset, upper: LevelLabel) -> list[DecayChannel]:
+    """Every channel from `upper` down to an E1 partner below it.
 
     Raises :class:`UnknownLevelError` when `upper` or a partner of it is not in
     the dataset; a state with no lower partner (the ground state) has no channels.
@@ -81,7 +77,7 @@ def decay_channels(
     return [
         DecayChannel(upper, el.lower, einstein_A(el.d, 0.0 - gap, upper.j2))
         for _, el, gap in ds.couplings(upper)
-        if el.upper == upper and el.lower != skip
+        if el.upper == upper
     ]
 
 

@@ -277,7 +277,9 @@ def extract_report(
     if gap < MIN_GAP_CM:
         bound = out_of_bounds(("gap [cm^-1]", gap, MIN_GAP_CM, MAX_ENERGY_CM))
         raise DatasetError(f"{upper} -> {lower}: {bound}")
-    others = decay_channels(ds, upper, skip=lower)
+    # The replaced channel's gap was just checked and its d lies in the box, so its rate
+    # does too: computing it and dropping it cannot fail.
+    others = [ch for ch in decay_channels(ds, upper) if ch.lower != lower]
     d = extract_matrix_element(tau, others, gap / HARTREE_IN_CM, upper.j2)
     totals: dict[str, object] = {"d_extracted": d}
     for partner, el, _ in ds.couplings(upper):

@@ -328,9 +328,10 @@ def test_library_argument_is_pinned_at_its_bound(what, side):
     assert str(info.value) == bound_message(name, low, high, outside)
 
 
-def test_einstein_a_keeps_a_zero_element_at_zero():
-    """d = 0 gives 0(0) whatever its uncertainty; the gap is still checked."""
-    assert einstein_A(Quantity(0.0, 1e308, E_A0), MAX_GAP_AU, 1) == Quantity(0.0, 0.0, MEGAHERTZ)
+def test_einstein_a_refuses_a_zero_element_after_the_gap():
+    """d = 0 lies outside the box like any other d; a gap outside it is named first."""
+    with pytest.raises(ValueError, match=r"^d \[e\*a0\] must lie in \[1e-06, 10000\], got 0\.0$"):
+        einstein_A(Quantity(0.0, 1e308, E_A0), MAX_GAP_AU, 1)
     with pytest.raises(ValueError, match=r"^gap \[hartree\]"):
         einstein_A(Quantity(0.0, 0.0, E_A0), 0.0, 1)
 
