@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .constants import BBR_FIELD_300K, POLARIZABILITY_AU_IN_SI
 from .dataset import A0_CUBED, HERTZ, MAX_ETA, MAX_TEMPERATURE_K, SI_POLARIZABILITY, Quantity
-from .dataset import _make, _tuple_new, out_of_bounds, require_unit
+from .dataset import MAX_POLARIZABILITY, _make, _tuple_new, out_of_bounds, require_unit
 
 
 class BBRConditions(namedtuple("BBRConditions", "temperature eta")):
@@ -74,13 +74,20 @@ def clock_bbr_shift(
     """
     require_unit(alpha_ground, A0_CUBED, "ground polarizability")
     require_unit(alpha_excited, A0_CUBED, "excited polarizability")
-    bound = min(alpha_ground.unc, alpha_excited.unc)
+    g, e, top = alpha_ground, alpha_excited, MAX_POLARIZABILITY
+    if max(abs(g.value), g.unc, abs(e.value), e.unc) > top:
+        raise ValueError(out_of_bounds(
+            ("ground polarizability [a0^3]", g.value, -top, top),
+            ("ground polarizability uncertainty [a0^3]", g.unc, 0.0, top),
+            ("excited polarizability [a0^3]", e.value, -top, top),
+            ("excited polarizability uncertainty [a0^3]", e.unc, 0.0, top)))
+    bound = min(g.unc, e.unc)
     if not 0.0 <= shared_core_unc <= bound:
         raise ValueError(
             f"shared_core_unc {shared_core_unc!r} a0^3 is out of range: it must lie in "
             f"[0, {bound!r}], the smaller polarizability uncertainty"
         )
     factor = _shift_per_si_alpha(cond) * POLARIZABILITY_AU_IN_SI
-    diff = alpha_excited.value - alpha_ground.value
-    var = alpha_ground.unc**2 + alpha_excited.unc**2 - 2.0 * shared_core_unc**2
+    diff = e.value - g.value
+    var = g.unc**2 + e.unc**2 - 2.0 * shared_core_unc**2
     return Quantity(factor * diff, abs(factor) * math.sqrt(var), HERTZ)

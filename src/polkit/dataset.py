@@ -14,8 +14,7 @@ A parsed :class:`Dataset` is immutable and safe for unrestricted concurrent read
 accepted, and :func:`builtin_dataset` is the packaged Ca+ dataset, parsed once per process.
 :meth:`Dataset.couplings` is the one walk over the E1 elements on a level, which the
 polarizability rows and the decay channels read; it and :func:`energy_difference_au` read
-each level from the dataset's label index directly, one dict lookup per level.  That index
-is the one place that refuses an unknown label, with :class:`UnknownLevelError`.
+each level from the dataset's label index, the one refusal of an unknown label.
 """
 
 from __future__ import annotations
@@ -46,12 +45,14 @@ DIMENSIONLESS = "1"
 
 # The input box: the physical bounds of every number that enters polkit, ends included.
 # Each is checked where it enters: dataset numbers by Level, ReducedE1 and validate, CLI
-# floats by the commands, library floats by the records, einstein_A and extraction.  Inside
-# it no term, sum, shift, rate or extraction over- or underflows (README, "Input bounds").
+# floats by the commands, library floats by the records, einstein_A, extraction and
+# clock_bbr_shift.  Inside it no term, sum, shift, rate or extraction over- or underflows
+# (README, "Input bounds").
 MAX_ENERGY_CM, MIN_GAP_CM = 1e7, 1e-3     # energies in [0, 1e7] cm^-1; e1 pairs 1e-3 apart
 MIN_GAP_AU, MAX_GAP_AU = MIN_GAP_CM / HARTREE_IN_CM, MAX_ENERGY_CM / HARTREE_IN_CM
 MIN_D, MAX_D = 1e-6, 1e4                  # e*a0, and sigma_d <= 1e4: d ~ n^2 up to n ~ 100
 MAX_ALPHA = 1e6                           # a0^3: |core|, |tail| and their sigmas
+MAX_POLARIZABILITY = 1e100                # a0^3: a clock shift's |alpha|, sigma; squares finite
 MAX_TEMPERATURE_K, MAX_ETA = 1e5, 1.0     # T in [0, 1e5] K and |eta| <= 1
 MIN_TAU_NS, MAX_TAU_NS = 1e-6, 1e15       # ns, and sigma_tau <= 1e15 ns
 MIN_RATE_MHZ, MAX_RATE_MHZ = 1e-35, 1e18  # MHz, and sigma_A <= 1e18: E1 rates in the box

@@ -39,6 +39,7 @@ from polkit.dataset import (
     MAX_ENERGY_CM,
     MAX_ETA,
     MAX_GAP_AU,
+    MAX_POLARIZABILITY,
     MAX_RATE_MHZ,
     MAX_TAU_NS,
     MAX_TEMPERATURE_K,
@@ -338,11 +339,40 @@ def test_einstein_a_refuses_a_zero_element_after_the_gap():
 
 @pytest.mark.parametrize("unc", [1e154, 1e200])
 def test_clock_shift_of_hand_built_polarizabilities_beyond_the_box_is_refused(unc):
-    """Polarizabilities that no dataset in the box gives: their squared sigmas overflow, and
-    the shift is refused, not answered."""
+    """Polarizabilities that no dataset in the box gives: their squared sigmas overflowed,
+    and the shift is refused for its bound, not answered."""
     alpha = Quantity(0.0, unc, A0_CUBED)
-    with pytest.raises((ValueError, OverflowError)):
+    with pytest.raises(ValueError) as info:
         clock_bbr_shift(alpha, alpha, BBRConditions(), shared_core_unc=unc)
+    assert type(info.value) is ValueError
+    name = "ground polarizability uncertainty [a0^3]"
+    assert str(info.value) == bound_message(name, 0.0, MAX_POLARIZABILITY, unc)
+
+
+@pytest.mark.parametrize("state", ["ground", "excited"])
+@pytest.mark.parametrize("part", ["value", "unc"])
+def test_clock_shift_polarizability_is_pinned_at_its_bound(state, part):
+    """Both polarizabilities at the bound, of opposite signs, give a finite shift at the
+    hottest T; the nearest float beyond it is refused, naming that value or uncertainty."""
+    top = MAX_POLARIZABILITY
+    hottest = BBRConditions(MAX_TEMPERATURE_K, MAX_ETA)
+    sign = {"ground": -1.0, "excited": 1.0}
+
+    def shift(x):
+        alphas = {s: Quantity(sign[s] * top, top, A0_CUBED) for s in sign}
+        value, unc = (sign[state] * x, top) if part == "value" else (sign[state] * top, x)
+        alphas[state] = Quantity(value, unc, A0_CUBED)
+        return clock_bbr_shift(alphas["ground"], alphas["excited"], hottest)
+
+    result = shift(top)
+    assert math.isfinite(result.value) and math.isfinite(result.unc) and result.unc > 0
+    with pytest.raises(ValueError) as info:
+        shift(up(top))
+    if part == "value":
+        name, low, outside = f"{state} polarizability [a0^3]", -top, sign[state] * up(top)
+    else:
+        name, low, outside = f"{state} polarizability uncertainty [a0^3]", 0.0, up(top)
+    assert str(info.value) == bound_message(name, low, top, outside)
 
 
 # ---- inside the box, every report answers with finite numbers ----------------------------
