@@ -10,6 +10,7 @@ from polkit import (
     E_A0,
     HARTREE_IN_CM,
     HERTZ,
+    SCALAR,
     BBRConditions,
     Dataset,
     DatasetError,
@@ -20,9 +21,11 @@ from polkit import (
     ReducedE1,
     UnitMismatchError,
     UnknownLevelError,
+    assemble_breakdown,
     au_to_si,
     builtin_dataset_text,
     clock_bbr_shift,
+    decay_channels,
     einstein_A,
     energy_difference_au,
     extract_matrix_element,
@@ -666,6 +669,40 @@ class TestCouplings:
     def test_unknown_label_raises(self, golden):
         with pytest.raises(UnknownLevelError):
             list(golden.couplings(LevelLabel.parse("9g9/2")))
+
+
+# 4p1/2 couples to 5s1/2, which this constructor-built dataset (validate refuses it) lacks.
+UNDECLARED_PARTNER = Dataset(
+    [Level(LevelLabel.parse("4s1/2"), 0.0), Level(LevelLabel.parse("4p1/2"), 25191.51)],
+    [ReducedE1(LevelLabel.parse(lower), LevelLabel.parse("4p1/2"), Quantity(2.9, 0.03, E_A0))
+     for lower in ("4s1/2", "5s1/2")],
+    Quantity(3.25, 0.17, A0_CUBED),
+    {},
+)
+S, G9, D20 = LevelLabel.parse("4s1/2"), LevelLabel.parse("9g9/2"), LevelLabel.parse("20d5/2")
+UNKNOWN_LEVEL_SITES = {
+    "level": (lambda ds: ds.level(G9), "9g9/2"),
+    "energy_cm": (lambda ds: ds.energy_cm(G9), "9g9/2"),
+    "couplings": (lambda ds: list(ds.couplings(G9)), "9g9/2"),
+    "couplings-undeclared-partner": (
+        lambda ds: list(UNDECLARED_PARTNER.couplings(LevelLabel.parse("4p1/2"))), "5s1/2"
+    ),
+    "energy_difference_au-a": (lambda ds: energy_difference_au(ds, D20, S), "20d5/2"),
+    "energy_difference_au-b": (lambda ds: energy_difference_au(ds, S, G9), "9g9/2"),
+    "energy_difference_au-both-names-b": (lambda ds: energy_difference_au(ds, D20, G9), "9g9/2"),
+    "assemble_breakdown": (lambda ds: assemble_breakdown(ds, G9, SCALAR), "9g9/2"),
+    "decay_channels": (lambda ds: decay_channels(ds, G9), "9g9/2"),
+}
+
+
+@pytest.mark.parametrize("site", UNKNOWN_LEVEL_SITES)
+def test_every_lookup_site_refuses_an_unknown_level_with_its_label(golden, site):
+    """The label index is the one refusal: each site raises UnknownLevelError(label text)."""
+    call, text = UNKNOWN_LEVEL_SITES[site]
+    with pytest.raises(UnknownLevelError) as info:
+        call(golden)
+    assert type(info.value) is UnknownLevelError
+    assert info.value.args == (text,)
 
 
 PACKAGED_LINES = builtin_dataset_text().splitlines()

@@ -28,6 +28,7 @@ from polkit import (
     Report,
     builtin_dataset,
     builtin_dataset_text,
+    decay_channels,
     format_value_unc,
     lifetime,
     measured_lifetime,
@@ -171,6 +172,21 @@ class TestReportModel:
         report = Report(kind="x", inputs={}, rows=(), totals={"t": value})
         with pytest.raises(ValueError):
             report.to_json()
+
+    def test_extract_rows_are_the_decay_channels_but_the_replaced_one(self):
+        """For every E1 element of the packaged dataset, measured at the dataset's own lifetime
+        of its upper state, the other-channel rows are decay_channels less the replaced one."""
+        ds = builtin_dataset()
+        for el in ds.elements:
+            channels = decay_channels(ds, el.upper)
+            tau = lifetime(channels)
+            report = extract_report(ds, "builtin", el.upper, el.lower, tau)
+            assert report.rows == tuple(
+                {"upper": str(ch.upper), "lower": str(ch.lower), "A": ch.A}
+                for ch in channels
+                if ch.lower != el.lower
+            )
+            assert report.totals["d_extracted"].value == pytest.approx(el.d.value, rel=1e-9)
 
 
 class TestCLI:
