@@ -283,6 +283,13 @@ def _extract(tau=7.0, unc=0.0, gap=0.1):
     return extract_matrix_element(Quantity(tau, unc, NANOSECOND), [], gap, 1)
 
 
+def _clock(ground, excited):
+    """The clock shift at the hottest T of two (value, sigma) polarizabilities in a0^3."""
+    hottest = BBRConditions(MAX_TEMPERATURE_K, MAX_ETA)
+    return clock_bbr_shift(Quantity(*ground, A0_CUBED), Quantity(*excited, A0_CUBED), hottest)
+
+
+TOP = MAX_POLARIZABILITY
 # (the input's name, low, high, sides pinned, a call that takes the value)
 LIBRARY_BOUNDS = {
     "Level": ("level energy [cm^-1]", 0.0, MAX_ENERGY_CM, ("low", "high"),
@@ -311,6 +318,15 @@ LIBRARY_BOUNDS = {
                     lambda x: _extract(unc=x)),
     "extract.gap": ("gap [hartree]", MIN_GAP_AU, MAX_GAP_AU, ("low", "high"),
                     lambda x: _extract(gap=x)),
+    # the other polarizability at the bound too: both sigmas' squares are at their largest
+    "clock.ground": ("ground polarizability [a0^3]", -TOP, TOP, ("low", "high"),
+                     lambda x: _clock((x, TOP), (TOP, TOP))),
+    "clock.ground_unc": ("ground polarizability uncertainty [a0^3]", 0.0, TOP, ("high",),
+                         lambda x: _clock((TOP, x), (-TOP, TOP))),
+    "clock.excited": ("excited polarizability [a0^3]", -TOP, TOP, ("low", "high"),
+                      lambda x: _clock((-TOP, TOP), (x, TOP))),
+    "clock.excited_unc": ("excited polarizability uncertainty [a0^3]", 0.0, TOP, ("high",),
+                          lambda x: _clock((-TOP, TOP), (TOP, x))),
 }
 LIBRARY_PINS = [(name, side) for name, spec in LIBRARY_BOUNDS.items() for side in spec[3]]
 
@@ -347,32 +363,6 @@ def test_clock_shift_of_hand_built_polarizabilities_beyond_the_box_is_refused(un
     assert type(info.value) is ValueError
     name = "ground polarizability uncertainty [a0^3]"
     assert str(info.value) == bound_message(name, 0.0, MAX_POLARIZABILITY, unc)
-
-
-@pytest.mark.parametrize("state", ["ground", "excited"])
-@pytest.mark.parametrize("part", ["value", "unc"])
-def test_clock_shift_polarizability_is_pinned_at_its_bound(state, part):
-    """Both polarizabilities at the bound, of opposite signs, give a finite shift at the
-    hottest T; the nearest float beyond it is refused, naming that value or uncertainty."""
-    top = MAX_POLARIZABILITY
-    hottest = BBRConditions(MAX_TEMPERATURE_K, MAX_ETA)
-    sign = {"ground": -1.0, "excited": 1.0}
-
-    def shift(x):
-        alphas = {s: Quantity(sign[s] * top, top, A0_CUBED) for s in sign}
-        value, unc = (sign[state] * x, top) if part == "value" else (sign[state] * top, x)
-        alphas[state] = Quantity(value, unc, A0_CUBED)
-        return clock_bbr_shift(alphas["ground"], alphas["excited"], hottest)
-
-    result = shift(top)
-    assert math.isfinite(result.value) and math.isfinite(result.unc) and result.unc > 0
-    with pytest.raises(ValueError) as info:
-        shift(up(top))
-    if part == "value":
-        name, low, outside = f"{state} polarizability [a0^3]", -top, sign[state] * up(top)
-    else:
-        name, low, outside = f"{state} polarizability uncertainty [a0^3]", 0.0, up(top)
-    assert str(info.value) == bound_message(name, low, top, outside)
 
 
 # ---- inside the box, every report answers with finite numbers ----------------------------
