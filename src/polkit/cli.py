@@ -48,8 +48,8 @@ def _load_dataset(args: SimpleNamespace) -> tuple[Dataset, str]:
         path = os.environ.get(ENV_DATASET) or None  # an empty variable is unset
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
+            with open(path, "rb") as handle:  # no text layer: the parser splits the lines
+                text = handle.read().decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise DatasetError(f"cannot read dataset {path!r}: {exc}") from exc
         return parse_dataset(text), path

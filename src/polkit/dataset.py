@@ -10,8 +10,9 @@ A dataset is a line-oriented UTF-8 text file::
 
 Level labels use the spectroscopic form ``<n><letter><2j>/2``, e.g. ``4p3/2``.
 A parsed :class:`Dataset` is immutable and safe for unrestricted concurrent reads;
-:func:`parse_dataset` returns one shared Dataset per text for the last 16 texts it
-accepted, and :func:`builtin_dataset` is the packaged Ca+ dataset, parsed once per process.
+:func:`parse_dataset` keeps the outcome of each of the last 16 texts, accepted or
+refused: one shared Dataset, or the message that each later call raises anew; and
+:func:`builtin_dataset` is the packaged Ca+ dataset, parsed once per process.
 :meth:`Dataset.couplings` is the one walk over the E1 elements on a level, which the
 polarizability rows and the decay channels read; it and :func:`energy_difference_au` read
 each level from the dataset's label index, the one refusal of an unknown label.
@@ -376,14 +377,8 @@ def _quantity(value: str, unc: str, what: str, unit: str) -> Quantity:
     return Quantity(parse_number(value, what), parse_number(unc, "uncertainty"), unit)
 
 
-@functools.lru_cache(maxsize=16)
-def parse_dataset(text: str) -> Dataset:
-    """Parse dataset text and return a fully validated :class:`Dataset`.
-
-    Identical text returns one shared Dataset, rows memo included, while it stays
-    cached.  Raises :class:`DatasetError` with a line number for syntax problems and
-    with the full violation list for semantic ones; a refused text is not cached.
-    """
+def _parse(text: str) -> Dataset:
+    """The uncached parse behind :func:`parse_dataset`."""
     levels: list[Level] = []
     elements: list[ReducedE1] = []
     core: Quantity | None = None
@@ -429,6 +424,35 @@ def parse_dataset(text: str) -> Dataset:
     if violations:
         raise DatasetError("; ".join(violations))
     return ds
+
+
+@functools.lru_cache(maxsize=16)
+def _outcome(text: str) -> Dataset | str:
+    """The Dataset of `text`, or the message of its refusal."""
+    try:
+        return _parse(text)
+    except DatasetError as exc:
+        return str(exc)
+
+
+def parse_dataset(text: str) -> Dataset:
+    """Parse dataset text and return a fully validated :class:`Dataset`.
+
+    Raises :class:`DatasetError` with a line number for syntax problems and with the
+    full violation list for semantic ones.  The outcome is kept per text for the last
+    16 texts, accepted or refused: identical text returns one shared Dataset, rows memo
+    included, or raises a new DatasetError with the same message, while it stays kept.
+    ``cache_info`` and ``cache_clear`` are the store's; ``__wrapped__`` parses uncached.
+    """
+    outcome = _outcome(text)
+    if outcome.__class__ is str:  # a new exception each time: a stored one grows its traceback
+        raise DatasetError(outcome)
+    return outcome
+
+
+parse_dataset.cache_info = _outcome.cache_info
+parse_dataset.cache_clear = _outcome.cache_clear
+parse_dataset.__wrapped__ = _parse
 
 
 def builtin_dataset_text() -> str:

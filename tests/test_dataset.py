@@ -488,7 +488,7 @@ class TestParserState:
 
 
 class TestParseMemo:
-    """parse_dataset keeps one shared Dataset per accepted text, for the last 16 texts."""
+    """parse_dataset keeps the outcome of each of the last 16 texts, accepted or refused."""
 
     def test_identical_text_returns_one_dataset(self, golden_text):
         ds = parse_dataset(golden_text)
@@ -496,17 +496,19 @@ class TestParseMemo:
         equal = "".join(golden_text)  # the same text in another str object
         assert equal is not golden_text and parse_dataset(equal) is ds
 
-    def test_a_refused_text_raises_at_every_call_and_is_not_stored(self):
+    def test_a_refused_text_is_stored_as_its_message_and_raised_anew(self):
         text = MINIMAL.replace("core 3.25", "core -3.25")
         before = parse_dataset.cache_info()
-        messages = []
+        errors = []
         for _ in range(3):
             with pytest.raises(DatasetError) as err:
                 parse_dataset(text)
-            messages.append(str(err.value))
+            errors.append(err.value)
         after = parse_dataset.cache_info()
-        assert messages == ["core polarizability must be positive"] * 3
-        assert after.misses == before.misses + 3 and after.currsize == before.currsize
+        assert [str(exc) for exc in errors] == ["core polarizability must be positive"] * 3
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 2)
+        assert len({id(exc) for exc in errors}) == 3  # a new exception at every call
+        assert all(exc.__context__ is None for exc in errors)
 
     def test_at_most_16_texts_are_kept(self):
         parse_dataset.cache_clear()
@@ -516,6 +518,19 @@ class TestParseMemo:
         assert parse_dataset(MINIMAL + "# text 16\n") is datasets[16]
         assert parse_dataset(MINIMAL + "# text 0\n") is not datasets[0]  # the oldest was dropped
         assert len({id(ds) for ds in datasets}) == 17 and all(ds == datasets[0] for ds in datasets)
+
+    def test_accepted_and_refused_texts_share_the_bound(self):
+        parse_dataset.cache_clear()
+        refused = [MINIMAL.replace("core 3.25", f"core -{i}") for i in range(1, 17)]
+        for text in refused:
+            with pytest.raises(DatasetError, match="^core polarizability must be positive$"):
+                parse_dataset(text)
+        ds = parse_dataset(MINIMAL)  # the 17th text drops the oldest refusal
+        info = parse_dataset.cache_info()
+        assert (info.misses, info.currsize) == (17, 16)
+        with pytest.raises(DatasetError):
+            parse_dataset(refused[0])  # parsed again
+        assert parse_dataset.cache_info().misses == 18 and parse_dataset(MINIMAL) is ds
 
 
 class TestValidate:
@@ -644,12 +659,6 @@ class TestEnergyDifference:
         )
         assert q.value == pytest.approx(0.053325, abs=5e-6)
 
-    def test_unknown_label_raises(self, golden):
-        with pytest.raises(UnknownLevelError):
-            energy_difference_au(
-                golden, LevelLabel.parse("4s1/2"), LevelLabel.parse("9g9/2")
-            )
-
     def test_all_stored_elements_point_upward(self, golden):
         for el in golden.elements:
             assert energy_difference_au(golden, el.lower, el.upper).value > 0
@@ -665,10 +674,6 @@ class TestCouplings:
             for partner, el, gap in walk:
                 assert partner == (el.upper if el.lower == label else el.lower)
                 assert gap == energy_difference_au(golden, label, partner).value
-
-    def test_unknown_label_raises(self, golden):
-        with pytest.raises(UnknownLevelError):
-            list(golden.couplings(LevelLabel.parse("9g9/2")))
 
 
 # 4p1/2 couples to 5s1/2, which this constructor-built dataset (validate refuses it) lacks.
