@@ -52,8 +52,21 @@ def _shift_per_si_alpha(cond: BBRConditions) -> float:
     return -0.5 * BBR_FIELD_300K**2 * (cond.temperature / 300.0) ** 4 * (1.0 + cond.eta)
 
 
+def _check_polarizabilities(*named: tuple[str, Quantity]) -> None:
+    """The one check of the polarizabilities a shift takes: each (what, alpha) must be in
+    a0^3, with |value| and sigma at most MAX_POLARIZABILITY; the first one outside is named."""
+    for what, alpha in named:
+        require_unit(alpha, A0_CUBED, what)
+    top = MAX_POLARIZABILITY
+    for what, alpha in named:
+        if not (-top <= alpha.value <= top and alpha.unc <= top):
+            raise ValueError(out_of_bounds((f"{what} [a0^3]", alpha.value, -top, top),
+                                           (f"{what} uncertainty [a0^3]", alpha.unc, 0.0, top)))
+
+
 def bbr_shift_state(alpha0: Quantity, cond: BBRConditions) -> Quantity:
     """BBR shift in Hz of a single state of scalar polarizability alpha0."""
+    _check_polarizabilities(("polarizability", alpha0))
     factor = _shift_per_si_alpha(cond)
     shifted = au_to_si(alpha0)
     return Quantity(factor * shifted.value, abs(factor) * shifted.unc, HERTZ)
@@ -72,15 +85,8 @@ def clock_bbr_shift(
     contribution is removed from both before combining, since it cancels in
     the difference; it must lie in [0, min(sigma_g, sigma_e)], as a part of each.
     """
-    require_unit(alpha_ground, A0_CUBED, "ground polarizability")
-    require_unit(alpha_excited, A0_CUBED, "excited polarizability")
-    g, e, top = alpha_ground, alpha_excited, MAX_POLARIZABILITY
-    if max(abs(g.value), g.unc, abs(e.value), e.unc) > top:
-        raise ValueError(out_of_bounds(
-            ("ground polarizability [a0^3]", g.value, -top, top),
-            ("ground polarizability uncertainty [a0^3]", g.unc, 0.0, top),
-            ("excited polarizability [a0^3]", e.value, -top, top),
-            ("excited polarizability uncertainty [a0^3]", e.unc, 0.0, top)))
+    g, e = alpha_ground, alpha_excited
+    _check_polarizabilities(("ground polarizability", g), ("excited polarizability", e))
     bound = min(g.unc, e.unc)
     if not 0.0 <= shared_core_unc <= bound:
         raise ValueError(

@@ -99,11 +99,16 @@ def lifetime(channels: Sequence[DecayChannel]) -> Quantity:
     return Quantity(tau, tau * (rate_unc / total), NANOSECOND)
 
 
-def measured_lifetime(tau_ns: float, unc_ns: float = 0.0) -> Quantity:
-    """A measured lifetime in ns, with tau in [1e-6, 1e15] ns and sigma_tau in [0, 1e15] ns."""
+def _check_lifetime(tau_ns: float, unc_ns: float) -> None:
+    """The one check of a lifetime's bounds: tau in [1e-6, 1e15] ns, sigma_tau in [0, 1e15] ns."""
     if not (MIN_TAU_NS <= tau_ns <= MAX_TAU_NS and 0.0 <= unc_ns <= MAX_TAU_NS):
         raise ValueError(out_of_bounds(("lifetime [ns]", tau_ns, MIN_TAU_NS, MAX_TAU_NS),
                                        ("lifetime uncertainty [ns]", unc_ns, 0.0, MAX_TAU_NS)))
+
+
+def measured_lifetime(tau_ns: float, unc_ns: float = 0.0) -> Quantity:
+    """A measured lifetime in ns, with tau in [1e-6, 1e15] ns and sigma_tau in [0, 1e15] ns."""
+    _check_lifetime(tau_ns, unc_ns)
     return Quantity(tau_ns, unc_ns, NANOSECOND)
 
 
@@ -122,7 +127,7 @@ def extract_matrix_element(
     """
     require_unit(tau_expt, NANOSECOND, "lifetime")
     tau, tau_unc = tau_expt.value, tau_expt.unc
-    measured_lifetime(tau, tau_unc)  # the one check of a lifetime's bounds
+    _check_lifetime(tau, tau_unc)
     if not MIN_GAP_AU <= delta_e_au <= MAX_GAP_AU:
         raise ValueError(out_of_bounds(("gap [hartree]", delta_e_au, MIN_GAP_AU, MAX_GAP_AU)))
     total_rate = 1000.0 / tau

@@ -27,6 +27,7 @@ from polkit import (
     LevelLabel,
     Quantity,
     ReducedE1,
+    bbr_shift_state,
     clock_bbr_shift,
     einstein_A,
     extract_matrix_element,
@@ -289,6 +290,12 @@ def _clock(ground, excited):
     return clock_bbr_shift(Quantity(*ground, A0_CUBED), Quantity(*excited, A0_CUBED), hottest)
 
 
+def _state(alpha, unc):
+    """The state shift at the hottest T of a (value, sigma) polarizability in a0^3."""
+    hottest = BBRConditions(MAX_TEMPERATURE_K, MAX_ETA)
+    return bbr_shift_state(Quantity(alpha, unc, A0_CUBED), hottest)
+
+
 TOP = MAX_POLARIZABILITY
 # (the input's name, low, high, sides pinned, a call that takes the value)
 LIBRARY_BOUNDS = {
@@ -327,6 +334,9 @@ LIBRARY_BOUNDS = {
                       lambda x: _clock((-TOP, TOP), (x, TOP))),
     "clock.excited_unc": ("excited polarizability uncertainty [a0^3]", 0.0, TOP, ("high",),
                           lambda x: _clock((-TOP, TOP), (TOP, x))),
+    "state": ("polarizability [a0^3]", -TOP, TOP, ("low", "high"), lambda x: _state(x, TOP)),
+    "state.unc": ("polarizability uncertainty [a0^3]", 0.0, TOP, ("high",),
+                  lambda x: _state(-TOP, x)),
 }
 LIBRARY_PINS = [(name, side) for name, spec in LIBRARY_BOUNDS.items() for side in spec[3]]
 
@@ -363,6 +373,14 @@ def test_clock_shift_of_hand_built_polarizabilities_beyond_the_box_is_refused(un
     assert type(info.value) is ValueError
     name = "ground polarizability uncertainty [a0^3]"
     assert str(info.value) == bound_message(name, 0.0, MAX_POLARIZABILITY, unc)
+
+
+def test_state_shift_of_a_hand_built_polarizability_beyond_the_box_is_refused():
+    """1e300 a0^3 at the hottest T: its shift overflowed to -inf Hz, which Quantity refused
+    without naming the input; the shift is refused for its bound, as the clock shift is."""
+    with pytest.raises(ValueError) as info:
+        _state(1e300, 0.0)
+    assert str(info.value) == bound_message("polarizability [a0^3]", -TOP, TOP, 1e300)
 
 
 # ---- inside the box, every report answers with finite numbers ----------------------------

@@ -22,7 +22,6 @@ from polkit import (
     Quantity,
     ReducedE1,
     UnitMismatchError,
-    UnknownLevelError,
     assemble_breakdown,
     builtin_dataset_text,
     energy_difference_au,
@@ -169,10 +168,6 @@ class TestAssembleBreakdown:
         ds = Dataset(levels, (element,), golden.core_alpha, {})
         with pytest.raises(ZeroDivisionError, match="zero energy denominator"):
             assemble_breakdown(ds, lab("4s1/2"), SCALAR)
-
-    def test_unknown_state_raises(self, golden):
-        with pytest.raises(UnknownLevelError):
-            assemble_breakdown(golden, lab("9g9/2"), SCALAR)
 
     def test_tensor_for_s_state_raises(self, golden):
         with pytest.raises(ValueError, match=r"^tensor polarizability vanishes for j=1/2$"):

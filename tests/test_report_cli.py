@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 import zipfile
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -81,6 +81,16 @@ def test_readme_library_example(capsys):
         values = [float(token) for token in line.split()]
         rounded = [f"{v:.{len(e.split('.')[1])}f}" for v, e in zip(values, expected)]
         assert rounded == expected, (line, expected)
+
+
+def test_all_lists_each_public_name_of_the_package_once():
+    """`polkit.__all__` is every public non-module name that `polkit/__init__.py` imports
+    or defines: a name imported but not listed, or listed but not imported, fails."""
+    public = {
+        name for name, value in vars(polkit).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert sorted(polkit.__all__) == sorted(public)
 
 
 def run_cli(capsys, *argv):
