@@ -36,7 +36,6 @@ from .dataset import (
     builtin_dataset_text,
     energy_difference_au,
     parse_dataset,
-    validate,
 )
 from .polarizability import (
     Contribution,
@@ -95,6 +94,5 @@ __all__ = [
     "render_table",
     "tensor_prefactor_C",
     "triangle_ok",
-    "validate",
     "wigner6j",
 ]

@@ -45,7 +45,7 @@ SI_POLARIZABILITY = "Hz/(V/m)^2"
 DIMENSIONLESS = "1"
 
 # The input box: the physical bounds of every number that enters polkit, ends included.
-# Each is checked where it enters: dataset numbers by Level, ReducedE1 and validate, CLI
+# Each is checked where it enters: dataset numbers by Level, ReducedE1 and Dataset, CLI
 # floats by the commands, library floats by the records, einstein_A, extraction and
 # clock_bbr_shift.  Inside it no term, sum, shift, rate or extraction over- or underflows
 # (README, "Input bounds").
@@ -272,9 +272,9 @@ def e1_selection_ok(a: LevelLabel, b: LevelLabel) -> bool:
 class Dataset(Record):
     """Validated collection of levels, matrix elements, core and tail terms.
 
-    The sole physics input of the package.  Construction is permissive;
-    :func:`validate` reports invariant violations and :func:`parse_dataset`
-    refuses to return a dataset that has any.
+    The sole physics input of the package.  Construction refuses a dataset that breaks
+    an invariant with a :class:`DatasetError` of :func:`validate`'s violations, joined
+    by ``"; "``, so every Dataset that exists is valid.
     """
 
     _fields = ("levels", "elements", "core_alpha", "tails")
@@ -296,6 +296,8 @@ class Dataset(Record):
         # Each state's sorted polarizability rows, filled on first assembly; outside
         # _fields, so ==, repr, copy and pickle ignore it.
         _set_rows(self, {})
+        if violations := validate(self):
+            raise DatasetError("; ".join(violations))
 
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild from the fields: the tails mappingproxy does not pickle
@@ -419,11 +421,7 @@ def _parse(text: str) -> Dataset:
     if core is None:
         raise DatasetError("missing core entry")
 
-    ds = Dataset(tuple(levels), tuple(elements), core, tails)
-    violations = validate(ds)
-    if violations:
-        raise DatasetError("; ".join(violations))
-    return ds
+    return Dataset(levels, elements, core, tails)
 
 
 @functools.lru_cache(maxsize=16)
@@ -468,58 +466,66 @@ def builtin_dataset() -> Dataset:
 
 
 def validate(ds: Dataset) -> list[str]:
-    """Check all dataset invariants; return one description per violation."""
-    violations: list[str] = []
-    by_label = ds._by_label  # the last level of each label, as Dataset.level reads it
+    """Check all dataset invariants; return one description per violation, in order.
 
-    if len(by_label) != len(ds.levels):
+    The Dataset constructor refuses any, so every Dataset that exists passes.  A valid
+    element costs one test; a message is built only for a check that fails."""
+    violations: list[str] = []
+    levels, by_label = ds.levels, ds._by_label  # the last level of each label, as read
+
+    if len(by_label) != len(levels):
         seen: set[LevelLabel] = set()
-        for level in ds.levels:
+        for level in levels:
             if level.label in seen:
                 violations.append(f"duplicate level {level.label}")
             seen.add(level.label)
-    if ds.levels and min(level.energy_cm for level in ds.levels) != 0.0:
+    if levels and min([level.energy_cm for level in levels]) != 0.0:
         violations.append("no ground level with energy 0")
 
+    # A pair's key is its two labels in energy order, labels breaking a tie: a valid
+    # element's key is its own (lower, upper).
     pairs: set[tuple[LevelLabel, LevelLabel]] = set()
+    get = by_label.get
     for el in ds.elements:
-        lower = by_label.get(el.lower)
-        upper = by_label.get(el.upper)
-        if lower is None or upper is None:
-            problems = [
-                f"unknown level {lab}" for lab in (el.lower, el.upper) if lab not in by_label
-            ]
-        else:
-            problems = []
-            if not e1_selection_ok(el.lower, el.upper):
-                problems.append("violates E1 selection rules")
-            gap = upper.energy_cm - lower.energy_cm
-            if not gap >= MIN_GAP_CM:
-                problems.append(out_of_bounds(("gap [cm^-1]", gap, MIN_GAP_CM, MAX_ENERGY_CM)))
-            key = (el.lower, el.upper) if el.lower <= el.upper else (el.upper, el.lower)
-            if key in pairs:
-                problems.append("duplicate matrix element for this pair")
-            pairs.add(key)
-        violations += [f"e1 {el.lower}-{el.upper}: {problem}" for problem in problems]
+        lower, upper = key = el[:2]
+        low, up = get(lower), get(upper)
+        if low is not None and up is not None:
+            gap = up.energy_cm - low.energy_cm
+            selection = e1_selection_ok(lower, upper)
+            if gap >= MIN_GAP_CM and selection and key not in pairs:
+                pairs.add(key)
+                continue
+        e1 = f"e1 {lower}-{upper}: "
+        if low is None or up is None:
+            violations += [e1 + f"unknown level {lab}" for lab in key if lab not in by_label]
+            continue
+        if gap < 0.0 or gap == 0.0 and upper < lower:
+            key = (upper, lower)
+        if not selection:
+            violations.append(e1 + "violates E1 selection rules")
+        if not gap >= MIN_GAP_CM:
+            violations.append(e1 + out_of_bounds(("gap [cm^-1]", gap, MIN_GAP_CM, MAX_ENERGY_CM)))
+        if key in pairs:
+            violations.append(e1 + "duplicate matrix element for this pair")
+        pairs.add(key)
 
-    if ds.core_alpha.value <= 0:
+    core, tails = ds.core_alpha, ds.tails
+    if not core.value > 0:
         violations.append("core polarizability must be positive")
-    if ds.core_alpha.unit != A0_CUBED:
+    if core.unit != A0_CUBED:
         violations.append(f"core polarizability must be in {A0_CUBED!r}")
-
-    for (label, multipole), q in ds.tails.items():
+    for (label, multipole), q in tails.items():
         if label not in by_label:
             violations.append(f"tail {label} {multipole}: unknown level {label}")
         if multipole not in MULTIPOLES:
             violations.append(f"tail {label}: bad multipole {multipole!r}")
         if q.unit != A0_CUBED:
             violations.append(f"tail {label} {multipole}: must be in {A0_CUBED!r}")
-    terms = {"core": ds.core_alpha, **{f"tail {lab} {m}": q for (lab, m), q in ds.tails.items()}}
-    violations += filter(None, [
-        out_of_bounds((f"{what} [a0^3]", q.value, -MAX_ALPHA, MAX_ALPHA),
-                      (f"{what} uncertainty [a0^3]", q.unc, 0.0, MAX_ALPHA))
-        for what, q in terms.items()
-    ])
+    for key, q in ((None, core), *tails.items()):
+        if not (-MAX_ALPHA <= q.value <= MAX_ALPHA and q.unc <= MAX_ALPHA):
+            what = "core" if key is None else f"tail {key[0]} {key[1]}"
+            violations.append(out_of_bounds((f"{what} [a0^3]", q.value, -MAX_ALPHA, MAX_ALPHA),
+                                            (f"{what} uncertainty [a0^3]", q.unc, 0.0, MAX_ALPHA)))
 
     return violations
 

@@ -4,15 +4,14 @@ Per-transition scalar and tensor terms are summed as plain floats, with tail
 and core inputs, into a breakdown whose uncertainties combine in quadrature.
 Energies are treated as exact, so each term's uncertainty is 2*|alpha|*(dd/d).
 A state's rows are built in one pass over :meth:`Dataset.couplings`, sorted by
-(partner j, gap, partner, element order) and memoized on the dataset, so the
+(partner j, gap, partner) and memoized on the dataset, so the
 scalar and tensor breakdowns of one state share them.  A total is one flat loop
 over the rows (:func:`_fold`) that computes each row's term of the requested
 multipole and its uncertainty inline, the one place of that rule, so a scalar
 sum never looks at a tensor term's uncertainty; a row builds its term as a
 :class:`Quantity` only when a report asks for it, from a one-row fold.  The
-input bounds of :mod:`polkit.dataset` keep every term and sum finite; for a
-constructor-built dataset outside them, :class:`Quantity` refuses a
-non-finite total.
+input bounds of :mod:`polkit.dataset`, which every Dataset meets, keep every term
+and sum finite.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .dataset import (
     LevelLabel,
     Quantity,
     _tuple_new,
-    require_unit,
 )
 
 
@@ -88,35 +86,34 @@ def _tensor_angular(j2_v: int, j2_k: int) -> float:
 
 
 def _main_rows(ds: Dataset, state: LevelLabel) -> tuple[Contribution, ...]:
-    """Build the rows of `state`, ordered by (partner j, gap, partner) and then element
-    order, and memoize them on `ds`."""
+    """Build the rows of `state`, ordered by (partner j, gap, partner), and memoize
+    them on `ds`."""
     # Each term is an angular factor times d^2/deltaE: 2/(3(2j_v+1)) for the
     # scalar part; the tensor part vanishes identically for j_v < 1.
     j2_v = state.j2
     scalar = 2.0 / (3.0 * (j2_v + 1))
-    keyed: list[tuple[int, float, LevelLabel, int, Contribution]] = []
-    for i, (partner, el, de) in enumerate(ds.couplings(state)):
-        if de == 0.0:
-            raise ZeroDivisionError("zero energy denominator")
+    keyed: list[tuple[int, float, LevelLabel, Contribution]] = []
+    for partner, el, de in ds.couplings(state):
         d = el.d
         d2 = d.value**2
         alpha0 = scalar * d2 / de
         alpha2 = _tensor_angular(j2_v, partner.j2) * d2 / de if j2_v >= 2 else None
         # _tuple_new: the generated __new__ of a plain namedtuple checks nothing
         row = _tuple_new(Contribution, (state, partner, d, alpha0, alpha2))
-        # The element index i ends every key, so no two keys tie and rows are never compared.
-        keyed.append((partner.j2, de, partner, i, row))
+        # A pair has one element, so the partner ends every key: no two keys tie and
+        # rows are never compared.
+        keyed.append((partner.j2, de, partner, row))
     keyed.sort()  # gap order is partner-energy order: no energies ulps apart
     # setdefault: concurrent first readers of one state all get the one stored tuple
-    return ds._rows.setdefault(state, tuple([key[4] for key in keyed]))
+    return ds._rows.setdefault(state, tuple([key[3] for key in keyed]))
 
 
 def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> PolarizabilityBreakdown:
     """Assemble the full polarizability breakdown for one state.
 
     Main contributions are the dataset elements coupled to `state`, ordered
-    by (partner j, partner energy), then partner label and element order; the
-    core term enters the scalar total only.  The total's uncertainty is the quadrature of all components.
+    by (partner j, partner energy), then partner label; the core term enters the
+    scalar total only.  The total's uncertainty is the quadrature of all components.
     """
     index = _field(multipole)
     ds.level(state)  # raises UnknownLevelError
@@ -133,7 +130,6 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
     # uncertainties are looked at.
     value, unc = _fold(main, index)
     for term in (tail, core):
-        require_unit(term, A0_CUBED, "addend")
         value += term.value
         unc = hypot(unc, term.unc)
     total = Quantity(value, unc, A0_CUBED)

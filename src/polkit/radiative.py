@@ -70,12 +70,11 @@ def einstein_A(d: Quantity, delta_e_au: float, j2_upper: int) -> Quantity:
 def decay_channels(ds: Dataset, upper: LevelLabel) -> list[DecayChannel]:
     """Every channel from `upper` down to an E1 partner below it.
 
-    Raises :class:`UnknownLevelError` when `upper` or a partner of it is not in
-    the dataset; a state with no lower partner (the ground state) has no channels.
+    Raises :class:`UnknownLevelError` when `upper` is not in the dataset; a state
+    with no lower partner (the ground state) has no channels.
     """
-    # 0.0 - gap, not -gap: a zero gap is +0.0 in einstein_A's refusal.
     return [
-        DecayChannel(upper, el.lower, einstein_A(el.d, 0.0 - gap, upper.j2))
+        DecayChannel(upper, el.lower, einstein_A(el.d, -gap, upper.j2))
         for _, el, gap in ds.couplings(upper)
         if el.upper == upper
     ]

@@ -30,9 +30,8 @@ from polkit import (
     energy_difference_au,
     extract_matrix_element,
     parse_dataset,
-    validate,
 )
-from polkit.dataset import number_literal, parse_number, require_unit
+from polkit.dataset import number_literal, parse_number, require_unit, validate
 
 # A number is an ASCII decimal literal with an optional exponent: no '_'
 # separators, no non-ASCII digits.  nan and inf are matched too: number_literal
@@ -533,7 +532,16 @@ class TestParseMemo:
         assert parse_dataset.cache_info().misses == 18 and parse_dataset(MINIMAL) is ds
 
 
+def refusal(levels, elements, core, tails):
+    """The violations, in order, with which the Dataset constructor refuses these fields."""
+    with pytest.raises(DatasetError) as info:
+        Dataset(levels, elements, core, tails)
+    return str(info.value).split("; ")
+
+
 class TestValidate:
+    """validate's violations are the message of the constructor's refusal."""
+
     def test_golden_is_clean(self, golden):
         assert validate(golden) == []
 
@@ -550,9 +558,9 @@ class TestValidate:
             LevelLabel.parse("3d5/2"),
             Quantity(1.0, 0.0, E_A0),
         )
-        ds = Dataset(self._levels(), (bad,), Quantity(3.25, 0.17, A0_CUBED), {})
-        violations = validate(ds)
-        assert len(violations) == 1 and "selection" in violations[0]
+        assert refusal(self._levels(), (bad,), Quantity(3.25, 0.17, A0_CUBED), {}) == [
+            "e1 4s1/2-3d5/2: violates E1 selection rules"
+        ]
 
     def test_unknown_level_reported(self):
         bad = ReducedE1(
@@ -560,9 +568,9 @@ class TestValidate:
             LevelLabel.parse("7p1/2"),
             Quantity(1.0, 0.0, E_A0),
         )
-        ds = Dataset(self._levels(), (bad,), Quantity(3.25, 0.17, A0_CUBED), {})
-        violations = validate(ds)
-        assert len(violations) == 1 and "unknown level 7p1/2" in violations[0]
+        assert refusal(self._levels(), (bad,), Quantity(3.25, 0.17, A0_CUBED), {}) == [
+            "e1 4p1/2-7p1/2: unknown level 7p1/2"
+        ]
 
     @pytest.mark.parametrize(
         "lower, upper, p_energy",
@@ -576,11 +584,10 @@ class TestValidate:
             LevelLabel.parse(upper),
             Quantity(1.0, 0.0, E_A0),
         )
-        ds = Dataset(levels, (bad,), Quantity(3.25, 0.17, A0_CUBED), {})
-        gap = ds.energy_cm(LevelLabel.parse(upper)) - ds.energy_cm(LevelLabel.parse(lower))
-        assert f"e1 {lower}-{upper}: gap [cm^-1] must lie in [0.001, 1e+07], got {gap!r}" in (
-            validate(ds)
-        )
+        gap = -p_energy if lower == "4p1/2" else p_energy
+        assert refusal(levels, (bad,), Quantity(3.25, 0.17, A0_CUBED), {}) == [
+            f"e1 {lower}-{upper}: gap [cm^-1] must lie in [0.001, 1e+07], got {gap!r}"
+        ]
 
     def test_element_violations_keep_their_order(self):
         text = (
@@ -603,8 +610,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("core", [-1.0, 0.0])
     def test_nonpositive_core_reported(self, core):
-        ds = Dataset(self._levels(), (), Quantity(core, 0.17, A0_CUBED), {})
-        assert validate(ds) == ["core polarizability must be positive"]
+        assert refusal(self._levels(), (), Quantity(core, 0.17, A0_CUBED), {}) == [
+            "core polarizability must be positive"
+        ]
 
     def test_every_violation_kind_in_order(self):
         s, p, d, g = (LevelLabel.parse(t) for t in ("4s1/2", "4p1/2", "3d3/2", "5p1/2"))
@@ -622,8 +630,7 @@ class TestValidate:
             (g, "vector"): Quantity(1.0, 0.0, A0_CUBED),
             (p, "scalar"): Quantity(1.0, 0.0, HERTZ),
         }
-        ds = Dataset(levels, elements, Quantity(-1.0, 0.17, HERTZ), tails)
-        assert validate(ds) == [
+        assert refusal(levels, elements, Quantity(-1.0, 0.17, HERTZ), tails) == [
             "duplicate level 4p1/2",
             "no ground level with energy 0",
             "e1 4s1/2-5p1/2: unknown level 5p1/2",
@@ -638,6 +645,52 @@ class TestValidate:
             "tail 5p1/2: bad multipole 'vector'",
             "tail 4p1/2 scalar: must be in 'a0^3'",
         ]
+
+    def test_bounds_of_core_and_tails_follow_the_other_violations(self):
+        s, p = LevelLabel.parse("4s1/2"), LevelLabel.parse("4p1/2")
+        tails = {
+            (s, "scalar"): Quantity(2e6, 0.0, HERTZ),
+            (p, "tensor"): Quantity(1.0, 3e6, A0_CUBED),
+        }
+        assert refusal([Level(s, 0.0)], (), Quantity(-2e6, 0.0, A0_CUBED), tails) == [
+            "core polarizability must be positive",
+            "tail 4s1/2 scalar: must be in 'a0^3'",
+            "tail 4p1/2 tensor: unknown level 4p1/2",
+            "core [a0^3] must lie in [-1e+06, 1e+06], got -2000000.0",
+            "tail 4s1/2 scalar [a0^3] must lie in [-1e+06, 1e+06], got 2000000.0",
+            "tail 4p1/2 tensor uncertainty [a0^3] must lie in [0, 1e+06], got 3000000.0",
+        ]
+
+    # Each dataset that a sum, a row order or a decay channel once had to guard against,
+    # now refused where it is built.
+    @pytest.mark.parametrize(
+        "p_energy, lowers, core, tail, message",
+        [
+            (0.0, ["4s1/2"], 3.25, None,
+             "e1 4s1/2-4p1/2: gap [cm^-1] must lie in [0.001, 1e+07], got 0.0"),
+            (1e-300, ["4s1/2"], 3.25, None,
+             "e1 4s1/2-4p1/2: gap [cm^-1] must lie in [0.001, 1e+07], got 1e-300"),
+            (25191.51, ["4s1/2", "4s1/2"], 3.25, None,
+             "e1 4s1/2-4p1/2: duplicate matrix element for this pair"),
+            (25191.51, ["4s1/2", "5s1/2"], 3.25, None, "e1 5s1/2-4p1/2: unknown level 5s1/2"),
+            (25191.51, ["4s1/2"], 3.25, Quantity(1.0, 0.1, HERTZ),
+             "tail 4s1/2 scalar: must be in 'a0^3'"),
+            (25191.51, ["4s1/2"], Quantity(1.0, 0.1, HERTZ), None,
+             "core polarizability must be in 'a0^3'"),
+        ],
+        ids=["zero-gap", "near-degenerate", "duplicate-pair", "undeclared-partner",
+             "tail-unit", "core-unit"],
+    )
+    def test_constructor_refuses_what_the_physics_path_guarded(
+        self, p_energy, lowers, core, tail, message
+    ):
+        s, p = LevelLabel.parse("4s1/2"), LevelLabel.parse("4p1/2")
+        levels = [Level(s, 0.0), Level(p, p_energy)]
+        elements = [ReducedE1(LevelLabel.parse(lower), p, Quantity(2.9, 0.03, E_A0))
+                    for lower in lowers]
+        core = core if isinstance(core, Quantity) else Quantity(core, 0.17, A0_CUBED)
+        tails = {} if tail is None else {(s, SCALAR): tail}
+        assert refusal(levels, elements, core, tails) == [message]
 
 
 class TestEnergyDifference:
@@ -676,22 +729,11 @@ class TestCouplings:
                 assert gap == energy_difference_au(golden, label, partner).value
 
 
-# 4p1/2 couples to 5s1/2, which this constructor-built dataset (validate refuses it) lacks.
-UNDECLARED_PARTNER = Dataset(
-    [Level(LevelLabel.parse("4s1/2"), 0.0), Level(LevelLabel.parse("4p1/2"), 25191.51)],
-    [ReducedE1(LevelLabel.parse(lower), LevelLabel.parse("4p1/2"), Quantity(2.9, 0.03, E_A0))
-     for lower in ("4s1/2", "5s1/2")],
-    Quantity(3.25, 0.17, A0_CUBED),
-    {},
-)
 S, G9, D20 = LevelLabel.parse("4s1/2"), LevelLabel.parse("9g9/2"), LevelLabel.parse("20d5/2")
 UNKNOWN_LEVEL_SITES = {
     "level": (lambda ds: ds.level(G9), "9g9/2"),
     "energy_cm": (lambda ds: ds.energy_cm(G9), "9g9/2"),
     "couplings": (lambda ds: list(ds.couplings(G9)), "9g9/2"),
-    "couplings-undeclared-partner": (
-        lambda ds: list(UNDECLARED_PARTNER.couplings(LevelLabel.parse("4p1/2"))), "5s1/2"
-    ),
     "energy_difference_au-a": (lambda ds: energy_difference_au(ds, D20, S), "20d5/2"),
     "energy_difference_au-b": (lambda ds: energy_difference_au(ds, S, G9), "9g9/2"),
     "energy_difference_au-both-names-b": (lambda ds: energy_difference_au(ds, D20, G9), "9g9/2"),

@@ -12,27 +12,24 @@ from polkit import (
     A0_CUBED,
     E_A0,
     HARTREE_IN_CM,
-    HERTZ,
     SCALAR,
     TENSOR,
     Contribution,
     Dataset,
+    DatasetError,
     Level,
     LevelLabel,
     Quantity,
     ReducedE1,
-    UnitMismatchError,
     assemble_breakdown,
     builtin_dataset_text,
     energy_difference_au,
     parse_dataset,
-    render_table,
     tensor_prefactor_C,
     wigner6j,
 )
 from polkit.cli import main
 from polkit.dataset import MAX_D
-from polkit.report import polarizability_report
 
 lab = LevelLabel.parse
 
@@ -162,13 +159,6 @@ class TestAssembleBreakdown:
         assert rows["3d3/2"].alpha0 < 0
         assert all(c.alpha2 is None for c in rows.values())  # no tensor part for j = 1/2
 
-    def test_zero_energy_denominator_raises(self, golden):
-        levels = (Level(lab("4s1/2"), 0.0), Level(lab("4p1/2"), 0.0))
-        element = ReducedE1(lab("4s1/2"), lab("4p1/2"), d_q(2.898, 0.029))
-        ds = Dataset(levels, (element,), golden.core_alpha, {})
-        with pytest.raises(ZeroDivisionError, match="zero energy denominator"):
-            assemble_breakdown(ds, lab("4s1/2"), SCALAR)
-
     def test_tensor_for_s_state_raises(self, golden):
         with pytest.raises(ValueError, match=r"^tensor polarizability vanishes for j=1/2$"):
             assemble_breakdown(golden, lab("4s1/2"), TENSOR)
@@ -210,37 +200,9 @@ class TestAssembleBreakdown:
         assert assemble_breakdown(grown, lab("4s1/2"), SCALAR).total.value >= base
 
 
-class TestConstructorBuiltSums:
-    """Datasets built by constructors skip validate.  Their elements still lie in the input
-    box, which ReducedE1 checks, but their levels may lie closer than any e1 pair that
-    validate takes: Quantity's finiteness check then refuses a non-finite total."""
-
-    @staticmethod
-    def _dataset(golden, rows, tail=None):
-        """4s1/2 coupled by d = MAX_D to each (upper, alpha0 as a share of the largest float,
-        relative d uncertainty) in `rows`, the upper level set near-degenerate to give that
-        alpha0, with `tail` as its scalar tail."""
-        ground = lab("4s1/2")
-        levels = [Level(ground, 0.0)]
-        elements = []
-        for upper, share, rel in rows:
-            upper = lab(upper)
-            # alpha0 = d^2 / (3 gap) for j = 1/2
-            gap_cm = MAX_D * MAX_D / 3.0 / share / sys.float_info.max * HARTREE_IN_CM
-            levels.append(Level(upper, gap_cm))
-            elements.append(ReducedE1(ground, upper, d_q(MAX_D, rel * MAX_D)))
-        tails = {} if tail is None else {(ground, SCALAR): tail}
-        return Dataset(levels, elements, golden.core_alpha, tails)
-
-    @pytest.mark.parametrize("field", ["tail", "core"])
-    def test_addend_in_wrong_unit_raises(self, golden, field):
-        bad = Quantity(1.0, 0.1, HERTZ)
-        tails = {(lab("4s1/2"), SCALAR): bad} if field == "tail" else {}
-        core = bad if field == "core" else golden.core_alpha
-        ds = Dataset(golden.levels, golden.elements, core, tails)
-        with pytest.raises(UnitMismatchError) as info:
-            assemble_breakdown(ds, lab("4s1/2"), SCALAR)
-        assert str(info.value) == "addend must be in 'a0^3', got 'Hz'"
+class TestOverflowIsRefusedAtTheGates:
+    """No sum overflows: ReducedE1 refuses a d outside the input box, and Dataset refuses
+    levels closer than MIN_GAP_CM and a tail beyond MAX_ALPHA, where a sum once did."""
 
     @pytest.mark.parametrize(
         "d, message",
@@ -258,60 +220,45 @@ class TestConstructorBuiltSums:
             ReducedE1(lab("4s1/2"), lab("4p1/2"), d)
         assert str(info.value) == message
 
-    def test_scalar_sum_does_not_look_at_the_tensor_uncertainty(self, golden):
-        """3d5/2-4f5/2 has alpha2/alpha0 = 8/7: at |alpha0| = 0.445 max and dd/d = 1 the
-        scalar term's 2|alpha| dd/d is finite and the tensor term's is not."""
-        state, upper = lab("3d5/2"), lab("4f5/2")
-        gap_cm = MAX_D * MAX_D / 9.0 / 0.445 / sys.float_info.max * HARTREE_IN_CM
-        levels = [Level(state, 0.0), Level(upper, gap_cm)]
-        ds = Dataset(levels, [ReducedE1(state, upper, d_q(MAX_D, MAX_D))], golden.core_alpha, {})
-        b = assemble_breakdown(ds, state, SCALAR)
-        row, core = b.main[0], golden.core_alpha
-        assert row.alpha2 / row.alpha0 == pytest.approx(8.0 / 7.0, rel=1e-12)
-        assert b.total == Quantity(row.alpha0 + core.value,
-                                   math.hypot(row.alpha0 * 2.0, core.unc), A0_CUBED)
-        for tensor in (lambda: assemble_breakdown(ds, state, TENSOR),
-                       lambda: row.quantity(TENSOR)):
-            with pytest.raises(ValueError) as info:
-                tensor()
-            assert str(info.value) == "non-finite uncertainty: inf a0^3"
-
-    def test_overflowing_term_is_not_blamed_on_its_uncertainty(self, golden):
-        """A gap of 1e-300 cm^-1 makes the term itself inf: the refusal is the sum's."""
-        levels = [Level(lab("4s1/2"), 0.0), Level(lab("4p1/2"), 1e-300)]
-        ds = Dataset(levels, [ReducedE1(lab("4s1/2"), lab("4p1/2"), d_q(1e3, 1.0))],
-                     golden.core_alpha, {})
-        for build in (lambda: assemble_breakdown(ds, lab("4s1/2"), SCALAR),
-                      lambda: pol._main_rows(ds, lab("4s1/2"))[0].quantity(SCALAR)):
-            with pytest.raises(ValueError) as info:
-                build()
-            assert "inf a0^3" in str(info.value) and "uncertainty" not in str(info.value)
+    @staticmethod
+    def gap_cm(share, angular=3.0):
+        """The gap at which d = MAX_D gives |alpha0| = d^2 / (angular gap) that share of the
+        largest float: angular is 3 for j = 1/2 and 9 for j = 5/2."""
+        return MAX_D * MAX_D / angular / share / sys.float_info.max * HARTREE_IN_CM
 
     @pytest.mark.parametrize(
-        "rows, tail, message",
+        "state, uppers, tail",
         [
-            # two rows whose uncertainties overflow in quadrature
-            ([("4p1/2", 0.4, 1.0), ("4p3/2", 0.4, 1.0)], None, "non-finite uncertainty: inf a0^3"),
-            # three rows whose values overflow in the last addition
-            (
-                [("4p1/2", 0.4, 0.0), ("5p1/2", 0.4, 0.0), ("4p3/2", 0.4, 0.0)],
-                None,
-                "non-finite value: inf a0^3",
-            ),
-            # a finite tail, beyond the bounds that validate takes, overflows the sum
-            (
-                [("4p1/2", 0.4, 0.0)],
-                Quantity(0.9 * sys.float_info.max, 0.0, A0_CUBED),
-                "non-finite value: inf a0^3",
-            ),
+            # 3d5/2-4f5/2 at |alpha0| = 0.445 max: a finite scalar term, an inf tensor sigma
+            ("3d5/2", [("4f5/2", gap_cm(0.445, 9.0))], None),
+            # a gap of 1e-300 cm^-1 made the term itself inf
+            ("4s1/2", [("4p1/2", 1e-300)], None),
+            # two rows whose uncertainties overflowed in quadrature, three whose values
+            # overflowed in the last addition, and a tail that overflowed the sum
+            ("4s1/2", [("4p1/2", gap_cm(0.4)), ("4p3/2", gap_cm(0.4))], None),
+            ("4s1/2", [("4p1/2", gap_cm(0.4)), ("5p1/2", gap_cm(0.4)), ("4p3/2", gap_cm(0.4))],
+             None),
+            ("4s1/2", [("4p1/2", gap_cm(0.4))], 0.9 * sys.float_info.max),
         ],
+        ids=["tensor-uncertainty", "term", "uncertainty-sum", "value-sum", "tail"],
     )
-    def test_sum_of_finite_addends_that_overflows_raises(self, golden, rows, tail, message):
-        for row in rows:  # each row alone sums to a finite total
-            assemble_breakdown(self._dataset(golden, [row]), lab("4s1/2"), SCALAR)
-        with pytest.raises(ValueError) as info:
-            assemble_breakdown(self._dataset(golden, rows, tail), lab("4s1/2"), SCALAR)
-        assert str(info.value) == message
+    def test_dataset_whose_sum_overflowed_is_refused_at_construction(self, golden, state,
+                                                                     uppers, tail):
+        levels, elements, expected = [Level(lab(state), 0.0)], [], []
+        for upper, gap_cm in uppers:
+            levels.append(Level(lab(upper), gap_cm))
+            elements.append(ReducedE1(lab(state), lab(upper), d_q(MAX_D, MAX_D)))
+            expected.append(
+                f"e1 {state}-{upper}: gap [cm^-1] must lie in [0.001, 1e+07], got {gap_cm!r}"
+            )
+        tails = {}
+        if tail is not None:
+            tails[lab(state), SCALAR] = Quantity(tail, 0.0, A0_CUBED)
+            expected.append(f"tail {state} scalar [a0^3] must lie in [-1e+06, 1e+06], "
+                            f"got {tail!r}")
+        with pytest.raises(DatasetError) as info:
+            Dataset(levels, elements, golden.core_alpha, tails)
+        assert str(info.value) == "; ".join(expected)
 
 
 def reference_rows(ds, state):
@@ -339,14 +286,18 @@ class TestRowBuild:
     @settings(max_examples=25, deadline=None, derandomize=True, phases=[Phase.generate])
     @given(data=st.data())
     def test_rows_are_the_reference_rows_bit_for_bit(self, golden, data):
-        """Drawn E1 values and distinct level energies on the golden levels: every row of
-        every state is the reference's, compared by repr, so -0.0 and every last bit count."""
+        """Drawn E1 values and distinct level energies on the golden levels, the lowest at 0
+        and each element's pair in the drawn energy order: every row of every state is the
+        reference's, compared by repr, so -0.0 and every last bit count."""
         n = len(golden.levels)
         quarters = data.draw(st.lists(st.integers(0, 400_000), min_size=n, max_size=n,
                                       unique=True), label="energies in quarter cm^-1")
-        levels = [Level(level.label, q / 4.0) for level, q in zip(golden.levels, quarters)]
+        lowest = min(quarters)
+        levels = [Level(level.label, (q - lowest) / 4.0)
+                  for level, q in zip(golden.levels, quarters)]
+        energy = dict(levels)
         elements = [
-            ReducedE1(el.lower, el.upper, d_q(value, 0.01 * value))
+            ReducedE1(*sorted((el.lower, el.upper), key=energy.get), d_q(value, 0.01 * value))
             for el, value in zip(golden.elements, data.draw(
                 st.lists(st.floats(1e-3, 50.0), min_size=len(golden.elements),
                          max_size=len(golden.elements)), label="d"))
@@ -371,20 +322,6 @@ class TestRowBuild:
         assert main(["polarizability", "--state", "3d5/2", "--dataset", str(path)]) == 0
         table = capsys.readouterr().out
         assert table.index("3d5/2-4p3/2") < table.index("3d5/2-5p3/2")
-
-    @pytest.mark.parametrize("values", [(3.0, 2.0), (2.0, 3.0)])
-    def test_two_elements_to_one_partner_keep_their_element_order(self, golden, values):
-        """A constructor-built dataset may hold a pair twice: the two rows tie on every
-        key but the element index, and the element order decides, in the table too."""
-        ground, upper = lab("4s1/2"), lab("4p1/2")
-        levels = (Level(ground, 0.0), Level(upper, 25191.51))
-        elements = [ReducedE1(ground, upper, d_q(value, 0.1)) for value in values]
-        ds = Dataset(levels, elements, golden.core_alpha, {})
-        rows = assemble_breakdown(ds, ground, SCALAR).main
-        assert [row.d.value for row in rows] == list(values)
-        table = render_table(polarizability_report(ds, "constructed", ground, SCALAR))
-        first, second = (f"{value:.2f}(10)" for value in values)
-        assert table.index(first) < table.index(second)
 
 
 class TestRowMemo:
@@ -423,26 +360,6 @@ class TestRowMemo:
         assert other._rows == {}
         again = assemble_breakdown(other, lab("3d5/2"), SCALAR)
         assert again == warm and again.main is not warm.main
-
-    @pytest.mark.parametrize(
-        "p_energy, error, message, stored",
-        [
-            (0.0, ZeroDivisionError, "zero energy denominator", False),
-            (1e-300, ValueError, "non-finite value: inf a0^3", True),
-        ],
-        ids=["zero-gap", "near-degenerate"],
-    )
-    def test_a_refused_state_is_refused_again(self, golden, p_energy, error, message, stored):
-        """Rows that cannot be built store nothing; rows whose total is not finite are
-        stored, and refused again at each assembly."""
-        levels = (Level(lab("4s1/2"), 0.0), Level(lab("4p1/2"), p_energy))
-        element = ReducedE1(lab("4s1/2"), lab("4p1/2"), d_q(MAX_D))
-        ds = Dataset(levels, (element,), golden.core_alpha, {})
-        for _ in range(2):
-            with pytest.raises(error) as info:
-                assemble_breakdown(ds, lab("4s1/2"), SCALAR)
-            assert str(info.value) == message
-        assert (lab("4s1/2") in ds._rows) is stored
 
 
 def test_tensor_angular_calls_the_module_level_kernels(golden_text, monkeypatch):

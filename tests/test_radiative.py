@@ -7,17 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polkit import (
-    A0_CUBED,
     E_A0,
     MEGAHERTZ,
     NANOSECOND,
-    Dataset,
     DecayChannel,
-    Level,
     LevelLabel,
     Quantity,
-    ReducedE1,
-    UnknownLevelError,
     decay_channels,
     einstein_A,
     energy_difference_au,
@@ -143,34 +138,6 @@ class TestDecayChannels:
                 if el.upper == upper
             ]
             assert decay_channels(golden, upper) == expected
-
-    @staticmethod
-    def built(levels, elements):
-        """A dataset made by the constructor, which `validate` would refuse."""
-        d = Quantity(2.9, 0.03, E_A0)
-        return Dataset(
-            [Level(lab(label), energy) for label, energy in levels],
-            [ReducedE1(lab(lower), lab(upper), d) for lower, upper in elements],
-            Quantity(3.25, 0.17, A0_CUBED),
-            {},
-        )
-
-    def test_zero_gap_keeps_a_positive_zero_in_the_message(self):
-        ds = self.built([("4s1/2", 0.0), ("4p1/2", 0.0)], [("4s1/2", "4p1/2")])
-        with pytest.raises(ValueError) as info:
-            decay_channels(ds, lab("4p1/2"))
-        assert str(info.value) == (
-            "gap [hartree] must lie in [4.55634e-09, 45.5634], got 0.0"
-        )
-
-    def test_unknown_higher_partner_is_named(self):
-        ds = self.built(
-            [("4s1/2", 0.0), ("4p1/2", 25191.51)], [("4s1/2", "4p1/2"), ("4p1/2", "5s1/2")]
-        )
-        with pytest.raises(UnknownLevelError) as info:
-            decay_channels(ds, lab("4p1/2"))
-        assert info.value.args == ("5s1/2",)
-
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, 8e307])
     def test_channel_refuses_a_rate_outside_its_bounds(self, rate):
