@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``polarizability``, ``bbr``, ``lifetime``, ``extract``.
-The dataset is the file that ``--dataset``, else ``POLKIT_DATASET``, names, read
-at each call and parsed once per distinct text, else the packaged Ca+ file, parsed
-once per process.
+The dataset is the file that ``--dataset``, else ``POLKIT_DATASET``, names, a regular
+file of at most ``MAX_DATASET_BYTES``, read at each call and parsed once per distinct
+text, else the packaged Ca+ file, parsed once per process.
 Each command reads its arguments and returns the :class:`~polkit.report.Report` of
 one builder of :mod:`polkit.report`; ``main`` writes it as a table or as JSON.  A flag
 is checked by the library call that owns its input (``LevelLabel.parse``,
@@ -18,13 +18,15 @@ Exit codes: 0 success, 1 usage error, 2 data validation error,
 from __future__ import annotations
 
 import os
+import stat
 import sys
 from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
 from .bbr import BBRConditions
 from .dataset import SCALAR, TENSOR, Dataset, DatasetError, LevelLabel, UnknownLevelError
-from .dataset import builtin_dataset, number_literal, parse_dataset, parse_number
+from .dataset import MAX_DATASET_BYTES, builtin_dataset, number_literal, parse_dataset
+from .dataset import parse_number
 from .radiative import measured_lifetime
 from .report import Report, bbr_report, extract_report, lifetime_report, polarizability_report
 from .report import render_table
@@ -42,17 +44,34 @@ class UsageError(Exception):
     pass
 
 
+def _nonblocking(path: str, flags: int) -> int:
+    return os.open(path, flags | os.O_NONBLOCK)  # a FIFO with no writer opens at once
+
+
+def _read_dataset(path: str) -> str:
+    """The text of the dataset file at `path`: a regular file of at most MAX_DATASET_BYTES
+    bytes of UTF-8, a byte-order mark allowed; anything else is a DatasetError."""
+    try:
+        # Bytes, no text layer: the parser splits the lines.
+        with open(path, "rb", opener=_nonblocking) as handle:
+            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                raise DatasetError(f"cannot read dataset {path!r}: not a regular file")
+            data = handle.read(MAX_DATASET_BYTES + 1)
+        if len(data) > MAX_DATASET_BYTES:
+            raise DatasetError(
+                f"cannot read dataset {path!r}: larger than {MAX_DATASET_BYTES} bytes"
+            )
+        return data.decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read dataset {path!r}: {exc}") from exc
+
+
 def _load_dataset(args: SimpleNamespace) -> tuple[Dataset, str]:
     path = args.dataset
     if path is None:
         path = os.environ.get(ENV_DATASET) or None  # an empty variable is unset
     if path is not None:
-        try:
-            with open(path, "rb") as handle:  # no text layer: the parser splits the lines
-                text = handle.read().decode("utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DatasetError(f"cannot read dataset {path!r}: {exc}") from exc
-        return parse_dataset(text), path
+        return parse_dataset(_read_dataset(path)), path
     return builtin_dataset(), BUILTIN_DATASET
 
 

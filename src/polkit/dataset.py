@@ -44,11 +44,13 @@ NANOSECOND = "ns"
 SI_POLARIZABILITY = "Hz/(V/m)^2"
 DIMENSIONLESS = "1"
 
-# The input box: the physical bounds of every number that enters polkit, ends included.
-# Each is checked where it enters: dataset numbers by Level, ReducedE1 and Dataset, CLI
-# floats by the commands, library floats by the records, einstein_A, extraction and
+# The input box: the physical bounds of every number that enters polkit, ends included,
+# and of the dataset file that holds them.  Each is checked where it enters: the file's
+# size by the CLI's reader, dataset numbers by Level, ReducedE1 and Dataset, CLI floats
+# by the commands, library floats by the records, einstein_A, extraction and
 # clock_bbr_shift.  Inside it no term, sum, shift, rate or extraction over- or underflows
 # (README, "Input bounds").
+MAX_DATASET_BYTES = 1 << 20               # bytes: a dataset file, 500 times the packaged one
 MAX_ENERGY_CM, MIN_GAP_CM = 1e7, 1e-3     # energies in [0, 1e7] cm^-1; e1 pairs 1e-3 apart
 MIN_GAP_AU, MAX_GAP_AU = MIN_GAP_CM / HARTREE_IN_CM, MAX_ENERGY_CM / HARTREE_IN_CM
 MIN_D, MAX_D = 1e-6, 1e4                  # e*a0, and sigma_d <= 1e4: d ~ n^2 up to n ~ 100

@@ -36,7 +36,7 @@ from polkit import (
     render_table,
 )
 from polkit.cli import BUILTIN_DATASET, main
-from polkit.dataset import parse_number
+from polkit.dataset import MAX_DATASET_BYTES, parse_number
 from polkit.report import bbr_report, extract_report, lifetime_report, polarizability_report
 from test_dataset import NUMBER_PATTERN
 
@@ -409,6 +409,60 @@ class TestCLI:
         assert code == 2
         assert out == ""
         assert err.startswith(f"polkit: error: cannot read dataset {str(path)!r}: ")
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-the-bound", "one-byte-over"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_dataset_file_size_is_bounded(self, tmp_path, capsys, monkeypatch, golden_text,
+                                          over, source):
+        """The packaged text padded by a comment to MAX_DATASET_BYTES parses; one byte more
+        is refused, naming the bound, whether --dataset or POLKIT_DATASET names the file."""
+        data = golden_text.encode("utf-8") + b"#"
+        data += b"x" * (MAX_DATASET_BYTES - len(data) - 1 + over) + b"\n"
+        path = tmp_path / "padded.dat"
+        path.write_bytes(data)
+        argv = ["bbr", "--format", "machine"]
+        if source == "flag":
+            argv += ["--dataset", str(path)]
+        else:
+            monkeypatch.setenv("POLKIT_DATASET", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        if over:
+            assert (code, out, err) == (2, "", f"polkit: error: cannot read dataset "
+                                        f"{str(path)!r}: larger than 1048576 bytes\n")
+        else:
+            assert (code, err) == (0, "") and json.loads(out)["inputs"]["dataset"] == str(path)
+
+    def test_a_file_that_is_not_regular_is_refused(self, capsys):
+        assert run_cli(capsys, "bbr", "--dataset", os.devnull) == (
+            2, "", f"polkit: error: cannot read dataset {os.devnull!r}: not a regular file\n"
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    def test_a_fifo_with_no_writer_is_refused_without_blocking(self, tmp_path):
+        """Run in a child with a timeout, so that a blocking open fails the test, not hangs it."""
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(polkit.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        child = subprocess.run([sys.executable, "-m", "polkit.cli", "bbr", "--dataset", str(fifo)],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert (child.returncode, child.stdout, child.stderr) == (
+            2, "", f"polkit: error: cannot read dataset {str(fifo)!r}: not a regular file\n"
+        )
+
+    def test_a_byte_order_mark_is_read_past(self, tmp_path, capsys, golden_text):
+        """A UTF-8 byte-order mark before the packaged text changes no number of the report."""
+        reports = []
+        for name, mark in (("plain.dat", b""), ("bom.dat", b"\xef\xbb\xbf")):
+            path = tmp_path / name
+            path.write_bytes(mark + golden_text.encode("utf-8"))
+            code, out, err = run_cli(capsys, "bbr", "--dataset", str(path), "--format", "machine")
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            assert report["inputs"].pop("dataset") == str(path)
+            reports.append(report)
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
         "packaged,text,message",
