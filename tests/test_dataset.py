@@ -31,7 +31,8 @@ from polkit import (
     extract_matrix_element,
     parse_dataset,
 )
-from polkit.dataset import number_literal, parse_number, require_unit, validate
+from polkit.dataset import MAX_ALPHA, MIN_GAP_CM, number_literal, parse_number, require_unit
+from polkit.dataset import e1_selection_ok, validate
 
 # A number is an ASCII decimal literal with an optional exponent: no '_'
 # separators, no non-ASCII digits.  nan and inf are matched too: number_literal
@@ -691,6 +692,93 @@ class TestValidate:
         core = core if isinstance(core, Quantity) else Quantity(core, 0.17, A0_CUBED)
         tails = {} if tail is None else {(s, SCALAR): tail}
         assert refusal(levels, elements, core, tails) == [message]
+
+
+# A few labels, so that pairs repeat, and the faults that a drawn set may carry.
+POOL = [LevelLabel.parse(t) for t in ("4s1/2", "4p1/2", "4p3/2", "3d3/2", "3d5/2", "5s1/2")]
+FAULTS = ("duplicate-level", "tie", "near-tie", "no-ground", "undeclared", "any-pair",
+          "reversed", "duplicate-pair", "core", "tail-term", "tail-level", "tail-multipole")
+BAD_TERMS = [Quantity(v, u, unit) for v, u, unit in [
+    (-1.0, 0.0, A0_CUBED), (0.0, 0.0, A0_CUBED), (2e6, 0.0, A0_CUBED), (-2e6, 0.0, A0_CUBED),
+    (1.0, 2e6, A0_CUBED), (3.25, 0.17, HERTZ),
+]]
+
+
+@st.composite
+def dataset_fields(draw):
+    """Levels, elements, core and tails of a small valid set, with up to two drawn faults."""
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2))
+    labels = draw(st.lists(st.sampled_from(POOL), min_size=2, max_size=5, unique=True))
+    energies = [float(i) for i in draw(st.permutations(range(len(labels))))]  # one at 0
+    i, j = draw(st.integers(0, len(labels) - 1)), draw(st.integers(0, len(labels) - 1))
+    if "tie" in faults or "near-tie" in faults:
+        energies[i] = energies[j] + (0.0005 if "near-tie" in faults else 0.0)
+    if "no-ground" in faults:
+        energies = [energy + 0.5 for energy in energies]
+    levels = [Level(label, energy) for label, energy in zip(labels, energies)]
+    if "duplicate-level" in faults:
+        levels.append(Level(labels[i], energies[j]))
+    energy = dict(levels)
+    allowed = [tuple(sorted((a, b), key=energy.get)) for a in labels for b in labels
+               if a < b and e1_selection_ok(a, b)]
+    pairs = draw(st.lists(st.sampled_from(allowed), unique=True)) if allowed else []
+    if "undeclared" in faults or "any-pair" in faults:
+        pick = st.sampled_from(POOL if "undeclared" in faults else labels)
+        pairs.insert(draw(st.integers(0, len(pairs))), (draw(pick), draw(pick)))
+    if pairs and "duplicate-pair" in faults:
+        pairs.append(draw(st.sampled_from(pairs)))
+    if pairs and "reversed" in faults:
+        k = draw(st.integers(0, len(pairs) - 1))
+        pairs[k] = pairs[k][::-1]
+    elements = [ReducedE1(lower, upper, Quantity(1.0, 0.1, E_A0)) for lower, upper in pairs]
+    good, bad = Quantity(0.5, 0.1, A0_CUBED), st.sampled_from(BAD_TERMS)
+    core = draw(bad) if "core" in faults else good
+    tails = {(label, draw(st.sampled_from(["scalar", "tensor"]))): good
+             for label in draw(st.lists(st.sampled_from(labels), max_size=2))}
+    if "tail-term" in faults or "tail-level" in faults or "tail-multipole" in faults:
+        label = draw(st.sampled_from(POOL if "tail-level" in faults else labels))
+        multipole = "vector" if "tail-multipole" in faults else "scalar"
+        tails[label, multipole] = draw(bad) if "tail-term" in faults else good
+    return levels, elements, core, tails
+
+
+def rules_hold(levels, elements, core, tails):
+    """The dataset rules, stated plainly: unique level labels and a ground level at 0;
+    each element between declared levels, E1-allowed, at least MIN_GAP_CM upward, and the
+    only one of its pair; a positive core and every core and tail term in a0^3 and in the
+    input box; each tail on a declared level and multipole."""
+    energy = {level.label: level.energy_cm for level in levels}
+    if len(energy) != len(levels) or (levels and min(energy.values()) != 0.0):
+        return False
+    pairs = [frozenset((el.lower, el.upper)) for el in elements]
+    if len(set(pairs)) != len(pairs):
+        return False
+    for el in elements:
+        if el.lower not in energy or el.upper not in energy:
+            return False
+        if abs(el.lower.l - el.upper.l) != 1 or abs(el.lower.j2 - el.upper.j2) > 2:
+            return False
+        if not energy[el.upper] - energy[el.lower] >= MIN_GAP_CM:
+            return False
+    if not core.value > 0:
+        return False
+    if any(q.unit != A0_CUBED or abs(q.value) > MAX_ALPHA or q.unc > MAX_ALPHA
+           for q in (core, *tails.values())):
+        return False
+    return all(label in energy and multipole in ("scalar", "tensor") for label, multipole in tails)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fields=dataset_fields())
+def test_construction_succeeds_exactly_when_the_rules_hold(fields):
+    """validate's fast path accepts exactly the valid sets: Dataset builds when the rules
+    hold, and is refused with a message otherwise."""
+    if rules_hold(*fields):
+        assert validate(Dataset(*fields)) == []
+    else:
+        with pytest.raises(DatasetError) as info:
+            Dataset(*fields)
+        assert str(info.value)
 
 
 class TestEnergyDifference:
