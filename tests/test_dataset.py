@@ -609,6 +609,26 @@ class TestValidate:
             "e1 4p1/2-3d3/2: duplicate matrix element for this pair",
         ]
 
+    @pytest.mark.parametrize("first", ["4s1/2", "4p1/2"])
+    def test_a_pair_at_equal_energies_is_one_pair_in_either_order(self, first):
+        """With no energy order, the labels order the pair: its second element, written
+        either way round, is its duplicate."""
+        s, p = LevelLabel.parse("4s1/2"), LevelLabel.parse("4p1/2")
+        one = Quantity(1.0, 0.0, E_A0)
+        a, b = (s, p) if first == "4s1/2" else (p, s)
+        gap = "gap [cm^-1] must lie in [0.001, 1e+07], got 0.0"
+        assert refusal([Level(s, 0.0), Level(p, 0.0)], [ReducedE1(a, b, one),
+                       ReducedE1(b, a, one)], Quantity(3.25, 0.17, A0_CUBED), {}) == [
+            f"e1 {a}-{b}: {gap}",
+            f"e1 {b}-{a}: {gap}",
+            f"e1 {b}-{a}: duplicate matrix element for this pair",
+        ]
+
+    def test_a_dataset_with_no_levels_is_valid(self):
+        """The ground-level rule asks for a level at 0 only when there are levels."""
+        ds = Dataset((), (), Quantity(3.25, 0.17, A0_CUBED), {})
+        assert validate(ds) == [] and parse_dataset("core 3.25 0.17\n") == ds
+
     @pytest.mark.parametrize("core", [-1.0, 0.0])
     def test_nonpositive_core_reported(self, core):
         assert refusal(self._levels(), (), Quantity(core, 0.17, A0_CUBED), {}) == [
