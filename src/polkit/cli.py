@@ -54,9 +54,14 @@ def _read_dataset(path: str) -> str:
     try:
         # Bytes, no text layer: the parser splits the lines.
         with open(path, "rb", opener=_nonblocking) as handle:
-            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            info = os.fstat(handle.fileno())
+            if not stat.S_ISREG(info.st_mode):
                 raise DatasetError(f"cannot read dataset {path!r}: not a regular file")
-            data = handle.read(MAX_DATASET_BYTES + 1)
+            # read(n) allocates n bytes first, so read the stated size and one byte, and
+            # up to the bound only from a file that holds more than it states (/proc's).
+            data = handle.read(min(info.st_size, MAX_DATASET_BYTES) + 1)
+            if len(data) > info.st_size:
+                data += handle.read(MAX_DATASET_BYTES + 1 - len(data))
         if len(data) > MAX_DATASET_BYTES:
             raise DatasetError(
                 f"cannot read dataset {path!r}: larger than {MAX_DATASET_BYTES} bytes"

@@ -432,6 +432,27 @@ class TestCLI:
         else:
             assert (code, err) == (0, "") and json.loads(out)["inputs"]["dataset"] == str(path)
 
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-the-bound", "one-byte-over"])
+    def test_a_file_that_holds_more_than_it_states_is_read_to_the_bound(
+        self, tmp_path, capsys, monkeypatch, golden_text, over
+    ):
+        """As a /proc file states 0 bytes: the read goes past the stated size, up to the
+        bound, and the bound still holds."""
+        data = golden_text.encode("utf-8") + b"#"
+        data += b"x" * (MAX_DATASET_BYTES - len(data) - 1 + over) + b"\n"
+        path = tmp_path / "unstated.dat"
+        path.write_bytes(data)
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((*fstat(fd)[:6], 0,
+                                                                     *fstat(fd)[7:])))
+        code, out, err = run_cli(capsys, "bbr", "--dataset", str(path))
+        monkeypatch.undo()
+        if over:
+            assert (code, out, err) == (2, "", f"polkit: error: cannot read dataset "
+                                        f"{str(path)!r}: larger than 1048576 bytes\n")
+        else:
+            assert (code, out, err) == run_cli(capsys, "bbr", "--dataset", str(path))
+
     def test_a_file_that_is_not_regular_is_refused(self, capsys):
         assert run_cli(capsys, "bbr", "--dataset", os.devnull) == (
             2, "", f"polkit: error: cannot read dataset {os.devnull!r}: not a regular file\n"
