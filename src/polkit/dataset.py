@@ -473,7 +473,8 @@ def validate(ds: Dataset) -> list[str]:
     The Dataset constructor refuses any, so every Dataset that exists passes.  A valid
     element costs one test; a message is built only for a check that fails."""
     violations: list[str] = []
-    levels, by_label = ds.levels, ds._by_label  # the last level of each label, as read
+    # by_label holds the last level of each label, as Dataset.level reads it
+    levels, by_label = ds.levels, ds._by_label
 
     if len(by_label) != len(levels):
         seen: set[LevelLabel] = set()

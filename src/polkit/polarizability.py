@@ -4,8 +4,8 @@ Per-transition scalar and tensor terms are summed as plain floats, with tail
 and core inputs, into a breakdown whose uncertainties combine in quadrature.
 Energies are treated as exact, so each term's uncertainty is 2*|alpha|*(dd/d).
 A state's rows are built in one pass over :meth:`Dataset.couplings`, sorted by
-(partner j, gap, partner) and memoized on the dataset, so the
-scalar and tensor breakdowns of one state share them.  A total is one flat loop
+(partner j, gap, partner) and memoized on the dataset, so the scalar and tensor
+breakdowns of one state share them.  A total is one flat loop
 over the rows (:func:`_fold`) that computes each row's term of the requested
 multipole and its uncertainty inline, the one place of that rule, so a scalar
 sum never looks at a tensor term's uncertainty; a row builds its term as a

@@ -682,37 +682,6 @@ class TestValidate:
             "tail 4p1/2 tensor uncertainty [a0^3] must lie in [0, 1e+06], got 3000000.0",
         ]
 
-    # Each dataset that a sum, a row order or a decay channel once had to guard against,
-    # now refused where it is built.
-    @pytest.mark.parametrize(
-        "p_energy, lowers, core, tail, message",
-        [
-            (0.0, ["4s1/2"], 3.25, None,
-             "e1 4s1/2-4p1/2: gap [cm^-1] must lie in [0.001, 1e+07], got 0.0"),
-            (1e-300, ["4s1/2"], 3.25, None,
-             "e1 4s1/2-4p1/2: gap [cm^-1] must lie in [0.001, 1e+07], got 1e-300"),
-            (25191.51, ["4s1/2", "4s1/2"], 3.25, None,
-             "e1 4s1/2-4p1/2: duplicate matrix element for this pair"),
-            (25191.51, ["4s1/2", "5s1/2"], 3.25, None, "e1 5s1/2-4p1/2: unknown level 5s1/2"),
-            (25191.51, ["4s1/2"], 3.25, Quantity(1.0, 0.1, HERTZ),
-             "tail 4s1/2 scalar: must be in 'a0^3'"),
-            (25191.51, ["4s1/2"], Quantity(1.0, 0.1, HERTZ), None,
-             "core polarizability must be in 'a0^3'"),
-        ],
-        ids=["zero-gap", "near-degenerate", "duplicate-pair", "undeclared-partner",
-             "tail-unit", "core-unit"],
-    )
-    def test_constructor_refuses_what_the_physics_path_guarded(
-        self, p_energy, lowers, core, tail, message
-    ):
-        s, p = LevelLabel.parse("4s1/2"), LevelLabel.parse("4p1/2")
-        levels = [Level(s, 0.0), Level(p, p_energy)]
-        elements = [ReducedE1(LevelLabel.parse(lower), p, Quantity(2.9, 0.03, E_A0))
-                    for lower in lowers]
-        core = core if isinstance(core, Quantity) else Quantity(core, 0.17, A0_CUBED)
-        tails = {} if tail is None else {(s, SCALAR): tail}
-        assert refusal(levels, elements, core, tails) == [message]
-
 
 # A few labels, so that pairs repeat, and the faults that a drawn set may carry.
 POOL = [LevelLabel.parse(t) for t in ("4s1/2", "4p1/2", "4p3/2", "3d3/2", "3d5/2", "5s1/2")]
