@@ -17,6 +17,8 @@ Exit codes: 0 success, 1 usage error, 2 data validation error,
 
 from __future__ import annotations
 
+import codecs
+import errno
 import os
 import stat
 import sys
@@ -44,29 +46,35 @@ class UsageError(Exception):
     pass
 
 
-def _nonblocking(path: str, flags: int) -> int:
-    return os.open(path, flags | os.O_NONBLOCK)  # a FIFO with no writer opens at once
-
-
 def _read_dataset(path: str) -> str:
     """The text of the dataset file at `path`: a regular file of at most MAX_DATASET_BYTES
     bytes of UTF-8, a byte-order mark allowed; anything else is a DatasetError."""
     try:
-        # Bytes, no text layer: the parser splits the lines.
-        with open(path, "rb", opener=_nonblocking) as handle:
-            info = os.fstat(handle.fileno())
+        # Bytes from the descriptor, no file object: the parser splits the lines.
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO with no writer opens at once
+        try:
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):  # os.open opens one; refused in open()'s words
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             if not stat.S_ISREG(info.st_mode):
                 raise DatasetError(f"cannot read dataset {path!r}: not a regular file")
             # read(n) allocates n bytes first, so read the stated size and one byte, and
-            # up to the bound only from a file that holds more than it states (/proc's).
-            data = handle.read(min(info.st_size, MAX_DATASET_BYTES) + 1)
-            if len(data) > info.st_size:
-                data += handle.read(MAX_DATASET_BYTES + 1 - len(data))
+            # read on up to the bound only while a file holds other than it states (/proc's).
+            data = os.read(fd, min(info.st_size, MAX_DATASET_BYTES) + 1)
+            while len(data) != info.st_size and len(data) <= MAX_DATASET_BYTES:
+                more = os.read(fd, MAX_DATASET_BYTES + 1 - len(data))
+                if not more:
+                    break
+                data += more
+        finally:
+            os.close(fd)
         if len(data) > MAX_DATASET_BYTES:
             raise DatasetError(
                 f"cannot read dataset {path!r}: larger than {MAX_DATASET_BYTES} bytes"
             )
-        return data.decode("utf-8-sig")
+        if data[:3] == codecs.BOM_UTF8:  # as utf-8-sig reads it, error positions included
+            data = data[3:]
+        return data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read dataset {path!r}: {exc}") from exc
 

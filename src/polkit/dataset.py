@@ -13,9 +13,13 @@ A parsed :class:`Dataset` is immutable and safe for unrestricted concurrent read
 :func:`parse_dataset` keeps the outcome of each of the last 16 texts, accepted or
 refused: one shared Dataset, or the message that each later call raises anew; and
 :func:`builtin_dataset` is the packaged Ca+ dataset, parsed once per process.
-:meth:`Dataset.couplings` is the one walk over the E1 elements on a level, which the
-polarizability rows and the decay channels read; it and :func:`energy_difference_au` read
-each level from the dataset's label index, the one refusal of an unknown label.
+A dataset's structure, what depends only on its levels and e1 label pairs, is checked
+and ordered once for each of the last 16 structures (:func:`_structure`): datasets that
+differ only in values, as Monte-Carlo draws do, check only their core and tails.  It
+holds each level's couplings in element order, which :meth:`Dataset.couplings` and the
+decay channels read, and in polarizability row order.  :func:`validate` words every
+refusal.  The label index, which :func:`energy_difference_au` and each lookup read, is
+the one refusal of an unknown label.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import os
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from math import isfinite
+from operator import itemgetter
 from types import MappingProxyType
 
 from .constants import HARTREE_IN_CM
@@ -226,6 +231,15 @@ class LevelLabel(namedtuple("LevelLabel", "n l j2")):
         return f"{self.n}{L_LETTERS[self.l]}{self.j2}/2"
 
 
+def _not_a_label(*labels: tuple[str, object]) -> str | None:
+    """The refusal that names the first (role, label) of `labels` whose label is not a
+    LevelLabel; None when each is one."""
+    for role, label in labels:
+        if type(label) is not LevelLabel:
+            return f"{role} label must be a LevelLabel, got {label!r}"
+    return None
+
+
 class Level(namedtuple("Level", "label energy_cm")):
     """An atomic level: label plus its energy above the ground state."""
 
@@ -233,8 +247,9 @@ class Level(namedtuple("Level", "label energy_cm")):
     _make = _make
 
     def __new__(cls, label: LevelLabel, energy_cm: float) -> "Level":
-        if not 0.0 <= energy_cm <= MAX_ENERGY_CM:
-            raise ValueError(out_of_bounds(("level energy [cm^-1]", energy_cm, 0.0, MAX_ENERGY_CM)))
+        if not (type(label) is LevelLabel and 0.0 <= energy_cm <= MAX_ENERGY_CM):
+            raise ValueError(_not_a_label(("level", label)) or out_of_bounds(
+                ("level energy [cm^-1]", energy_cm, 0.0, MAX_ENERGY_CM)))
         return _tuple_new(cls, (label, energy_cm))
 
 
@@ -251,9 +266,11 @@ class ReducedE1(namedtuple("ReducedE1", "lower upper d")):
 
     def __new__(cls, lower: LevelLabel, upper: LevelLabel, d: Quantity) -> "ReducedE1":
         require_unit(d, E_A0, "matrix element")
-        if not (MIN_D <= d.value <= MAX_D and d.unc <= MAX_D):  # one branch when valid
-            raise ValueError(out_of_bounds(("d [e*a0]", d.value, MIN_D, MAX_D),
-                                           ("d uncertainty [e*a0]", d.unc, 0.0, MAX_D)))
+        if not (type(lower) is type(upper) is LevelLabel  # one branch when valid
+                and MIN_D <= d.value <= MAX_D and d.unc <= MAX_D):
+            raise ValueError(_not_a_label(("lower", lower), ("upper", upper))
+                             or out_of_bounds(("d [e*a0]", d.value, MIN_D, MAX_D),
+                                              ("d uncertainty [e*a0]", d.unc, 0.0, MAX_D)))
         return _tuple_new(cls, (lower, upper, d))
 
 
@@ -276,11 +293,13 @@ class Dataset(Record):
 
     The sole physics input of the package.  Construction refuses a dataset that breaks
     an invariant with a :class:`DatasetError` of :func:`validate`'s violations, joined
-    by ``"; "``, so every Dataset that exists is valid.
+    by ``"; "``, so every Dataset that exists is valid.  The rules on its levels and e1
+    pairs are checked once per structure (:func:`_structure`), those on core and tails
+    at each construction.
     """
 
     _fields = ("levels", "elements", "core_alpha", "tails")
-    __slots__ = (*_fields, "_by_label", "_rows")
+    __slots__ = (*_fields, "_by_label", "_couplings", "_rows")
 
     def __init__(
         self,
@@ -289,17 +308,24 @@ class Dataset(Record):
         core_alpha: Quantity,
         tails: Mapping[tuple[LevelLabel, str], Quantity],
     ) -> None:
-        levels = tuple(levels)
+        levels, elements, tails = tuple(levels), tuple(elements), MappingProxyType(dict(tails))
         _set_levels(self, levels)
-        _set_elements(self, tuple(elements))
+        _set_elements(self, elements)
         _set_core_alpha(self, core_alpha)
-        _set_tails(self, MappingProxyType(dict(tails)))
-        _set_by_label(self, _LevelIndex({level.label: level for level in levels}))
-        # Each state's sorted polarizability rows, filled on first assembly; outside
-        # _fields, so ==, repr, copy and pickle ignore it.
+        _set_tails(self, tails)
+        by_label = _LevelIndex({level.label: level for level in levels})
+        _set_by_label(self, by_label)
+        # Each state's polarizability rows and their sums, filled on first assembly;
+        # outside _fields, so ==, repr, copy and pickle ignore it.
         _set_rows(self, {})
-        if violations := validate(self):
-            raise DatasetError("; ".join(violations))
+        try:
+            couplings = _structure(levels, tuple(map(_label_pair, elements)))
+            if not _terms_hold(core_alpha, tails, by_label):
+                raise DatasetError
+        except DatasetError:
+            raise DatasetError("; ".join(validate(self))) from None
+        # Labels are unique, so by_label's keys are the levels' labels in order.
+        _set_couplings(self, dict(zip(by_label, couplings)))
 
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild from the fields: the tails mappingproxy does not pickle
@@ -317,16 +343,11 @@ class Dataset(Record):
 
     def couplings(self, label: LevelLabel) -> Iterator[tuple[LevelLabel, ReducedE1, float]]:
         """(partner, element, E(partner) - E(label) in hartree) per element on `label`, in order."""
-        by_label = self._by_label
+        levels, elements = self.levels, self.elements
         energy = self.energy_cm(label)
-        for el in self.elements:
-            if el.lower == label:
-                partner = el.upper
-            elif el.upper == label:
-                partner = el.lower
-            else:
-                continue
-            yield partner, el, (by_label[partner].energy_cm - energy) / HARTREE_IN_CM
+        for k, side, at in self._couplings[label][0]:
+            el = elements[k]
+            yield el[side], el, (levels[at].energy_cm - energy) / HARTREE_IN_CM
 
     def to_text(self) -> str:
         """Canonical text form; parses back to an identical dataset."""
@@ -341,9 +362,67 @@ class Dataset(Record):
         return "\n".join(lines) + "\n"
 
 
-_set_levels, _set_elements, _set_core_alpha, _set_tails, _set_by_label, _set_rows = _setters(
-    Dataset
-)
+(_set_levels, _set_elements, _set_core_alpha, _set_tails, _set_by_label, _set_couplings,
+ _set_rows) = _setters(Dataset)
+
+
+_label_pair = itemgetter(0, 1)  # an element's (lower, upper)
+
+
+@functools.lru_cache(maxsize=16)
+def _structure(levels: tuple[Level, ...], pairs: tuple[tuple[LevelLabel, LevelLabel], ...]
+               ) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]:
+    """The couplings of each of `levels`, in their order, under the e1 (lower, upper) label
+    `pairs`, when they meet every rule on levels and pairs; else a bare DatasetError.
+
+    The rules: unique labels, a level at energy 0 if any, and each pair between declared
+    levels, E1-allowed, at least MIN_GAP_CM upward and new.  A level's couplings are one
+    (element index, side of the partner's label in it, partner's level index) per element
+    on it, in element order and in row order, (partner j, gap, partner).
+
+    Kept for the last 16 accepted structures, so that datasets that differ only in values
+    share one check.  Equal keys may hold unequal objects (an int energy 5 and 5.0, -0.0
+    and 0.0), so the entry holds no level, label, energy or message: a dataset reads those
+    from its own fields.  A refusal is not kept.
+    """
+    index = {level.label: i for i, level in enumerate(levels)}
+    energies = [level.energy_cm for level in levels]
+    if len(index) != len(levels) or energies and min(energies) != 0.0:
+        raise DatasetError
+    walks: list[list[tuple[int, int, int]]] = [[] for _ in levels]
+    seen: set[tuple[LevelLabel, LevelLabel]] = set()
+    for k, pair in enumerate(pairs):
+        lower, upper = pair
+        low, up = index.get(lower), index.get(upper)
+        # An upward pair is its own energy-ordered key, so a reversed repeat fails the gap.
+        if low is None or up is None or not energies[up] - energies[low] >= MIN_GAP_CM:
+            raise DatasetError
+        if not e1_selection_ok(lower, upper) or pair in seen:
+            raise DatasetError
+        seen.add(pair)
+        walks[low].append((k, 1, up))
+        walks[up].append((k, 0, low))
+    structure = []
+    for energy, walk in zip(energies, walks):
+        # The key's gap is the rows' own float; a pair has one element, so the partner
+        # ends every key and no two keys tie.
+        keyed = sorted((pairs[k][side].j2, (energies[at] - energy) / HARTREE_IN_CM,
+                        pairs[k][side], (k, side, at)) for k, side, at in walk)
+        structure.append((tuple(walk), tuple([key[3] for key in keyed])))
+    return tuple(structure)
+
+
+def _terms_hold(core: Quantity, tails: Mapping[tuple[LevelLabel, str], Quantity],
+                by_label: Mapping[LevelLabel, Level]) -> bool:
+    """Whether core and tails meet their rules: a positive core, each tail on a declared
+    level and multipole, and each term in a0^3 and in the input box."""
+    if not (0.0 < core.value <= MAX_ALPHA and core.unc <= MAX_ALPHA and core.unit == A0_CUBED):
+        return False
+    for (label, multipole), q in tails.items():
+        if not (label in by_label and multipole in MULTIPOLES and q.unit == A0_CUBED
+                and -MAX_ALPHA <= q.value <= MAX_ALPHA and q.unc <= MAX_ALPHA):
+            return False
+    return True
 
 
 def number_literal(token: str) -> float | None:
@@ -470,8 +549,8 @@ def builtin_dataset() -> Dataset:
 def validate(ds: Dataset) -> list[str]:
     """Check all dataset invariants; return one description per violation, in order.
 
-    The Dataset constructor refuses any, so every Dataset that exists passes.  A valid
-    element costs one test; a message is built only for a check that fails."""
+    The one source of the dataset refusal message: the Dataset constructor calls it only
+    to word a refusal, so every Dataset that exists passes."""
     violations: list[str] = []
     # by_label holds the last level of each label, as Dataset.level reads it
     levels, by_label = ds.levels, ds._by_label
@@ -485,26 +564,18 @@ def validate(ds: Dataset) -> list[str]:
     if levels and min([level.energy_cm for level in levels]) != 0.0:
         violations.append("no ground level with energy 0")
 
-    # A pair's key is its two labels in energy order, labels breaking a tie: a valid
-    # element's key is its own (lower, upper).
+    # A pair's key is its two labels in energy order, labels breaking a tie.
     pairs: set[tuple[LevelLabel, LevelLabel]] = set()
-    get = by_label.get
     for el in ds.elements:
         lower, upper = key = el[:2]
-        low, up = get(lower), get(upper)
-        if low is not None and up is not None:
-            gap = up.energy_cm - low.energy_cm
-            selection = e1_selection_ok(lower, upper)
-            if gap >= MIN_GAP_CM and selection and key not in pairs:
-                pairs.add(key)
-                continue
         e1 = f"e1 {lower}-{upper}: "
-        if low is None or up is None:
+        if lower not in by_label or upper not in by_label:
             violations += [e1 + f"unknown level {lab}" for lab in key if lab not in by_label]
             continue
+        gap = by_label[upper].energy_cm - by_label[lower].energy_cm
         if gap < 0.0 or gap == 0.0 and upper < lower:
             key = (upper, lower)
-        if not selection:
+        if not e1_selection_ok(lower, upper):
             violations.append(e1 + "violates E1 selection rules")
         if not gap >= MIN_GAP_CM:
             violations.append(e1 + out_of_bounds(("gap [cm^-1]", gap, MIN_GAP_CM, MAX_ENERGY_CM)))

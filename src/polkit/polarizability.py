@@ -2,16 +2,14 @@
 
 Per-transition scalar and tensor terms are summed as plain floats, with tail
 and core inputs, into a breakdown whose uncertainties combine in quadrature.
-Energies are treated as exact, so each term's uncertainty is 2*|alpha|*(dd/d).
-A state's rows are built in one pass over :meth:`Dataset.couplings`, sorted by
-(partner j, gap, partner) and memoized on the dataset, so the scalar and tensor
-breakdowns of one state share them.  A total is one flat loop
-over the rows (:func:`_fold`) that computes each row's term of the requested
-multipole and its uncertainty inline, the one place of that rule, so a scalar
-sum never looks at a tensor term's uncertainty; a row builds its term as a
-:class:`Quantity` only when a report asks for it, from a one-row fold.  The
-input bounds of :mod:`polkit.dataset`, which every Dataset meets, keep every term
-and sum finite.
+Energies are treated as exact, so each term's uncertainty is 2*|alpha|*(dd/d)
+(:func:`_sigma`, the one place of that rule).  A state's rows are built in the
+dataset's row order, (partner j, gap, partner), which its structure stores, so no
+rows are scanned for or sorted; the same pass folds the scalar and tensor sums,
+and both are memoized on the dataset, so the scalar and tensor breakdowns of one
+state share them.  A row builds its term as a :class:`Quantity` only when a report
+asks for it.  The input bounds of :mod:`polkit.dataset`, which every Dataset meets,
+keep every term and sum finite.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ from collections import namedtuple
 from math import hypot
 
 from .angular import tensor_prefactor_C, wigner6j
+from .constants import HARTREE_IN_CM
 from .dataset import (
     A0_CUBED,
     MULTIPOLES,
@@ -57,18 +56,12 @@ class Contribution(namedtuple("Contribution", "state partner d alpha0 alpha2")):
         alpha = self[index]
         if alpha is None:
             raise ValueError(f"no tensor contribution for {self.transition}")
-        return Quantity(alpha, _fold((self,), index)[1], A0_CUBED)  # hypot(0, s) is |s|
+        return Quantity(alpha, _sigma(alpha, self.d), A0_CUBED)
 
 
-def _fold(rows: tuple[Contribution, ...], index: int) -> tuple[float, float]:
-    """(value, unc): the rows' terms at field `index` summed by +=, and their
-    uncertainties 2 |alpha| dd/d, the one place of that rule, chained by hypot."""
-    value = unc = 0.0
-    for row in rows:
-        alpha = row[index]
-        value += alpha
-        unc = hypot(unc, abs(alpha) * row.d.relative_unc() * 2.0)
-    return value, unc
+def _sigma(alpha: float, d: Quantity) -> float:
+    """The uncertainty 2 |alpha| dd/d of a row's term `alpha`, the one place of that rule."""
+    return abs(alpha) * d.relative_unc() * 2.0
 
 
 PolarizabilityBreakdown = namedtuple(
@@ -86,26 +79,34 @@ def _tensor_angular(j2_v: int, j2_k: int) -> float:
 
 
 def _main_rows(ds: Dataset, state: LevelLabel) -> tuple[Contribution, ...]:
-    """Build the rows of `state`, ordered by (partner j, gap, partner), and memoize
-    them on `ds`."""
+    """Build the rows of `state` in the dataset's row order, (partner j, gap, partner),
+    fold each multipole's sum on the way, and memoize both on `ds`."""
     # Each term is an angular factor times d^2/deltaE: 2/(3(2j_v+1)) for the
     # scalar part; the tensor part vanishes identically for j_v < 1.
     j2_v = state.j2
     scalar = 2.0 / (3.0 * (j2_v + 1))
-    keyed: list[tuple[int, float, LevelLabel, Contribution]] = []
-    for partner, el, de in ds.couplings(state):
-        d = el.d
+    levels, elements = ds.levels, ds.elements
+    energy = ds.energy_cm(state)
+    rows = []
+    # Each multipole's (value, unc): terms summed by +=, their uncertainties chained by hypot.
+    value0 = unc0 = value2 = unc2 = 0.0
+    alpha2 = None
+    for k, side, at in ds._couplings[state][1]:
+        el = elements[k]
+        partner, d = el[side], el.d
+        de = (levels[at].energy_cm - energy) / HARTREE_IN_CM
         d2 = d.value**2
         alpha0 = scalar * d2 / de
-        alpha2 = _tensor_angular(j2_v, partner.j2) * d2 / de if j2_v >= 2 else None
+        value0 += alpha0
+        unc0 = hypot(unc0, _sigma(alpha0, d))
+        if j2_v >= 2:
+            alpha2 = _tensor_angular(j2_v, partner.j2) * d2 / de
+            value2 += alpha2
+            unc2 = hypot(unc2, _sigma(alpha2, d))
         # _tuple_new: the generated __new__ of a plain namedtuple checks nothing
-        row = _tuple_new(Contribution, (state, partner, d, alpha0, alpha2))
-        # A pair has one element, so the partner ends every key: no two keys tie and
-        # rows are never compared.
-        keyed.append((partner.j2, de, partner, row))
-    keyed.sort()  # gap order is partner-energy order: no energies ulps apart
-    # setdefault: concurrent first readers of one state all get the one stored tuple
-    return ds._rows.setdefault(state, tuple([key[3] for key in keyed]))
+        rows.append(_tuple_new(Contribution, (state, partner, d, alpha0, alpha2)))
+    # setdefault: concurrent first readers of one state all get the one stored entry
+    return ds._rows.setdefault(state, (tuple(rows), (value0, unc0), (value2, unc2)))[0]
 
 
 def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> PolarizabilityBreakdown:
@@ -119,16 +120,18 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
     ds.level(state)  # raises UnknownLevelError
     if multipole == TENSOR and state.j2 < 2:
         raise ValueError(f"tensor polarizability vanishes for j={state.j2}/2")
-    main = ds._rows.get(state)
-    if main is None:
-        main = _main_rows(ds, state)
+    memo = ds._rows.get(state)
+    if memo is None:
+        _main_rows(ds, state)
+        memo = ds._rows[state]
+    main = memo[0]
 
     tail = ds.tail(state, multipole)
     core = ds.core_alpha if multipole == SCALAR else ZERO_A0_CUBED
 
-    # The rows' fold, then tail and core in that order.  Only the requested multipole's
-    # uncertainties are looked at.
-    value, unc = _fold(main, index)
+    # The requested multipole's row sum, then tail and core in that order.  memo is
+    # (rows, scalar sum, tensor sum), and index is 3 or 4.
+    value, unc = memo[index - 2]
     for term in (tail, core):
         value += term.value
         unc = hypot(unc, term.unc)

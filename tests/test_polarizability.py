@@ -333,19 +333,19 @@ class TestRowMemo:
         tensor = assemble_breakdown(ds, lab("3d5/2"), TENSOR)
         assert tensor.main is scalar.main and len(scalar.main) == 21
 
-    def test_one_coupling_walk_for_both_multipoles(self, golden_text, monkeypatch):
+    def test_one_row_build_for_both_multipoles(self, golden_text, monkeypatch):
         ds = copy.copy(parse_dataset(golden_text))  # cold: the shared dataset may hold rows
-        walks = []
-        couplings = Dataset.couplings
+        builds = []
+        main_rows = pol._main_rows
 
-        def counted(self, label):
-            walks.append(label)
-            return couplings(self, label)
+        def counted(ds, label):
+            builds.append(label)
+            return main_rows(ds, label)
 
-        monkeypatch.setattr(Dataset, "couplings", counted)
+        monkeypatch.setattr(pol, "_main_rows", counted)
         for multipole in (SCALAR, TENSOR):
             assemble_breakdown(ds, lab("3d5/2"), multipole)
-        assert walks == [lab("3d5/2")]
+        assert builds == [lab("3d5/2")]
 
     @pytest.mark.parametrize(
         "clone",
