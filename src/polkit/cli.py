@@ -59,9 +59,10 @@ def _read_dataset(path: str) -> str:
             if not stat.S_ISREG(info.st_mode):
                 raise DatasetError(f"cannot read dataset {path!r}: not a regular file")
             # read(n) allocates n bytes first, so read the stated size and one byte, and
-            # read on up to the bound only while a file holds other than it states (/proc's).
+            # read on, to the bound and one byte in all, only while a file holds other
+            # than it states (/proc's).
             data = os.read(fd, min(info.st_size, MAX_DATASET_BYTES) + 1)
-            while len(data) != info.st_size and len(data) <= MAX_DATASET_BYTES:
+            while len(data) != info.st_size:
                 more = os.read(fd, MAX_DATASET_BYTES + 1 - len(data))
                 if not more:
                     break

@@ -342,10 +342,17 @@ class Dataset(Record):
         return self.tails.get((label, multipole), ZERO_A0_CUBED)
 
     def couplings(self, label: LevelLabel) -> Iterator[tuple[LevelLabel, ReducedE1, float]]:
-        """(partner, element, E(partner) - E(label) in hartree) per element on `label`, in order."""
+        """(partner, element, E(partner) - E(label) in hartree) per element on `label`, in
+        element order."""
+        return self._walk(label, 0)
+
+    def _walk(self, label: LevelLabel, order: int
+              ) -> Iterator[tuple[LevelLabel, ReducedE1, float]]:
+        """The couplings of `label` in element order (order 0) or in polarizability row
+        order, (partner j, gap, partner) (order 1)."""
         levels, elements = self.levels, self.elements
         energy = self.energy_cm(label)
-        for k, side, at in self._couplings[label][0]:
+        for k, side, at in self._couplings[label][order]:
             el = elements[k]
             yield el[side], el, (levels[at].energy_cm - energy) / HARTREE_IN_CM
 

@@ -3,11 +3,11 @@
 Per-transition scalar and tensor terms are summed as plain floats, with tail
 and core inputs, into a breakdown whose uncertainties combine in quadrature.
 Energies are treated as exact, so each term's uncertainty is 2*|alpha|*(dd/d)
-(:func:`_sigma`, the one place of that rule).  A state's rows are built in the
-dataset's row order, (partner j, gap, partner), which its structure stores, so no
-rows are scanned for or sorted; the same pass folds the scalar and tensor sums,
-and both are memoized on the dataset, so the scalar and tensor breakdowns of one
-state share them.  A row builds its term as a :class:`Quantity` only when a report
+(:func:`_sigma`, the one place of that rule).  A state's rows are built in one
+pass over its couplings in row order, (partner j, gap, partner), which the
+dataset's structure stores, so no element is scanned and no row sorted; the same
+pass folds the scalar and tensor sums, and both are memoized on the dataset, so
+the scalar and tensor breakdowns of one state share them.  A row builds its term as a :class:`Quantity` only when a report
 asks for it.  The input bounds of :mod:`polkit.dataset`, which every Dataset meets,
 keep every term and sum finite.
 """
@@ -19,7 +19,6 @@ from collections import namedtuple
 from math import hypot
 
 from .angular import tensor_prefactor_C, wigner6j
-from .constants import HARTREE_IN_CM
 from .dataset import (
     A0_CUBED,
     MULTIPOLES,
@@ -85,16 +84,12 @@ def _main_rows(ds: Dataset, state: LevelLabel) -> tuple[Contribution, ...]:
     # scalar part; the tensor part vanishes identically for j_v < 1.
     j2_v = state.j2
     scalar = 2.0 / (3.0 * (j2_v + 1))
-    levels, elements = ds.levels, ds.elements
-    energy = ds.energy_cm(state)
     rows = []
     # Each multipole's (value, unc): terms summed by +=, their uncertainties chained by hypot.
     value0 = unc0 = value2 = unc2 = 0.0
     alpha2 = None
-    for k, side, at in ds._couplings[state][1]:
-        el = elements[k]
-        partner, d = el[side], el.d
-        de = (levels[at].energy_cm - energy) / HARTREE_IN_CM
+    for partner, el, de in ds._walk(state, 1):
+        d = el.d
         d2 = d.value**2
         alpha0 = scalar * d2 / de
         value0 += alpha0
