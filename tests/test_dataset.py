@@ -32,7 +32,8 @@ from polkit import (
     parse_dataset,
 )
 from polkit.dataset import MAX_ALPHA, MIN_GAP_CM, number_literal, parse_number, require_unit
-from polkit.dataset import e1_selection_ok, validate
+from polkit.dataset import _structure, e1_selection_ok, validate
+from polkit.polarizability import _main_rows
 
 # A number is an ASCII decimal literal with an optional exponent: no '_'
 # separators, no non-ASCII digits.  nan and inf are matched too: number_literal
@@ -184,6 +185,27 @@ class TestLevel:
             Level(LevelLabel.parse("4p1/2"), -5e-324)
         assert str(info.value) == "level energy [cm^-1] must lie in [0, 1e+07], got -5e-324"
         assert Level(LevelLabel.parse("4s1/2"), 0.0).energy_cm == 0.0
+
+
+class TestLabelType:
+    """Level and ReducedE1 take only a LevelLabel as a label, and name any other."""
+
+    @pytest.mark.parametrize("label", ["x", (4, 0, 1), None], ids=["str", "tuple", "none"])
+    def test_a_level_label_that_is_not_a_level_label_is_refused(self, label):
+        for energy in (0.0, -1.0):  # named before the energy
+            with pytest.raises(ValueError) as info:
+                Level(label, energy)
+            assert str(info.value) == f"level label must be a LevelLabel, got {label!r}"
+
+    @pytest.mark.parametrize("role", ["lower", "upper"])
+    @pytest.mark.parametrize("label", ["4s1/2", (4, 0, 1)], ids=["str", "tuple"])
+    def test_an_e1_label_that_is_not_a_level_label_is_refused(self, role, label):
+        s, p = LevelLabel.parse("4s1/2"), LevelLabel.parse("4p1/2")
+        lower, upper = (label, p) if role == "lower" else (s, label)
+        for d in (Quantity(1.0, 0.0, E_A0), Quantity(0.0, 0.0, E_A0)):  # named before d
+            with pytest.raises(ValueError) as info:
+                ReducedE1(lower, upper, d)
+            assert str(info.value) == f"{role} label must be a LevelLabel, got {label!r}"
 
 
 class TestQuantity:
@@ -635,6 +657,21 @@ class TestValidate:
             "core polarizability must be positive"
         ]
 
+    @pytest.mark.parametrize("core_unit, tail, message", [
+        (HERTZ, None, "core polarizability must be in 'a0^3'"),
+        (A0_CUBED, ("4s1/2", "vector", A0_CUBED), "tail 4s1/2: bad multipole 'vector'"),
+        (A0_CUBED, ("4s1/2", "scalar", HERTZ), "tail 4s1/2 scalar: must be in 'a0^3'"),
+        (A0_CUBED, ("7p1/2", "scalar", A0_CUBED), "tail 7p1/2 scalar: unknown level 7p1/2"),
+    ], ids=["core-unit", "tail-multipole", "tail-unit", "tail-level"])
+    def test_a_core_or_tail_fault_alone_is_refused_on_a_kept_structure(self, core_unit, tail,
+                                                                       message):
+        Dataset(self._levels(), (), Quantity(3.25, 0.17, A0_CUBED), {})  # keeps the structure
+        tails = {}
+        if tail is not None:
+            label, multipole, unit = tail
+            tails[LevelLabel.parse(label), multipole] = Quantity(1.0, 0.0, unit)
+        assert refusal(self._levels(), (), Quantity(3.25, 0.17, core_unit), tails) == [message]
+
     def test_every_violation_kind_in_order(self):
         s, p, d, g = (LevelLabel.parse(t) for t in ("4s1/2", "4p1/2", "3d3/2", "5p1/2"))
         levels = (Level(s, 10.0), Level(p, 100.0), Level(d, 50.0), Level(p, 30.0))
@@ -757,17 +794,106 @@ def rules_hold(levels, elements, core, tails):
     return all(label in energy and multipole in ("scalar", "tensor") for label, multipole in tails)
 
 
+def built(fields):
+    """("built", every level's couplings and rows, by repr) of the Dataset of `fields`, or
+    ("refused", the message of its refusal)."""
+    try:
+        ds = Dataset(*fields)
+    except DatasetError as exc:
+        return "refused", str(exc)
+    assert validate(ds) == []
+    return "built", repr([(list(ds.couplings(level.label)), _main_rows(ds, level.label))
+                          for level in ds.levels])
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(fields=dataset_fields())
 def test_construction_succeeds_exactly_when_the_rules_hold(fields):
-    """validate's fast path accepts exactly the valid sets: Dataset builds when the rules
-    hold, and is refused with a message otherwise."""
-    if rules_hold(*fields):
-        assert validate(Dataset(*fields)) == []
-    else:
-        with pytest.raises(DatasetError) as info:
-            Dataset(*fields)
-        assert str(info.value)
+    """The constructor accepts exactly the valid sets: Dataset builds when the rules hold,
+    and is refused with a message otherwise, the same whether its structure is checked
+    anew (cold) or read from the structure memo (warm)."""
+    _structure.cache_clear()
+    cold = built(fields)
+    warm = built(fields)
+    assert warm == cold
+    assert cold[0] == ("built" if rules_hold(*fields) else "refused") and cold[1]
+
+
+class TestStructureMemo:
+    """A dataset whose levels and e1 label pairs equal a kept structure's is built as if
+    cold: the memo holds no object of the dataset that stored it."""
+
+    S, P, D = (LevelLabel.parse(t) for t in ("4s1/2", "4p1/2", "3d3/2"))
+    CORE = Quantity(3.25, 0.17, A0_CUBED)
+
+    def fields(self, energies=(0.0, 50.0, 100.0), d=1.0, core=CORE):
+        levels = [Level(label, e) for label, e in zip((self.S, self.D, self.P), energies)]
+        one = Quantity(d, 0.01, E_A0)
+        return levels, [ReducedE1(self.S, self.P, one), ReducedE1(self.D, self.P, one)], core, {}
+
+    def test_new_values_on_a_kept_structure_give_the_rows_of_a_cold_build(self, golden):
+        values = [el._replace(d=Quantity(el.d.value * 1.1, el.d.unc * 0.5, E_A0))
+                  for el in golden.elements]
+        fields = (golden.levels, values, golden.core_alpha, golden.tails)
+        _structure.cache_clear()
+        built((golden.levels, golden.elements, golden.core_alpha, golden.tails))
+        warm = built(fields)
+        assert _structure.cache_info()[:2] == (1, 1)  # hits, misses
+        _structure.cache_clear()
+        assert built(fields) == warm and warm[0] == "built"
+
+    @pytest.mark.parametrize("energies", [(0, 50, 100), (-0.0, 50.0, 100.0)], ids=["int", "-0.0"])
+    def test_equal_levels_of_another_form_read_their_own(self, energies):
+        _structure.cache_clear()
+        Dataset(*self.fields())
+        fields = self.fields(energies)
+        levels, ds = fields[0], Dataset(*fields)
+        assert _structure.cache_info().hits == 1
+        assert all(ds.level(level.label) is level for level in levels)
+        assert [repr(ds.level(level.label).energy_cm) for level in levels] == list(
+            map(repr, energies))
+        warm = built(self.fields(energies))
+        _structure.cache_clear()
+        assert built(self.fields(energies)) == warm and Dataset(*self.fields(energies)) == ds
+
+    def test_the_pairs_and_their_order_are_part_of_the_structure(self):
+        """The same levels with fewer pairs, or with the pairs in another order, are
+        other structures: each dataset walks its own elements."""
+        _structure.cache_clear()
+        levels, elements, core, tails = self.fields()
+        for variant in (elements, elements[:1], elements[::-1]):
+            ds = Dataset(levels, variant, core, tails)
+            assert [el for _, el, _ in ds.couplings(self.P)] == variant
+        assert _structure.cache_info()[:2] == (0, 3)
+
+    def test_a_refused_structure_is_not_kept_and_is_refused_alike(self):
+        _structure.cache_clear()
+        levels, elements, core, tails = self.fields((0.0, 150.0, 100.0))  # 3d3/2 above 4p1/2
+        for _ in range(2):
+            with pytest.raises(DatasetError) as info:
+                Dataset(levels, elements, core, tails)
+            assert str(info.value) == (
+                "e1 3d3/2-4p1/2: gap [cm^-1] must lie in [0.001, 1e+07], got -50.0")
+        info = _structure.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_a_kept_structure_still_checks_core_and_tails(self):
+        _structure.cache_clear()
+        Dataset(*self.fields())
+        with pytest.raises(DatasetError, match="^core polarizability must be positive$"):
+            Dataset(*self.fields(core=Quantity(-1.0, 0.0, A0_CUBED)))
+        assert _structure.cache_info()[:2] == (1, 1)
+
+    def test_at_most_16_structures_are_kept(self):
+        _structure.cache_clear()
+        for i in range(17):
+            Dataset(*self.fields((0.0, 50.0, 100.0 + i)))
+        info = _structure.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (17, 16, 16)
+        Dataset(*self.fields((0.0, 50.0, 116.0)))
+        Dataset(*self.fields((0.0, 50.0, 100.0)))  # the oldest was dropped
+        info = _structure.cache_info()
+        assert (info.hits, info.misses) == (1, 18)
 
 
 class TestEnergyDifference:

@@ -485,6 +485,27 @@ class TestCLI:
             reports.append(report)
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("data", [b"\xef\xbb\xbf\xff", b"\xef\xbb", b"\xef\xbb\xbfcore 3\xe2\x82",
+                                      b"core 3.25 0.17\n\xe2\x82"])
+    def test_bytes_that_are_not_utf_8_are_refused_as_utf_8_sig_refuses_them(self, tmp_path,
+                                                                          capsys, data):
+        """A byte-order mark is read past, and a decoding error names the positions
+        that the utf-8-sig codec names."""
+        path = tmp_path / "bad.dat"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as info:
+            data.decode("utf-8-sig")
+        assert run_cli(capsys, "bbr", "--dataset", str(path)) == (
+            2, "", f"polkit: error: cannot read dataset {str(path)!r}: {info.value}\n"
+        )
+
+    def test_a_directory_is_refused_in_the_words_of_open(self, tmp_path, capsys):
+        with pytest.raises(IsADirectoryError) as info:
+            open(tmp_path, "rb")
+        assert run_cli(capsys, "bbr", "--dataset", str(tmp_path)) == (
+            2, "", f"polkit: error: cannot read dataset {str(tmp_path)!r}: {info.value}\n"
+        )
+
     @pytest.mark.parametrize(
         "packaged,text,message",
         [(False, "level 4s1/2 zero\n", "line 1: bad energy 'zero'"),
