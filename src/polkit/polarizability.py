@@ -7,9 +7,9 @@ Energies are treated as exact, so each term's uncertainty is 2*|alpha|*(dd/d)
 pass over its couplings in row order, (partner j, gap, partner), which the
 dataset's structure stores, so no element is scanned and no row sorted; the same
 pass folds the scalar and tensor sums, and both are memoized on the dataset, so
-the scalar and tensor breakdowns of one state share them.  A row builds its term as a :class:`Quantity` only when a report
-asks for it.  The input bounds of :mod:`polkit.dataset`, which every Dataset meets,
-keep every term and sum finite.
+the scalar and tensor breakdowns of one state share them.  A row builds its term
+as a :class:`Quantity` only when a report asks for it.  The input bounds of
+:mod:`polkit.dataset`, which every Dataset meets, keep every term and sum finite.
 """
 
 from __future__ import annotations

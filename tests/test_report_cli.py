@@ -485,8 +485,8 @@ class TestCLI:
             reports.append(report)
         assert reports[0] == reports[1]
 
-    @pytest.mark.parametrize("data", [b"\xef\xbb\xbf\xff", b"\xef\xbb", b"\xef\xbb\xbfcore 3\xe2\x82",
-                                      b"core 3.25 0.17\n\xe2\x82"])
+    @pytest.mark.parametrize("data", [b"\xef\xbb\xbf\xff", b"\xef\xbb",
+                                      b"\xef\xbb\xbfcore 3\xe2\x82", b"core 3.25 0.17\n\xe2\x82"])
     def test_bytes_that_are_not_utf_8_are_refused_as_utf_8_sig_refuses_them(self, tmp_path,
                                                                           capsys, data):
         """A byte-order mark is read past, and a decoding error names the positions
