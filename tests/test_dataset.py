@@ -826,10 +826,11 @@ class TestStructureMemo:
     S, P, D = (LevelLabel.parse(t) for t in ("4s1/2", "4p1/2", "3d3/2"))
     CORE = Quantity(3.25, 0.17, A0_CUBED)
 
-    def fields(self, energies=(0.0, 50.0, 100.0), d=1.0, core=CORE):
+    def fields(self, energies=(0.0, 50.0, 100.0)):
         levels = [Level(label, e) for label, e in zip((self.S, self.D, self.P), energies)]
-        one = Quantity(d, 0.01, E_A0)
-        return levels, [ReducedE1(self.S, self.P, one), ReducedE1(self.D, self.P, one)], core, {}
+        one = Quantity(1.0, 0.01, E_A0)
+        elements = [ReducedE1(self.S, self.P, one), ReducedE1(self.D, self.P, one)]
+        return levels, elements, self.CORE, {}
 
     def test_new_values_on_a_kept_structure_give_the_rows_of_a_cold_build(self, golden):
         values = [el._replace(d=Quantity(el.d.value * 1.1, el.d.unc * 0.5, E_A0))
@@ -876,13 +877,6 @@ class TestStructureMemo:
                 "e1 3d3/2-4p1/2: gap [cm^-1] must lie in [0.001, 1e+07], got -50.0")
         info = _structure.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
-
-    def test_a_kept_structure_still_checks_core_and_tails(self):
-        _structure.cache_clear()
-        Dataset(*self.fields())
-        with pytest.raises(DatasetError, match="^core polarizability must be positive$"):
-            Dataset(*self.fields(core=Quantity(-1.0, 0.0, A0_CUBED)))
-        assert _structure.cache_info()[:2] == (1, 1)
 
     def test_at_most_16_structures_are_kept(self):
         _structure.cache_clear()
