@@ -13,13 +13,14 @@ A parsed :class:`Dataset` is immutable and safe for unrestricted concurrent read
 :func:`parse_dataset` keeps the outcome of each of the last 16 texts, accepted or
 refused: one shared Dataset, or the message that each later call raises anew; and
 :func:`builtin_dataset` is the packaged Ca+ dataset, parsed once per process.
-A dataset's structure, what depends only on its levels and e1 label pairs, is checked
-and ordered once for each of the last 16 structures (:func:`_structure`): datasets that
-differ only in values, as Monte-Carlo draws do, check only their core and tails.  It
-holds each level's couplings in element order, which :meth:`Dataset.couplings` and the
-decay channels read, and in polarizability row order.  :func:`validate` words every
-refusal.  The label index, which :func:`energy_difference_au` and each lookup read, is
-the one refusal of an unknown label.
+Each dataset rule is stated once, by the check that words its refusal.
+:func:`_structure` states the rules on a dataset's structure, what depends only on its
+levels and e1 label pairs, and checks and orders each of the last 16 structures once:
+datasets that differ only in values, as Monte-Carlo draws do, check only their core and
+tails, whose rules :func:`_term_faults` states.  A structure holds each level's couplings
+in element order, which :meth:`Dataset.couplings` and the decay channels read, and in
+polarizability row order.  The label index, which :func:`energy_difference_au` and each
+lookup read, is the one refusal of an unknown label.
 """
 
 from __future__ import annotations
@@ -288,14 +289,22 @@ def e1_selection_ok(a: LevelLabel, b: LevelLabel) -> bool:
     return abs(a.l - b.l) == 1 and abs(a.j2 - b.j2) <= 2
 
 
+def gap_fault(gap: float) -> str | None:
+    """The refusal of `gap`, the energy [cm^-1] from an E1 pair's lower level to its upper
+    one, when it is below MIN_GAP_CM; None when it is not."""
+    if gap >= MIN_GAP_CM:
+        return None
+    return out_of_bounds(("gap [cm^-1]", gap, MIN_GAP_CM, MAX_ENERGY_CM))
+
+
 class Dataset(Record):
     """Validated collection of levels, matrix elements, core and tail terms.
 
     The sole physics input of the package.  Construction refuses a dataset that breaks
-    an invariant with a :class:`DatasetError` of :func:`validate`'s violations, joined
-    by ``"; "``, so every Dataset that exists is valid.  The rules on its levels and e1
-    pairs are checked once per structure (:func:`_structure`), those on core and tails
-    at each construction.
+    a rule with a :class:`DatasetError` of its faults joined by ``"; "``: those of its
+    levels and e1 pairs, which :func:`_structure` states and checks once per structure,
+    then those of its core and tails, which :func:`_term_faults` states and checks at
+    each construction.  So every Dataset that exists is valid.
     """
 
     _fields = ("levels", "elements", "core_alpha", "tails")
@@ -318,12 +327,14 @@ class Dataset(Record):
         # Each state's polarizability rows and their sums, filled on first assembly;
         # outside _fields, so ==, repr, copy and pickle ignore it.
         _set_rows(self, {})
+        faults = ()
         try:
             couplings = _structure(levels, tuple(map(_label_pair, elements)))
-            if not _terms_hold(core_alpha, tails, by_label):
-                raise DatasetError
-        except DatasetError:
-            raise DatasetError("; ".join(validate(self))) from None
+        except DatasetError as exc:
+            faults = exc.args[0]
+        faults += _term_faults(core_alpha, tails, by_label)
+        if faults:
+            raise DatasetError("; ".join(faults))
         # Labels are unique, so by_label's keys are the levels' labels in order.
         _set_couplings(self, dict(zip(by_label, couplings)))
 
@@ -380,35 +391,56 @@ _label_pair = itemgetter(0, 1)  # an element's (lower, upper)
 def _structure(levels: tuple[Level, ...], pairs: tuple[tuple[LevelLabel, LevelLabel], ...]
                ) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]:
     """The couplings of each of `levels`, in their order, under the e1 (lower, upper) label
-    `pairs`, when they meet every rule on levels and pairs; else a bare DatasetError.
+    `pairs`, when they meet the structure rules; else a DatasetError of the list of their
+    faults, in order.
 
-    The rules: unique labels, a level at energy 0 if any, and each pair between declared
-    levels, E1-allowed, at least MIN_GAP_CM upward and new.  A level's couplings are one
-    (element index, side of the partner's label in it, partner's level index) per element
-    on it, in element order and in row order, (partner j, gap, partner).
+    The rules, each stated here only: unique labels, a level at energy 0 if any, and each
+    pair between declared levels, E1-allowed, at least MIN_GAP_CM upward (:func:`gap_fault`)
+    and new.  A level's couplings are one (element index, side of the partner's label in
+    it, partner's level index) per element on it, in element order and in row order,
+    (partner j, gap, partner).
 
     Kept for the last 16 accepted structures, so that datasets that differ only in values
     share one check.  Equal keys may hold unequal objects (an int energy 5 and 5.0, -0.0
     and 0.0), so the entry holds no level, label, energy or message: a dataset reads those
-    from its own fields.  A refusal is not kept.
+    from its own fields.  A refusal is not kept, so its faults name the refused dataset's
+    own labels and energies.
     """
+    # A label indexes its last level, as the dataset's label index does.
     index = {level.label: i for i, level in enumerate(levels)}
     energies = [level.energy_cm for level in levels]
-    if len(index) != len(levels) or energies and min(energies) != 0.0:
-        raise DatasetError
+    faults: list[str] = []
+    if len(index) != len(levels):
+        labels: set[LevelLabel] = set()
+        for level in levels:
+            if level.label in labels:
+                faults.append(f"duplicate level {level.label}")
+            labels.add(level.label)
+    if energies and min(energies) != 0.0:
+        faults.append("no ground level with energy 0")
     walks: list[list[tuple[int, int, int]]] = [[] for _ in levels]
     seen: set[tuple[LevelLabel, LevelLabel]] = set()
     for k, pair in enumerate(pairs):
         lower, upper = pair
         low, up = index.get(lower), index.get(upper)
-        # An upward pair is its own energy-ordered key, so a reversed repeat fails the gap.
-        if low is None or up is None or not energies[up] - energies[low] >= MIN_GAP_CM:
-            raise DatasetError
-        if not e1_selection_ok(lower, upper) or pair in seen:
-            raise DatasetError
-        seen.add(pair)
+        if low is None or up is None:
+            faults += [f"e1 {lower}-{upper}: unknown level {label}"
+                       for label in pair if label not in index]
+            continue
+        gap = energies[up] - energies[low]
+        # A pair's key: its labels in energy order, labels breaking a tie.
+        key = (upper, lower) if gap < 0.0 or gap == 0.0 and upper < lower else pair
+        if not e1_selection_ok(lower, upper):
+            faults.append(f"e1 {lower}-{upper}: violates E1 selection rules")
+        if fault := gap_fault(gap):
+            faults.append(f"e1 {lower}-{upper}: {fault}")
+        if key in seen:
+            faults.append(f"e1 {lower}-{upper}: duplicate matrix element for this pair")
+        seen.add(key)
         walks[low].append((k, 1, up))
         walks[up].append((k, 0, low))
+    if faults:
+        raise DatasetError(faults)
     structure = []
     for energy, walk in zip(energies, walks):
         # The key's gap is the rows' own float; a pair has one element, so the partner
@@ -419,17 +451,37 @@ def _structure(levels: tuple[Level, ...], pairs: tuple[tuple[LevelLabel, LevelLa
     return tuple(structure)
 
 
-def _terms_hold(core: Quantity, tails: Mapping[tuple[LevelLabel, str], Quantity],
-                by_label: Mapping[LevelLabel, Level]) -> bool:
-    """Whether core and tails meet their rules: a positive core, each tail on a declared
-    level and multipole, and each term in a0^3 and in the input box."""
-    if not (0.0 < core.value <= MAX_ALPHA and core.unc <= MAX_ALPHA and core.unit == A0_CUBED):
-        return False
-    for (label, multipole), q in tails.items():
-        if not (label in by_label and multipole in MULTIPOLES and q.unit == A0_CUBED
-                and -MAX_ALPHA <= q.value <= MAX_ALPHA and q.unc <= MAX_ALPHA):
-            return False
-    return True
+def _term_faults(core: Quantity, tails: Mapping[tuple[LevelLabel, str], Quantity],
+                 by_label: Mapping[LevelLabel, Level]) -> tuple[str, ...]:
+    """The faults of core and tails, in order: a positive core in a0^3, each tail on a
+    declared level and multipole and in a0^3, then each term, core first, in the input
+    box.  The rules are stated here only; the result is a tuple, so a construction whose
+    terms meet them allocates none."""
+    faults = ()
+    if not core.value > 0.0:
+        faults += ("core polarizability must be positive",)
+    if core.unit != A0_CUBED:
+        faults += (f"core polarizability must be in {A0_CUBED!r}",)
+    outside = _box_fault(None, core)
+    for key, q in tails.items():
+        label, multipole = key
+        if label not in by_label:
+            faults += (f"tail {label} {multipole}: unknown level {label}",)
+        if multipole not in MULTIPOLES:
+            faults += (f"tail {label}: bad multipole {multipole!r}",)
+        if q.unit != A0_CUBED:
+            faults += (f"tail {label} {multipole}: must be in {A0_CUBED!r}",)
+        outside += _box_fault(key, q)
+    return faults + outside
+
+
+def _box_fault(key: tuple[LevelLabel, str] | None, q: Quantity) -> tuple[str, ...]:
+    """(The fault of term `q`, the core (key None) or a tail, outside the input box,), or ()."""
+    if -MAX_ALPHA <= q.value <= MAX_ALPHA and q.unc <= MAX_ALPHA:
+        return ()
+    what = "core" if key is None else f"tail {key[0]} {key[1]}"
+    return (out_of_bounds((f"{what} [a0^3]", q.value, -MAX_ALPHA, MAX_ALPHA),
+                          (f"{what} uncertainty [a0^3]", q.unc, 0.0, MAX_ALPHA)),)
 
 
 def number_literal(token: str) -> float | None:
@@ -551,64 +603,6 @@ def builtin_dataset_text() -> str:
 def builtin_dataset() -> Dataset:
     """The packaged Ca+ dataset as one shared Dataset, parsed once per process."""
     return parse_dataset(builtin_dataset_text())
-
-
-def validate(ds: Dataset) -> list[str]:
-    """Check all dataset invariants; return one description per violation, in order.
-
-    The one source of the dataset refusal message: the Dataset constructor calls it only
-    to word a refusal, so every Dataset that exists passes."""
-    violations: list[str] = []
-    # by_label holds the last level of each label, as Dataset.level reads it
-    levels, by_label = ds.levels, ds._by_label
-
-    if len(by_label) != len(levels):
-        seen: set[LevelLabel] = set()
-        for level in levels:
-            if level.label in seen:
-                violations.append(f"duplicate level {level.label}")
-            seen.add(level.label)
-    if levels and min([level.energy_cm for level in levels]) != 0.0:
-        violations.append("no ground level with energy 0")
-
-    # A pair's key is its two labels in energy order, labels breaking a tie.
-    pairs: set[tuple[LevelLabel, LevelLabel]] = set()
-    for el in ds.elements:
-        lower, upper = key = el[:2]
-        e1 = f"e1 {lower}-{upper}: "
-        if lower not in by_label or upper not in by_label:
-            violations += [e1 + f"unknown level {lab}" for lab in key if lab not in by_label]
-            continue
-        gap = by_label[upper].energy_cm - by_label[lower].energy_cm
-        if gap < 0.0 or gap == 0.0 and upper < lower:
-            key = (upper, lower)
-        if not e1_selection_ok(lower, upper):
-            violations.append(e1 + "violates E1 selection rules")
-        if not gap >= MIN_GAP_CM:
-            violations.append(e1 + out_of_bounds(("gap [cm^-1]", gap, MIN_GAP_CM, MAX_ENERGY_CM)))
-        if key in pairs:
-            violations.append(e1 + "duplicate matrix element for this pair")
-        pairs.add(key)
-
-    core, tails = ds.core_alpha, ds.tails
-    if not core.value > 0:
-        violations.append("core polarizability must be positive")
-    if core.unit != A0_CUBED:
-        violations.append(f"core polarizability must be in {A0_CUBED!r}")
-    for (label, multipole), q in tails.items():
-        if label not in by_label:
-            violations.append(f"tail {label} {multipole}: unknown level {label}")
-        if multipole not in MULTIPOLES:
-            violations.append(f"tail {label}: bad multipole {multipole!r}")
-        if q.unit != A0_CUBED:
-            violations.append(f"tail {label} {multipole}: must be in {A0_CUBED!r}")
-    for key, q in ((None, core), *tails.items()):
-        if not (-MAX_ALPHA <= q.value <= MAX_ALPHA and q.unc <= MAX_ALPHA):
-            what = "core" if key is None else f"tail {key[0]} {key[1]}"
-            violations.append(out_of_bounds((f"{what} [a0^3]", q.value, -MAX_ALPHA, MAX_ALPHA),
-                                            (f"{what} uncertainty [a0^3]", q.unc, 0.0, MAX_ALPHA)))
-
-    return violations
 
 
 def energy_difference_au(ds: Dataset, a: LevelLabel, b: LevelLabel) -> Quantity:

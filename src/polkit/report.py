@@ -17,8 +17,8 @@ from collections.abc import Callable, Mapping, Sequence
 
 from .bbr import BBRConditions, bbr_shift_state, clock_bbr_shift
 from .constants import HARTREE_IN_CM
-from .dataset import MAX_ENERGY_CM, MIN_GAP_CM, SCALAR, TENSOR, Dataset, DatasetError, LevelLabel
-from .dataset import Quantity, Record, _setters, e1_selection_ok, out_of_bounds
+from .dataset import SCALAR, TENSOR, Dataset, DatasetError, LevelLabel, Quantity, Record, _setters
+from .dataset import e1_selection_ok, gap_fault
 from .polarizability import assemble_breakdown
 from .radiative import DecayChannel, decay_channels, extract_matrix_element, lifetime
 
@@ -272,11 +272,10 @@ def extract_report(
         raise ValueError(f"{upper} does not lie above {lower}")
     if not e1_selection_ok(upper, lower):
         raise ValueError(f"{upper} -> {lower} violates E1 selection rules")
-    # A pair with no e1 line has a gap that validate did not check: refused as validate
-    # refuses an e1 pair's, a DatasetError.
-    if gap < MIN_GAP_CM:
-        bound = out_of_bounds(("gap [cm^-1]", gap, MIN_GAP_CM, MAX_ENERGY_CM))
-        raise DatasetError(f"{upper} -> {lower}: {bound}")
+    # A pair with no e1 line has a gap that the dataset's structure rules did not check:
+    # refused in the words of an e1 pair's gap, a DatasetError.
+    if fault := gap_fault(gap):
+        raise DatasetError(f"{upper} -> {lower}: {fault}")
     # The replaced channel's gap was just checked and its d lies in the box, so its rate
     # does too: computing it and dropping it cannot fail.
     others = [ch for ch in decay_channels(ds, upper) if ch.lower != lower]

@@ -121,8 +121,8 @@ GATE_CASES = {
                                  2, "line 4: " + D_OUT + "1e-200"),
     "extract-other-rate-underflows": ("e1 3d3/2 4p1/2 1e-200 1e-201", EXTRACT + ["7"],
                                       2, "line 4: " + D_OUT + "1e-200"),
-    # 4s1/2 and 4p1/2 share no e1 line, so validate does not compare their energies: the
-    # pair's gap is refused by extract_report as a data error, in validate's e1 gap words
+    # 4s1/2 and 4p1/2 share no e1 line, so the dataset's structure rules do not compare their
+    # energies: the pair's gap is refused by extract_report as a data error, in an e1 gap's words
     "extract-rate-per-d-squared-underflows": (
         "level 4p1/2 1e-300", EXTRACT + ["7"], 2,
         "4p1/2 -> 4s1/2: gap [cm^-1] must lie in [0.001, 1e+07], got 1e-300"),

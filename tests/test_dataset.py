@@ -32,7 +32,7 @@ from polkit import (
     parse_dataset,
 )
 from polkit.dataset import MAX_ALPHA, MIN_GAP_CM, number_literal, parse_number, require_unit
-from polkit.dataset import _structure, e1_selection_ok, validate
+from polkit.dataset import _structure, e1_selection_ok
 from polkit.polarizability import _main_rows
 
 # A number is an ASCII decimal literal with an optional exponent: no '_'
@@ -562,11 +562,8 @@ def refusal(levels, elements, core, tails):
     return str(info.value).split("; ")
 
 
-class TestValidate:
-    """validate's violations are the message of the constructor's refusal."""
-
-    def test_golden_is_clean(self, golden):
-        assert validate(golden) == []
+class TestRefusal:
+    """The constructor refuses a dataset with the message of its faults, in order."""
 
     def _levels(self):
         return (
@@ -649,7 +646,7 @@ class TestValidate:
     def test_a_dataset_with_no_levels_is_valid(self):
         """The ground-level rule asks for a level at 0 only when there are levels."""
         ds = Dataset((), (), Quantity(3.25, 0.17, A0_CUBED), {})
-        assert validate(ds) == [] and parse_dataset("core 3.25 0.17\n") == ds
+        assert parse_dataset("core 3.25 0.17\n") == ds
 
     @pytest.mark.parametrize("core", [-1.0, 0.0])
     def test_nonpositive_core_reported(self, core):
@@ -801,7 +798,6 @@ def built(fields):
         ds = Dataset(*fields)
     except DatasetError as exc:
         return "refused", str(exc)
-    assert validate(ds) == []
     return "built", repr([(list(ds.couplings(level.label)), _main_rows(ds, level.label))
                           for level in ds.levels])
 
@@ -867,14 +863,17 @@ class TestStructureMemo:
             assert [el for _, el, _ in ds.couplings(self.P)] == variant
         assert _structure.cache_info()[:2] == (0, 3)
 
-    def test_a_refused_structure_is_not_kept_and_is_refused_alike(self):
+    @pytest.mark.parametrize("energies, gap", [((0.0, 150.0, 100.0), "-50.0"),
+                                               ((0, 150, 100), "-50")], ids=["float", "int"])
+    def test_a_refused_structure_is_not_kept_and_is_refused_alike(self, energies, gap):
+        """A refusal is worded from the refused dataset's own energies."""
         _structure.cache_clear()
-        levels, elements, core, tails = self.fields((0.0, 150.0, 100.0))  # 3d3/2 above 4p1/2
+        levels, elements, core, tails = self.fields(energies)  # 3d3/2 above 4p1/2
         for _ in range(2):
             with pytest.raises(DatasetError) as info:
                 Dataset(levels, elements, core, tails)
             assert str(info.value) == (
-                "e1 3d3/2-4p1/2: gap [cm^-1] must lie in [0.001, 1e+07], got -50.0")
+                f"e1 3d3/2-4p1/2: gap [cm^-1] must lie in [0.001, 1e+07], got {gap}")
         info = _structure.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
