@@ -17,10 +17,11 @@ Each dataset rule is stated once, by the check that words its refusal.
 :func:`_structure` states the rules on a dataset's structure, what depends only on its
 levels and e1 label pairs, and checks and orders each of the last 16 structures once:
 datasets that differ only in values, as Monte-Carlo draws do, check only their core and
-tails, whose rules :func:`_term_faults` states.  A structure holds each level's couplings
-in element order, which :meth:`Dataset.couplings` and the decay channels read, and in
-polarizability row order.  The label index, which :func:`energy_difference_au` and each
-lookup read, is the one refusal of an unknown label.
+tails, whose rules :func:`_term_faults` states.  A structure holds, by label, each level's
+couplings as element indices, sides and gaps in hartree: in element order, which
+:meth:`Dataset.couplings` and the decay channels read, and in polarizability row order,
+which the rows read with no energy looked up.  A dataset's label index and its structure
+are both :class:`_LevelIndex`, whose lookup is the one refusal of an unknown label.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ class ReducedE1(namedtuple("ReducedE1", "lower upper d")):
 
 
 class _LevelIndex(dict):
-    """A dataset's levels by label; looking up an undeclared label raises UnknownLevelError."""
+    """A mapping by level label; looking up an undeclared label raises UnknownLevelError."""
 
     __slots__ = ()
 
@@ -329,14 +330,12 @@ class Dataset(Record):
         _set_rows(self, {})
         faults = ()
         try:
-            couplings = _structure(levels, tuple(map(_label_pair, elements)))
+            _set_couplings(self, _structure(levels, tuple(map(_label_pair, elements))))
         except DatasetError as exc:
             faults = exc.args[0]
         faults += _term_faults(core_alpha, tails, by_label)
         if faults:
             raise DatasetError("; ".join(faults))
-        # Labels are unique, so by_label's keys are the levels' labels in order.
-        _set_couplings(self, dict(zip(by_label, couplings)))
 
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild from the fields: the tails mappingproxy does not pickle
@@ -354,18 +353,12 @@ class Dataset(Record):
 
     def couplings(self, label: LevelLabel) -> Iterator[tuple[LevelLabel, ReducedE1, float]]:
         """(partner, element, E(partner) - E(label) in hartree) per element on `label`, in
-        element order."""
-        return self._walk(label, 0)
-
-    def _walk(self, label: LevelLabel, order: int
-              ) -> Iterator[tuple[LevelLabel, ReducedE1, float]]:
-        """The couplings of `label` in element order (order 0) or in polarizability row
-        order, (partner j, gap, partner) (order 1)."""
-        levels, elements = self.levels, self.elements
-        energy = self.energy_cm(label)
-        for k, side, at in self._couplings[label][order]:
+        element order: the gap is the structure's, bit-identical to
+        :func:`energy_difference_au`'s, so no energy is looked up."""
+        elements = self.elements
+        for k, side, gap in self._couplings[label][0]:
             el = elements[k]
-            yield el[side], el, (levels[at].energy_cm - energy) / HARTREE_IN_CM
+            yield el[side], el, gap
 
     def to_text(self) -> str:
         """Canonical text form; parses back to an identical dataset."""
@@ -389,22 +382,26 @@ _label_pair = itemgetter(0, 1)  # an element's (lower, upper)
 
 @functools.lru_cache(maxsize=16)
 def _structure(levels: tuple[Level, ...], pairs: tuple[tuple[LevelLabel, LevelLabel], ...]
-               ) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]:
-    """The couplings of each of `levels`, in their order, under the e1 (lower, upper) label
-    `pairs`, when they meet the structure rules; else a DatasetError of the list of their
-    faults, in order.
+               ) -> Mapping[LevelLabel, tuple[tuple[tuple[int, int, float], ...], ...]]:
+    """The couplings of each of `levels`, a read-only :class:`_LevelIndex`, under the e1
+    (lower, upper) label `pairs`, when they meet the structure rules; else a DatasetError
+    of the list of their faults, in order.
 
     The rules, each stated here only: unique labels, a level at energy 0 if any, and each
     pair between declared levels, E1-allowed, at least MIN_GAP_CM upward (:func:`gap_fault`)
     and new.  A level's couplings are one (element index, side of the partner's label in
-    it, partner's level index) per element on it, in element order and in row order,
-    (partner j, gap, partner).
+    it, E(partner) - E(level) in hartree) per element on it, in element order and in row
+    order, (partner j, gap, partner).
 
     Kept for the last 16 accepted structures, so that datasets that differ only in values
     share one check.  Equal keys may hold unequal objects (an int energy 5 and 5.0, -0.0
-    and 0.0), so the entry holds no level, label, energy or message: a dataset reads those
-    from its own fields.  A refusal is not kept, so its faults name the refused dataset's
-    own labels and energies.
+    and 0.0), so the entry holds no level, energy or message: a dataset reads those from
+    its own fields.  What it holds is the same for every equal key: labels are ints alone,
+    and each gap is bit-identical, as an e1 gap is at least MIN_GAP_CM, never a signed
+    zero, and int energies up to MAX_ENERGY_CM are exact floats.  A pair's gap g is
+    computed once, g for its lower level and -g for its upper one: subtraction is
+    sign-symmetric, so -g is the upper level's own difference, bit for bit.  A refusal is
+    not kept, so its faults name the refused dataset's own labels and energies.
     """
     # A label indexes its last level, as the dataset's label index does.
     index = {level.label: i for i, level in enumerate(levels)}
@@ -418,7 +415,7 @@ def _structure(levels: tuple[Level, ...], pairs: tuple[tuple[LevelLabel, LevelLa
             labels.add(level.label)
     if energies and min(energies) != 0.0:
         faults.append("no ground level with energy 0")
-    walks: list[list[tuple[int, int, int]]] = [[] for _ in levels]
+    walks: dict[LevelLabel, list[tuple[int, int, float]]] = {label: [] for label in index}
     seen: set[tuple[LevelLabel, LevelLabel]] = set()
     for k, pair in enumerate(pairs):
         lower, upper = pair
@@ -437,18 +434,19 @@ def _structure(levels: tuple[Level, ...], pairs: tuple[tuple[LevelLabel, LevelLa
         if key in seen:
             faults.append(f"e1 {lower}-{upper}: duplicate matrix element for this pair")
         seen.add(key)
-        walks[low].append((k, 1, up))
-        walks[up].append((k, 0, low))
+        gap /= HARTREE_IN_CM
+        walks[lower].append((k, 1, gap))
+        walks[upper].append((k, 0, -gap))
     if faults:
         raise DatasetError(faults)
-    structure = []
-    for energy, walk in zip(energies, walks):
+    structure = _LevelIndex()
+    for label, walk in walks.items():
         # The key's gap is the rows' own float; a pair has one element, so the partner
         # ends every key and no two keys tie.
-        keyed = sorted((pairs[k][side].j2, (energies[at] - energy) / HARTREE_IN_CM,
-                        pairs[k][side], (k, side, at)) for k, side, at in walk)
-        structure.append((tuple(walk), tuple([key[3] for key in keyed])))
-    return tuple(structure)
+        keyed = sorted([(pairs[k][side].j2, gap, pairs[k][side], (k, side, gap))
+                        for k, side, gap in walk])
+        structure[label] = (tuple(walk), tuple([key[3] for key in keyed]))
+    return MappingProxyType(structure)
 
 
 def _term_faults(core: Quantity, tails: Mapping[tuple[LevelLabel, str], Quantity],

@@ -3,12 +3,13 @@
 Per-transition scalar and tensor terms are summed as plain floats, with tail
 and core inputs, into a breakdown whose uncertainties combine in quadrature.
 Energies are treated as exact, so each term's uncertainty is 2*|alpha|*(dd/d)
-(:func:`_sigma`, the one place of that rule).  A state's rows are built in one
-pass over its couplings in row order, (partner j, gap, partner), which the
-dataset's structure stores, so no element is scanned and no row sorted; the same
-pass folds the scalar and tensor sums, and both are memoized on the dataset, so
-the scalar and tensor breakdowns of one state share them.  A row builds its term
-as a :class:`Quantity` only when a report asks for it.  The input bounds of
+(:func:`_sigma`, the one place of that rule, given dd/d).  A state's rows are
+built in one flat loop over its couplings in row order, (partner j, gap,
+partner), which the dataset's structure stores with each gap, so no element is
+scanned, no row sorted and no energy looked up; the same loop folds the scalar
+and tensor sums, and both are memoized on the dataset, so the scalar and tensor
+breakdowns of one state share them.  A row builds its term as a
+:class:`Quantity` only when a report asks for it.  The input bounds of
 :mod:`polkit.dataset`, which every Dataset meets, keep every term and sum finite.
 """
 
@@ -55,12 +56,13 @@ class Contribution(namedtuple("Contribution", "state partner d alpha0 alpha2")):
         alpha = self[index]
         if alpha is None:
             raise ValueError(f"no tensor contribution for {self.transition}")
-        return Quantity(alpha, _sigma(alpha, self.d), A0_CUBED)
+        return Quantity(alpha, _sigma(alpha, self.d.relative_unc()), A0_CUBED)
 
 
-def _sigma(alpha: float, d: Quantity) -> float:
-    """The uncertainty 2 |alpha| dd/d of a row's term `alpha`, the one place of that rule."""
-    return abs(alpha) * d.relative_unc() * 2.0
+def _sigma(alpha: float, rel: float) -> float:
+    """The uncertainty 2 |alpha| dd/d of a row's term `alpha`, given its element's relative
+    uncertainty `rel`, dd/d: the one place of that rule.  A row's two terms share `rel`."""
+    return abs(alpha) * rel * 2.0
 
 
 PolarizabilityBreakdown = namedtuple(
@@ -84,20 +86,21 @@ def _main_rows(ds: Dataset, state: LevelLabel) -> tuple[Contribution, ...]:
     # scalar part; the tensor part vanishes identically for j_v < 1.
     j2_v = state.j2
     scalar = 2.0 / (3.0 * (j2_v + 1))
-    rows = []
+    elements, rows = ds.elements, []
     # Each multipole's (value, unc): terms summed by +=, their uncertainties chained by hypot.
     value0 = unc0 = value2 = unc2 = 0.0
     alpha2 = None
-    for partner, el, de in ds._walk(state, 1):
-        d = el.d
-        d2 = d.value**2
+    for k, side, de in ds._couplings[state][1]:  # de: the structure's gap in hartree
+        el = elements[k]
+        partner, d = el[side], el.d
+        rel, d2 = d.relative_unc(), d.value**2
         alpha0 = scalar * d2 / de
         value0 += alpha0
-        unc0 = hypot(unc0, _sigma(alpha0, d))
+        unc0 = hypot(unc0, _sigma(alpha0, rel))
         if j2_v >= 2:
             alpha2 = _tensor_angular(j2_v, partner.j2) * d2 / de
             value2 += alpha2
-            unc2 = hypot(unc2, _sigma(alpha2, d))
+            unc2 = hypot(unc2, _sigma(alpha2, rel))
         # _tuple_new: the generated __new__ of a plain namedtuple checks nothing
         rows.append(_tuple_new(Contribution, (state, partner, d, alpha0, alpha2)))
     # setdefault: concurrent first readers of one state all get the one stored entry

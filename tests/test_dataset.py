@@ -728,9 +728,10 @@ BAD_TERMS = [Quantity(v, u, unit) for v, u, unit in [
 
 
 @st.composite
-def dataset_fields(draw):
-    """Levels, elements, core and tails of a small valid set, with up to two drawn faults."""
-    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2))
+def dataset_fields(draw, kinds=FAULTS):
+    """Levels, elements, core and tails of a small valid set, with up to two faults drawn
+    from `kinds`: none when it is empty."""
+    faults = draw(st.lists(st.sampled_from(kinds), max_size=2) if kinds else st.just([]))
     labels = draw(st.lists(st.sampled_from(POOL), min_size=2, max_size=5, unique=True))
     energies = [float(i) for i in draw(st.permutations(range(len(labels))))]  # one at 0
     i, j = draw(st.integers(0, len(labels) - 1)), draw(st.integers(0, len(labels) - 1))
@@ -876,6 +877,34 @@ class TestStructureMemo:
                 f"e1 3d3/2-4p1/2: gap [cm^-1] must lie in [0.001, 1e+07], got {gap}")
         info = _structure.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(fields=dataset_fields(kinds=()), scale=st.integers(1, 2_000_000),
+           form=st.sampled_from(["int", "-0.0"]))
+    def test_each_kept_gap_is_the_datasets_own_gap_bit_for_bit(self, fields, scale, form):
+        """Cold, and warm from an equal structure of the other numeric form (int energies,
+        or a -0.0 ground), in either direction, every stored gap in element and in row
+        order is energy_difference_au's float."""
+        levels, *rest = fields  # each energy a float of an int below 5, one of them 0.0
+        levels = [Level(label, e * scale) for label, e in levels]
+        if form == "int":
+            other = [Level(label, int(e)) for label, e in levels]
+        else:
+            other = [Level(label, e or -0.0) for label, e in levels]
+        assert other == levels
+        for first, second in ((None, levels), (other, levels), (levels, other)):
+            _structure.cache_clear()
+            if first is not None:
+                Dataset(first, *rest)
+            ds = Dataset(second, *rest)
+            assert _structure.cache_info().hits == (first is not None)
+            for level in ds.levels:
+                walk, rows = ds._couplings[level.label]
+                assert sorted(rows) == sorted(walk)
+                for k, side, gap in walk:
+                    partner = ds.elements[k][side]
+                    want = energy_difference_au(ds, level.label, partner).value
+                    assert gap.hex() == want.hex()
 
     def test_at_most_16_structures_are_kept(self):
         _structure.cache_clear()

@@ -30,6 +30,7 @@ from polkit import (
 )
 from polkit.cli import main
 from polkit.dataset import MAX_D
+from test_dataset import dataset_fields
 
 lab = LevelLabel.parse
 
@@ -94,6 +95,22 @@ class TestAssembleBreakdown:
         ds = Dataset(golden.levels, elements, golden.core_alpha, golden.tails)
         for state, multipole in CHAINED_SUM_CASES:
             assert_total_is_chained_sum(ds, lab(state), multipole)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(fields=dataset_fields(kinds=()), data=st.data())
+    def test_total_is_the_chained_quantity_sum_for_drawn_datasets(self, fields, data):
+        """The float sum keeps the row, tail, core order on drawn levels, pairs and E1
+        values too, for every level and multipole that assembles."""
+        levels, pairs, core, tails = fields
+        elements = []
+        for el in pairs:
+            value = data.draw(st.floats(1e-3, 50.0), label=f"{el.lower}-{el.upper}")
+            unc = data.draw(st.floats(0.0, 2.0 * value), label="unc")
+            elements.append(el._replace(d=d_q(value, unc)))
+        ds = Dataset(levels, elements, core, tails)
+        for level in ds.levels:
+            for multipole in (SCALAR, TENSOR)[: 1 + (level.label.j2 >= 2)]:
+                assert_total_is_chained_sum(ds, level.label, multipole)
 
     def test_core_enters_scalar_only(self, golden):
         scalar = assemble_breakdown(golden, lab("3d5/2"), SCALAR)
