@@ -109,8 +109,9 @@ class TestAssembleBreakdown:
             elements.append(el._replace(d=d_q(value, unc)))
         ds = Dataset(levels, elements, core, tails)
         for level in ds.levels:
-            for multipole in (SCALAR, TENSOR)[: 1 + (level.label.j2 >= 2)]:
-                assert_total_is_chained_sum(ds, level.label, multipole)
+            for multipole in (SCALAR, TENSOR):
+                if multipole == SCALAR or level.label.j2 >= 2:
+                    assert_total_is_chained_sum(ds, level.label, multipole)
 
     def test_core_enters_scalar_only(self, golden):
         scalar = assemble_breakdown(golden, lab("3d5/2"), SCALAR)
