@@ -53,8 +53,10 @@ def _shift_per_si_alpha(cond: BBRConditions) -> float:
 
 
 def _check_polarizabilities(*named: tuple[str, Quantity]) -> None:
-    """The one check of the polarizabilities a shift takes: each (what, alpha) must be in
-    a0^3, with |value| and sigma at most MAX_POLARIZABILITY; the first one outside is named."""
+    """The one wording of a refusal of the polarizabilities a shift takes: each (what, alpha)
+    must be in a0^3, with |value| and sigma at most MAX_POLARIZABILITY; a wrong unit is named
+    first, then the first one outside.  A shift tests them in its one valid-path condition and
+    calls this only when that fails."""
     for what, alpha in named:
         require_unit(alpha, A0_CUBED, what)
     top = MAX_POLARIZABILITY
@@ -66,7 +68,9 @@ def _check_polarizabilities(*named: tuple[str, Quantity]) -> None:
 
 def bbr_shift_state(alpha0: Quantity, cond: BBRConditions) -> Quantity:
     """BBR shift in Hz of a single state of scalar polarizability alpha0."""
-    _check_polarizabilities(("polarizability", alpha0))
+    top = MAX_POLARIZABILITY
+    if not (alpha0.unit == A0_CUBED and -top <= alpha0.value <= top and alpha0.unc <= top):
+        _check_polarizabilities(("polarizability", alpha0))
     factor = _shift_per_si_alpha(cond)
     shifted = au_to_si(alpha0)
     return Quantity(factor * shifted.value, abs(factor) * shifted.unc, HERTZ)
@@ -86,7 +90,10 @@ def clock_bbr_shift(
     the difference; it must lie in [0, min(sigma_g, sigma_e)], as a part of each.
     """
     g, e = alpha_ground, alpha_excited
-    _check_polarizabilities(("ground polarizability", g), ("excited polarizability", e))
+    top = MAX_POLARIZABILITY
+    if not (g.unit == e.unit == A0_CUBED and -top <= g.value <= top and g.unc <= top
+            and -top <= e.value <= top and e.unc <= top):
+        _check_polarizabilities(("ground polarizability", g), ("excited polarizability", e))
     bound = min(g.unc, e.unc)
     if not 0.0 <= shared_core_unc <= bound:
         raise ValueError(

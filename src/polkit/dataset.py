@@ -8,12 +8,15 @@ A dataset is a line-oriented UTF-8 text file::
     core <value_a0^3> <unc_a0^3>
     tail <label> <scalar|tensor> <value_a0^3> <unc_a0^3>
 
-Level labels use the spectroscopic form ``<n><letter><2j>/2``, e.g. ``4p3/2``.
+Level labels use the spectroscopic form ``<n><letter><2j>/2``, e.g. ``4p3/2``; a valid
+(n, l, j2) has one shared :class:`LevelLabel`, found by identity in every label lookup.
 A parsed :class:`Dataset` is immutable and safe for unrestricted concurrent reads;
 :func:`parse_dataset` keeps the outcome of each of the last 16 texts, accepted or
 refused: one shared Dataset, or the message that each later call raises anew; and
 :func:`builtin_dataset` is the packaged Ca+ dataset, parsed once per process.
-Each dataset rule is stated once, by the check that words its refusal.
+Each dataset rule is stated once, by the check that words its refusal; a record that also
+bounds its input tests the unit tag inside its one valid-path condition and calls
+:func:`require_unit`, the one wording of a unit refusal, only to word it, first.
 :func:`_structure` states the rules on a dataset's structure, what depends only on its
 levels and e1 label pairs, and checks and orders each of the last 16 structures once:
 datasets that differ only in values, as Monte-Carlo draws do, check only their core and
@@ -166,9 +169,18 @@ _set_value, _set_unc, _set_unit = _setters(Quantity)
 
 
 def require_unit(q: Quantity, unit: str, what: str) -> None:
-    """The one unit-tag check: raise UnitMismatchError unless `q` is in `unit`."""
+    """The one wording of a unit refusal: raise UnitMismatchError unless `q` is in `unit`.
+    A constructor or function that also bounds its input tests the tag in its one valid-path
+    condition and calls this first in its refusal branch, so a wrong unit is named first."""
     if q.unit != unit:
         raise UnitMismatchError(f"{what} must be in {unit!r}, got {q.unit!r}")
+
+
+def _sigma(x: float, rel: float) -> float:
+    """The uncertainty 2 |x| dd/d of a term `x` proportional to d^2, a polarizability term or
+    a rate, given d's relative uncertainty `rel`, dd/d: the one statement of that rule for a
+    single term.  A state's rows pass inlines it in the same operation order."""
+    return abs(x) * rel * 2.0
 
 
 ZERO_A0_CUBED = Quantity(0.0, 0.0, A0_CUBED)
@@ -200,15 +212,35 @@ _VALID_L_J2 = frozenset(
 )
 
 
+_MAX_SHARED_LABELS = 1024
+_SHARED_LABELS: dict[tuple[int, int, int], LevelLabel] = {}
+
+
 class LevelLabel(namedtuple("LevelLabel", "n l j2")):
-    """Spectroscopic state label of ints n, orbital l and twice the total j; sorts by (n, l, j2)."""
+    """Spectroscopic state label of ints n, orbital l and twice the total j; sorts by (n, l, j2).
+
+    One label is shared per valid triple, stored while fewer than _MAX_SHARED_LABELS are: every
+    construction of it, ``_make``, ``_replace``, copy, pickle and :meth:`parse` included,
+    returns that object, so label lookups and comparisons take identity shortcuts.  Past the
+    bound a new triple's label is built at each call; a refused triple and a subclass
+    instance are never stored.
+    """
 
     __slots__ = ()
 
     def __new__(cls, n: int, l: int, j2: int) -> "LevelLabel":
+        # Types before the lookup: 4.0 and True equal the ints 4 and 1, and would find their key.
+        if type(n) is type(l) is type(j2) is int and cls is LevelLabel:
+            label = _SHARED_LABELS.get((n, l, j2))
+            if label is not None:
+                return label
         if not (type(n) is type(l) is type(j2) is int and n >= 1 and (l, j2) in _VALID_L_J2):
             raise ValueError(_label_problem(n, l, j2))
-        return _tuple_new(cls, (n, l, j2))
+        label = _tuple_new(cls, (n, l, j2))
+        if cls is LevelLabel and len(_SHARED_LABELS) < _MAX_SHARED_LABELS:
+            # setdefault: concurrent first constructions of one triple all return the stored label
+            label = _SHARED_LABELS.setdefault((n, l, j2), label)
+        return label
 
     _make = _make
 
@@ -267,9 +299,9 @@ class ReducedE1(namedtuple("ReducedE1", "lower upper d")):
     _make = _make
 
     def __new__(cls, lower: LevelLabel, upper: LevelLabel, d: Quantity) -> "ReducedE1":
-        require_unit(d, E_A0, "matrix element")
-        if not (type(lower) is type(upper) is LevelLabel  # one branch when valid
+        if not (d.unit == E_A0 and type(lower) is type(upper) is LevelLabel  # one valid branch
                 and MIN_D <= d.value <= MAX_D and d.unc <= MAX_D):
+            require_unit(d, E_A0, "matrix element")
             raise ValueError(_not_a_label(("lower", lower), ("upper", upper))
                              or out_of_bounds(("d [e*a0]", d.value, MIN_D, MAX_D),
                                               ("d uncertainty [e*a0]", d.unc, 0.0, MAX_D)))

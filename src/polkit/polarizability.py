@@ -2,8 +2,10 @@
 
 Per-transition scalar and tensor terms are summed as plain floats, with tail
 and core inputs, into a breakdown whose uncertainties combine in quadrature.
-Energies are treated as exact, so each term's uncertainty is 2*|alpha|*(dd/d)
-(:func:`_sigma`, the one place of that rule, given dd/d).  A state's rows are
+Energies are treated as exact, so each term's uncertainty is 2*|alpha|*(dd/d),
+stated for a single term by :func:`polkit.dataset._sigma`, which the rows pass
+inlines in the same operation order, with dd/d as d.unc / d.value: d is at least
+MIN_D > 0, so the floats are those of ``Quantity.relative_unc``.  A state's rows are
 built in one flat loop over its couplings in row order, (partner j, gap,
 partner), which the dataset's structure stores with each gap, so no element is
 scanned, no row sorted and no energy looked up; the same loop folds the scalar
@@ -29,6 +31,7 @@ from .dataset import (
     Dataset,
     LevelLabel,
     Quantity,
+    _sigma,
     _tuple_new,
 )
 
@@ -59,12 +62,6 @@ class Contribution(namedtuple("Contribution", "state partner d alpha0 alpha2")):
         return Quantity(alpha, _sigma(alpha, self.d.relative_unc()), A0_CUBED)
 
 
-def _sigma(alpha: float, rel: float) -> float:
-    """The uncertainty 2 |alpha| dd/d of a row's term `alpha`, given its element's relative
-    uncertainty `rel`, dd/d: the one place of that rule.  A row's two terms share `rel`."""
-    return abs(alpha) * rel * 2.0
-
-
 PolarizabilityBreakdown = namedtuple(
     "PolarizabilityBreakdown", "state multipole main tail core total"
 )
@@ -93,14 +90,15 @@ def _main_rows(ds: Dataset, state: LevelLabel) -> tuple[Contribution, ...]:
     for k, side, de in ds._couplings[state][1]:  # de: the structure's gap in hartree
         el = elements[k]
         partner, d = el[side], el.d
-        rel, d2 = d.relative_unc(), d.value**2
+        # d.relative_unc() and _sigma, inlined bit for bit: d >= MIN_D > 0, so |d| is d
+        rel, d2 = d.unc / d.value, d.value**2
         alpha0 = scalar * d2 / de
         value0 += alpha0
-        unc0 = hypot(unc0, _sigma(alpha0, rel))
+        unc0 = hypot(unc0, abs(alpha0) * rel * 2.0)
         if j2_v >= 2:
             alpha2 = _tensor_angular(j2_v, partner.j2) * d2 / de
             value2 += alpha2
-            unc2 = hypot(unc2, _sigma(alpha2, rel))
+            unc2 = hypot(unc2, abs(alpha2) * rel * 2.0)
         # _tuple_new: the generated __new__ of a plain namedtuple checks nothing
         rows.append(_tuple_new(Contribution, (state, partner, d, alpha0, alpha2)))
     # setdefault: concurrent first readers of one state all get the one stored entry

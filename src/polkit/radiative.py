@@ -24,6 +24,7 @@ from .dataset import (
     LevelLabel,
     Quantity,
     _make,
+    _sigma,
     _tuple_new,
     out_of_bounds,
     require_unit,
@@ -39,8 +40,9 @@ class DecayChannel(namedtuple("DecayChannel", "upper lower A")):
     _make = _make
 
     def __new__(cls, upper: LevelLabel, lower: LevelLabel, A: Quantity) -> "DecayChannel":
-        require_unit(A, MEGAHERTZ, "rate")
-        if not (MIN_RATE_MHZ <= A.value <= MAX_RATE_MHZ and A.unc <= MAX_RATE_MHZ):
+        if not (A.unit == MEGAHERTZ and MIN_RATE_MHZ <= A.value <= MAX_RATE_MHZ
+                and A.unc <= MAX_RATE_MHZ):
+            require_unit(A, MEGAHERTZ, "rate")
             raise ValueError(out_of_bounds(("A [MHz]", A.value, MIN_RATE_MHZ, MAX_RATE_MHZ),
                                            ("A uncertainty [MHz]", A.unc, 0.0, MAX_RATE_MHZ)))
         return _tuple_new(cls, (upper, lower, A))
@@ -57,14 +59,14 @@ def einstein_A(d: Quantity, delta_e_au: float, j2_upper: int) -> Quantity:
 
     ``j2_upper`` is twice the upper state's j.
     """
-    require_unit(d, E_A0, "matrix element")
-    if not (MIN_GAP_AU <= delta_e_au <= MAX_GAP_AU
+    if not (d.unit == E_A0 and MIN_GAP_AU <= delta_e_au <= MAX_GAP_AU
             and MIN_D <= d.value <= MAX_D and d.unc <= MAX_D):
+        require_unit(d, E_A0, "matrix element")
         raise ValueError(out_of_bounds(("gap [hartree]", delta_e_au, MIN_GAP_AU, MAX_GAP_AU),
                                        ("d [e*a0]", d.value, MIN_D, MAX_D),
                                        ("d uncertainty [e*a0]", d.unc, 0.0, MAX_D)))
     value = _rate_per_d_squared_mhz(delta_e_au, j2_upper) * d.value**2
-    return Quantity(value, value * d.relative_unc() * 2.0, MEGAHERTZ)
+    return Quantity(value, _sigma(value, d.unc / d.value), MEGAHERTZ)  # d >= MIN_D > 0
 
 
 def decay_channels(ds: Dataset, upper: LevelLabel) -> list[DecayChannel]:
@@ -99,7 +101,9 @@ def lifetime(channels: Sequence[DecayChannel]) -> Quantity:
 
 
 def _check_lifetime(tau_ns: float, unc_ns: float) -> None:
-    """The one check of a lifetime's bounds: tau in [1e-6, 1e15] ns, sigma_tau in [0, 1e15] ns."""
+    """The one wording of a lifetime's bounds, tau in [1e-6, 1e15] ns and sigma_tau in [0, 1e15]
+    ns: a ValueError when either lies outside.  :func:`extract_matrix_element` tests them in its
+    one valid-path condition and calls this only to word a refusal."""
     if not (MIN_TAU_NS <= tau_ns <= MAX_TAU_NS and 0.0 <= unc_ns <= MAX_TAU_NS):
         raise ValueError(out_of_bounds(("lifetime [ns]", tau_ns, MIN_TAU_NS, MAX_TAU_NS),
                                        ("lifetime uncertainty [ns]", unc_ns, 0.0, MAX_TAU_NS)))
@@ -124,10 +128,11 @@ def extract_matrix_element(
     positive root is returned.  sigma_d / d is half the quadrature sum of the
     residual rate's relative terms from the lifetime and the other channels.
     """
-    require_unit(tau_expt, NANOSECOND, "lifetime")
     tau, tau_unc = tau_expt.value, tau_expt.unc
-    _check_lifetime(tau, tau_unc)
-    if not MIN_GAP_AU <= delta_e_au <= MAX_GAP_AU:
+    if not (tau_expt.unit == NANOSECOND and MIN_TAU_NS <= tau <= MAX_TAU_NS
+            and 0.0 <= tau_unc <= MAX_TAU_NS and MIN_GAP_AU <= delta_e_au <= MAX_GAP_AU):
+        require_unit(tau_expt, NANOSECOND, "lifetime")
+        _check_lifetime(tau, tau_unc)
         raise ValueError(out_of_bounds(("gap [hartree]", delta_e_au, MIN_GAP_AU, MAX_GAP_AU)))
     total_rate = 1000.0 / tau
     others_rate, others_unc = _rate_sums(list(other_channels))

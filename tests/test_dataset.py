@@ -23,6 +23,7 @@ from polkit import (
     UnknownLevelError,
     assemble_breakdown,
     au_to_si,
+    bbr_shift_state,
     builtin_dataset_text,
     clock_bbr_shift,
     decay_channels,
@@ -242,26 +243,37 @@ class TestRequireUnit:
     def test_matching_unit_passes(self):
         require_unit(Quantity(1.0, 0.0, A0_CUBED), A0_CUBED, "polarizability")
 
+    # An in-box value, and one outside every bound, where the unit is still named first.
+    @pytest.mark.parametrize("value", [1.0, 1e300], ids=["in-box", "out-of-box"])
     @pytest.mark.parametrize(
         "call,what,unit",
         [
             (lambda q: ReducedE1(S_HALF, P_HALF, q), "matrix element", E_A0),
+            (lambda q: ReducedE1((4, 0, 1), P_HALF, q), "matrix element", E_A0),
             (lambda q: DecayChannel(P_HALF, S_HALF, q), "rate", "MHz"),
             (lambda q: einstein_A(q, 0.1, 1), "matrix element", E_A0),
+            (lambda q: einstein_A(q, 1e9, 1), "matrix element", E_A0),
             (lambda q: extract_matrix_element(q, [], 0.1, 1), "lifetime", "ns"),
+            (lambda q: extract_matrix_element(q, [], 1e9, 1), "lifetime", "ns"),
             (au_to_si, "polarizability", A0_CUBED),
+            (lambda q: bbr_shift_state(q, BBRConditions()), "polarizability", A0_CUBED),
             (lambda q: clock_bbr_shift(q, q, BBRConditions()), "ground polarizability", A0_CUBED),
             (
                 lambda q: clock_bbr_shift(Quantity(1.0, 0.1, A0_CUBED), q, BBRConditions()),
                 "excited polarizability",
                 A0_CUBED,
             ),
+            (
+                lambda q: clock_bbr_shift(Quantity(1e300, 0.1, A0_CUBED), q, BBRConditions()),
+                "excited polarizability",
+                A0_CUBED,
+            ),
         ],
     )
-    def test_every_site_names_quantity_and_units(self, call, what, unit):
+    def test_every_site_names_quantity_and_units(self, call, what, unit, value):
         message = f"{what} must be in {unit!r}, got 'Hz'"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            call(Quantity(1.0, 0.0, HERTZ))
+        with pytest.raises(UnitMismatchError, match=f"^{re.escape(message)}$"):
+            call(Quantity(value, value, HERTZ))
 
     def test_mismatch_is_a_unit_mismatch_value_error(self):
         with pytest.raises(UnitMismatchError) as err:

@@ -3,6 +3,7 @@ ordering, copying and ``repr`` of the ten value types of the package."""
 
 import copy
 import pickle
+import re
 import sys
 
 import pytest
@@ -22,6 +23,7 @@ from polkit import (
     ReducedE1,
     Report,
 )
+from polkit import dataset
 
 S, P = LevelLabel(4, 0, 1), LevelLabel(4, 1, 1)
 D = Quantity(2.898, 0.029, E_A0)
@@ -227,6 +229,56 @@ def test_level_label_validates_every_construction():
     for build in (lambda: label._replace(j2=5), lambda: LevelLabel._make((4, 1, 5))):
         with pytest.raises(ValueError, match="incompatible with l='p'"):
             build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LevelLabel(4, 1, 3),
+    lambda: LevelLabel(n=4, l=1, j2=3),
+    lambda: LevelLabel._make((4, 1, 3)),
+    lambda: LevelLabel(4, 1, 1)._replace(j2=3),
+    lambda: copy.copy(LevelLabel(4, 1, 3)),
+    lambda: copy.deepcopy(LevelLabel(4, 1, 3)),
+    lambda: pickle.loads(pickle.dumps(LevelLabel(4, 1, 3))),
+    lambda: LevelLabel.parse("4p3/2"),
+], ids=["call", "keywords", "_make", "_replace", "copy", "deepcopy", "pickle", "parse"])
+def test_a_level_label_is_one_shared_object(build):
+    assert build() is LevelLabel(4, 1, 3)
+
+
+@pytest.mark.parametrize("triple, message", [
+    ((4.0, 1, 3), "n must be an int: 4.0"),
+    ((True, 0, 1), "n must be an int: True"),
+    ((4, 1, 3.0), "j2 must be an int: 3.0"),
+    ((0, 0, 1), "principal quantum number must be positive: 0"),
+    ((4, 1, 5), "j=5/2 incompatible with l='p'"),
+])
+def test_a_refused_label_is_not_stored(triple, message, monkeypatch):
+    table = {}
+    monkeypatch.setattr(dataset, "_SHARED_LABELS", table)
+    stored = [LevelLabel(4, 1, 3), LevelLabel(1, 0, 1)]  # 4.0 and True would find their keys
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LevelLabel(*triple)
+    assert list(table.values()) == stored
+
+
+def test_a_label_subclass_is_neither_shared_nor_stored():
+    class Sub(LevelLabel):
+        __slots__ = ()
+
+    size = len(dataset._SHARED_LABELS)
+    sub = Sub(4, 1, 3)
+    assert type(sub) is Sub and sub == LevelLabel(4, 1, 3) and sub is not Sub(4, 1, 3)
+    assert type(LevelLabel(4, 1, 3)) is LevelLabel and len(dataset._SHARED_LABELS) == size
+
+
+def test_the_shared_label_table_stays_at_its_bound(monkeypatch):
+    table = dict(dataset._SHARED_LABELS)
+    monkeypatch.setattr(dataset, "_SHARED_LABELS", table)
+    bound = dataset._MAX_SHARED_LABELS
+    built = [LevelLabel(n, 0, 1) for n in range(10**6, 10**6 + bound + 2)]
+    assert len(table) == bound
+    assert built[-1] == LevelLabel(*built[-1]) and built[-1] is not LevelLabel(*built[-1])
+    assert LevelLabel(4, 1, 3) is LevelLabel(4, 1, 3)
 
 
 # name -> (a field, a value the constructor refuses for it, the refusal's message)
