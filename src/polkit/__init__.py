@@ -5,6 +5,8 @@ elements, and core/tail polarizability terms; everything downstream is a
 deterministic floating-point pipeline with quadrature error propagation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .angular import tensor_prefactor_C, triangle_ok, wigner6j
 from .bbr import BBRConditions, au_to_si, bbr_shift_state, clock_bbr_shift
 from .constants import (
@@ -37,62 +39,13 @@ from .dataset import (
     energy_difference_au,
     parse_dataset,
 )
-from .polarizability import (
-    Contribution,
-    PolarizabilityBreakdown,
-    assemble_breakdown,
-)
+from .polarizability import Contribution, PolarizabilityBreakdown, assemble_breakdown
 from .radiative import DecayChannel, decay_channels, einstein_A, extract_matrix_element, lifetime
 from .radiative import measured_lifetime
 from .report import Report, format_quantity, format_value_unc, render_table
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "A0_CUBED",
-    "BBRConditions",
-    "BBR_FIELD_300K",
-    "Contribution",
-    "DIMENSIONLESS",
-    "Dataset",
-    "DatasetError",
-    "DecayChannel",
-    "E_A0",
-    "HERTZ",
-    "HARTREE_IN_CM",
-    "Level",
-    "LevelLabel",
-    "MEGAHERTZ",
-    "NANOSECOND",
-    "POLARIZABILITY_AU_IN_SI",
-    "PolarizabilityBreakdown",
-    "Quantity",
-    "RATE_AU_IN_PER_S",
-    "ReducedE1",
-    "Report",
-    "SCALAR",
-    "SI_POLARIZABILITY",
-    "SPEED_OF_LIGHT_AU",
-    "TENSOR",
-    "UnitMismatchError",
-    "UnknownLevelError",
-    "assemble_breakdown",
-    "au_to_si",
-    "bbr_shift_state",
-    "builtin_dataset",
-    "builtin_dataset_text",
-    "clock_bbr_shift",
-    "decay_channels",
-    "einstein_A",
-    "energy_difference_au",
-    "extract_matrix_element",
-    "format_quantity",
-    "format_value_unc",
-    "lifetime",
-    "measured_lifetime",
-    "parse_dataset",
-    "render_table",
-    "tensor_prefactor_C",
-    "triangle_ok",
-    "wigner6j",
-]
+# Every public name imported above; the submodules bound by those imports are not listed.
+__all__ = [_name for _name, _value in globals().items()
+           if not _name.startswith("_") and not isinstance(_value, _ModuleType)]

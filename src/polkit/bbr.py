@@ -55,8 +55,9 @@ def _shift_per_si_alpha(cond: BBRConditions) -> float:
 def _check_polarizabilities(*named: tuple[str, Quantity]) -> None:
     """The one wording of a refusal of the polarizabilities a shift takes: each (what, alpha)
     must be in a0^3, with |value| and sigma at most MAX_POLARIZABILITY; a wrong unit is named
-    first, then the first one outside.  A shift tests them in its one valid-path condition and
-    calls this only when that fails."""
+    first, then the first one outside.  A shift tests them in its one valid-path condition
+    (``bbr_shift_state`` the unit before it, in ``au_to_si``) and calls this only when that
+    fails."""
     for what, alpha in named:
         require_unit(alpha, A0_CUBED, what)
     top = MAX_POLARIZABILITY
@@ -68,11 +69,11 @@ def _check_polarizabilities(*named: tuple[str, Quantity]) -> None:
 
 def bbr_shift_state(alpha0: Quantity, cond: BBRConditions) -> Quantity:
     """BBR shift in Hz of a single state of scalar polarizability alpha0."""
+    shifted = au_to_si(alpha0)  # the unit check, so a wrong unit is named before a bound
     top = MAX_POLARIZABILITY
-    if not (alpha0.unit == A0_CUBED and -top <= alpha0.value <= top and alpha0.unc <= top):
+    if not (-top <= alpha0.value <= top and alpha0.unc <= top):
         _check_polarizabilities(("polarizability", alpha0))
     factor = _shift_per_si_alpha(cond)
-    shifted = au_to_si(alpha0)
     return Quantity(factor * shifted.value, abs(factor) * shifted.unc, HERTZ)
 
 

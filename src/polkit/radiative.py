@@ -6,7 +6,8 @@ quadrature by ``math.hypot``, and the relative uncertainty of a lifetime or an
 extracted matrix element is formed from relative terms of the rates it sums.
 ``einstein_A``, ``DecayChannel``, ``measured_lifetime`` and ``extract_matrix_element``
 check their inputs against the bounds of :mod:`polkit.dataset`, inside which no rate, sum
-or uncertainty over- or underflows.
+or uncertainty over- or underflows.  ``extract_pair`` checks the pair that an extraction
+names in a dataset, then extracts its matrix element.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
-from .constants import RATE_AU_IN_PER_S, SPEED_OF_LIGHT_AU
+from .constants import HARTREE_IN_CM, RATE_AU_IN_PER_S, SPEED_OF_LIGHT_AU
 from .dataset import (
     E_A0,
     MEGAHERTZ,
@@ -30,7 +31,7 @@ from .dataset import (
     require_unit,
 )
 from .dataset import MAX_D, MAX_GAP_AU, MAX_RATE_MHZ, MAX_TAU_NS, MIN_D, MIN_GAP_AU, MIN_RATE_MHZ
-from .dataset import MIN_TAU_NS
+from .dataset import MIN_TAU_NS, DatasetError, e1_selection_ok, gap_fault
 
 
 class DecayChannel(namedtuple("DecayChannel", "upper lower A")):
@@ -100,18 +101,13 @@ def lifetime(channels: Sequence[DecayChannel]) -> Quantity:
     return Quantity(tau, tau * (rate_unc / total), NANOSECOND)
 
 
-def _check_lifetime(tau_ns: float, unc_ns: float) -> None:
-    """The one wording of a lifetime's bounds, tau in [1e-6, 1e15] ns and sigma_tau in [0, 1e15]
-    ns: a ValueError when either lies outside.  :func:`extract_matrix_element` tests them in its
-    one valid-path condition and calls this only to word a refusal."""
+def measured_lifetime(tau_ns: float, unc_ns: float = 0.0) -> Quantity:
+    """A measured lifetime in ns, with tau in [1e-6, 1e15] ns and sigma_tau in [0, 1e15] ns.
+    The one wording of those bounds: :func:`extract_matrix_element` tests them in its one
+    valid-path condition and calls this only to word a refusal."""
     if not (MIN_TAU_NS <= tau_ns <= MAX_TAU_NS and 0.0 <= unc_ns <= MAX_TAU_NS):
         raise ValueError(out_of_bounds(("lifetime [ns]", tau_ns, MIN_TAU_NS, MAX_TAU_NS),
                                        ("lifetime uncertainty [ns]", unc_ns, 0.0, MAX_TAU_NS)))
-
-
-def measured_lifetime(tau_ns: float, unc_ns: float = 0.0) -> Quantity:
-    """A measured lifetime in ns, with tau in [1e-6, 1e15] ns and sigma_tau in [0, 1e15] ns."""
-    _check_lifetime(tau_ns, unc_ns)
     return Quantity(tau_ns, unc_ns, NANOSECOND)
 
 
@@ -132,7 +128,7 @@ def extract_matrix_element(
     if not (tau_expt.unit == NANOSECOND and MIN_TAU_NS <= tau <= MAX_TAU_NS
             and 0.0 <= tau_unc <= MAX_TAU_NS and MIN_GAP_AU <= delta_e_au <= MAX_GAP_AU):
         require_unit(tau_expt, NANOSECOND, "lifetime")
-        _check_lifetime(tau, tau_unc)
+        measured_lifetime(tau, tau_unc)
         raise ValueError(out_of_bounds(("gap [hartree]", delta_e_au, MIN_GAP_AU, MAX_GAP_AU)))
     total_rate = 1000.0 / tau
     others_rate, others_unc = _rate_sums(list(other_channels))
@@ -146,3 +142,24 @@ def extract_matrix_element(
     # Left to right, as the recorded golden extract outputs were computed.
     tau_rel = total_rate / residual * tau_unc / tau
     return Quantity(d, d * (math.hypot(tau_rel, others_unc / residual) / 2.0), E_A0)
+
+
+def extract_pair(
+    ds: Dataset, upper: LevelLabel, lower: LevelLabel, tau: Quantity
+) -> tuple[Quantity, list[DecayChannel]]:
+    """The matrix element of upper -> lower from `tau`, a measured lifetime of `upper` in ns,
+    and `upper`'s other decay channels.  An unknown level is an UnknownLevelError, the upper
+    named first; an upper not above the lower or an E1-forbidden pair, a ValueError; and a
+    pair with no e1 line has a gap that the dataset's structure rules did not check, refused
+    in an e1 pair's words as a :class:`DatasetError`."""
+    gap = ds.energy_cm(upper) - ds.energy_cm(lower)
+    if gap <= 0:
+        raise ValueError(f"{upper} does not lie above {lower}")
+    if not e1_selection_ok(upper, lower):
+        raise ValueError(f"{upper} -> {lower} violates E1 selection rules")
+    if fault := gap_fault(gap):
+        raise DatasetError(f"{upper} -> {lower}: {fault}")
+    # The replaced channel's gap was just checked and its d lies in the box, so its rate
+    # does too: computing it and dropping it cannot fail.
+    others = [ch for ch in decay_channels(ds, upper) if ch.lower != lower]
+    return extract_matrix_element(tau, others, gap / HARTREE_IN_CM, upper.j2), others

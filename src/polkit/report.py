@@ -2,7 +2,8 @@
 
 Each report kind (``polarizability``, ``bbr``, ``lifetime``, ``extract``)
 has a builder that computes a :class:`Report` from a dataset, next to the
-renderer of its table.  Every builder takes the dataset and ``source``, the
+renderer of its table; the library functions a builder calls check its inputs,
+so this module only builds and renders.  Every builder takes the dataset and ``source``, the
 name echoed as the report's ``dataset`` input (a path, or the builtin tag).
 The same report renders either as a fixed-width table or as JSON (the
 machine format, which round-trips through :func:`Report.from_json`).  All
@@ -16,11 +17,9 @@ import math
 from collections.abc import Callable, Mapping, Sequence
 
 from .bbr import BBRConditions, bbr_shift_state, clock_bbr_shift
-from .constants import HARTREE_IN_CM
-from .dataset import SCALAR, TENSOR, Dataset, DatasetError, LevelLabel, Quantity, Record, _setters
-from .dataset import e1_selection_ok, gap_fault
+from .dataset import SCALAR, TENSOR, Dataset, LevelLabel, Quantity, Record, _setters
 from .polarizability import assemble_breakdown
-from .radiative import DecayChannel, decay_channels, extract_matrix_element, lifetime
+from .radiative import DecayChannel, decay_channels, extract_pair, lifetime
 
 
 def _fmt_value(value: float, decimals: int) -> str:
@@ -267,19 +266,7 @@ def extract_report(
     When the dataset holds that element, the totals also carry it as ``d_theory``
     and its ``percent_difference`` from the extracted value.
     """
-    gap = ds.energy_cm(upper) - ds.energy_cm(lower)  # an unknown upper is named first
-    if gap <= 0:
-        raise ValueError(f"{upper} does not lie above {lower}")
-    if not e1_selection_ok(upper, lower):
-        raise ValueError(f"{upper} -> {lower} violates E1 selection rules")
-    # A pair with no e1 line has a gap that the dataset's structure rules did not check:
-    # refused in the words of an e1 pair's gap, a DatasetError.
-    if fault := gap_fault(gap):
-        raise DatasetError(f"{upper} -> {lower}: {fault}")
-    # The replaced channel's gap was just checked and its d lies in the box, so its rate
-    # does too: computing it and dropping it cannot fail.
-    others = [ch for ch in decay_channels(ds, upper) if ch.lower != lower]
-    d = extract_matrix_element(tau, others, gap / HARTREE_IN_CM, upper.j2)
+    d, others = extract_pair(ds, upper, lower, tau)
     totals: dict[str, object] = {"d_extracted": d}
     for partner, el, _ in ds.couplings(upper):
         if partner == lower:

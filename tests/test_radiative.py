@@ -10,14 +10,18 @@ from polkit import (
     E_A0,
     MEGAHERTZ,
     NANOSECOND,
+    DatasetError,
     DecayChannel,
     LevelLabel,
     Quantity,
+    UnknownLevelError,
     decay_channels,
     einstein_A,
     energy_difference_au,
     extract_matrix_element,
     lifetime,
+    measured_lifetime,
+    parse_dataset,
 )
 from polkit.dataset import (
     MAX_GAP_AU,
@@ -27,6 +31,7 @@ from polkit.dataset import (
     MIN_RATE_MHZ,
     MIN_TAU_NS,
 )
+from polkit.radiative import extract_pair
 
 lab = LevelLabel.parse
 
@@ -332,3 +337,38 @@ class TestExtraction:
             mantissa, exponent = math.frexp(tau.unc)
             split = math.ldexp(total / residual * mantissa / tau.value, exponent)
             assert d.unc == d.value * (math.hypot(split, others_rel) / 2.0)
+
+
+class TestExtractPair:
+    @pytest.mark.parametrize(
+        "upper,lower,error,message",
+        [
+            ("9g9/2", "8g7/2", UnknownLevelError, "'9g9/2'"),
+            ("4s1/2", "4p1/2", ValueError, "4s1/2 does not lie above 4p1/2"),
+            ("4p1/2", "3d5/2", ValueError, "4p1/2 -> 3d5/2 violates E1 selection rules"),
+            ("4s1/2", "3d5/2", ValueError, "4s1/2 does not lie above 3d5/2"),
+            # The packaged dataset holds no pair this close: 7p1/2 is added 1e-4 cm^-1 above
+            # 4s1/2, with no e1 line, so no structure rule compared their energies.
+            ("7p1/2", "4s1/2", DatasetError,
+             "7p1/2 -> 4s1/2: gap [cm^-1] must lie in [0.001, 1e+07], got 0.0001"),
+        ],
+        ids=["unknown-upper-named-first", "not-above", "e1-forbidden",
+             "reversed-and-forbidden", "near-degenerate-without-e1-line"],
+    )
+    def test_refuses_the_pair_before_any_rate(self, golden_text, upper, lower, error, message):
+        ds = parse_dataset(golden_text + "level 7p1/2 0.0001\n")
+        with pytest.raises(error) as info:
+            extract_pair(ds, lab(upper), lab(lower), measured_lifetime(7.0))
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "upper,lower,tau,unc",
+        [("4p1/2", "4s1/2", 7.098, 0.020), ("4p3/2", "3d5/2", 6.924, 0.019),
+         ("5p1/2", "3d3/2", 100.0, 1.0)],  # the last pair has no e1 line
+    )
+    def test_equals_a_direct_extraction(self, golden, upper, lower, tau, unc):
+        upper, lower, tau = lab(upper), lab(lower), measured_lifetime(tau, unc)
+        others = [ch for ch in decay_channels(golden, upper) if ch.lower != lower]
+        gap = energy_difference_au(golden, lower, upper).value
+        assert extract_pair(golden, upper, lower, tau) == (
+            extract_matrix_element(tau, others, gap, upper.j2), others)
