@@ -21,10 +21,10 @@ bounds its input tests the unit tag inside its one valid-path condition and call
 levels and e1 label pairs, and checks and orders each of the last 16 structures once:
 datasets that differ only in values, as Monte-Carlo draws do, check only their core and
 tails, whose rules :func:`_term_faults` states.  A structure holds, by label, each level's
-couplings as element indices, sides and gaps in hartree: in element order, which
-:meth:`Dataset.couplings` and the decay channels read, and in polarizability row order,
-which the rows read with no energy looked up.  A dataset's label index and its structure
-are both :class:`_LevelIndex`, whose lookup is the one refusal of an unknown label.
+couplings as element indices, sides and gaps in hartree, in element order for
+:meth:`Dataset.couplings` and the decay channels and in row order for the polarizability
+rows, then the level's position in the levels.  It is the dataset's one label index, a
+:class:`_LevelIndex`, whose lookup is the one refusal of an unknown label.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import os
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from math import isfinite
 from operator import itemgetter
 from types import MappingProxyType
@@ -313,7 +313,7 @@ class _LevelIndex(dict):
 
     __slots__ = ()
 
-    def __missing__(self, label: LevelLabel) -> Level:
+    def __missing__(self, label: LevelLabel) -> tuple:
         raise UnknownLevelError(str(label))
 
 
@@ -341,7 +341,7 @@ class Dataset(Record):
     """
 
     _fields = ("levels", "elements", "core_alpha", "tails")
-    __slots__ = (*_fields, "_by_label", "_couplings", "_rows")
+    __slots__ = (*_fields, "_couplings", "_rows")
 
     def __init__(
         self,
@@ -355,17 +355,15 @@ class Dataset(Record):
         _set_elements(self, elements)
         _set_core_alpha(self, core_alpha)
         _set_tails(self, tails)
-        by_label = _LevelIndex({level.label: level for level in levels})
-        _set_by_label(self, by_label)
         # Each state's polarizability rows and their sums, filled on first assembly;
         # outside _fields, so ==, repr, copy and pickle ignore it.
         _set_rows(self, {})
         faults = ()
         try:
-            _set_couplings(self, _structure(levels, tuple(map(_label_pair, elements))))
-        except DatasetError as exc:
-            faults = exc.args[0]
-        faults += _term_faults(core_alpha, tails, by_label)
+            _set_couplings(self, structure := _structure(levels, tuple(map(_label_pair, elements))))
+        except DatasetError as exc:  # refused: a label set stands in for the structure
+            faults, structure = exc.args[0], {level.label for level in levels}
+        faults += _term_faults(core_alpha, tails, structure)
         if faults:
             raise DatasetError("; ".join(faults))
 
@@ -374,10 +372,10 @@ class Dataset(Record):
         return type(self), (self.levels, self.elements, self.core_alpha, dict(self.tails))
 
     def level(self, label: LevelLabel) -> Level:
-        return self._by_label[label]
+        return self.levels[self._couplings[label][2]]
 
     def energy_cm(self, label: LevelLabel) -> float:
-        return self.level(label).energy_cm
+        return self.levels[self._couplings[label][2]].energy_cm
 
     def tail(self, label: LevelLabel, multipole: str) -> Quantity:
         """Tail term for (state, multipole); 0(0) when none is declared."""
@@ -405,7 +403,7 @@ class Dataset(Record):
         return "\n".join(lines) + "\n"
 
 
-(_set_levels, _set_elements, _set_core_alpha, _set_tails, _set_by_label, _set_couplings,
+(_set_levels, _set_elements, _set_core_alpha, _set_tails, _set_couplings,
  _set_rows) = _setters(Dataset)
 
 
@@ -414,28 +412,27 @@ _label_pair = itemgetter(0, 1)  # an element's (lower, upper)
 
 @functools.lru_cache(maxsize=16)
 def _structure(levels: tuple[Level, ...], pairs: tuple[tuple[LevelLabel, LevelLabel], ...]
-               ) -> Mapping[LevelLabel, tuple[tuple[tuple[int, int, float], ...], ...]]:
-    """The couplings of each of `levels`, a read-only :class:`_LevelIndex`, under the e1
-    (lower, upper) label `pairs`, when they meet the structure rules; else a DatasetError
+               ) -> Mapping[LevelLabel, tuple]:
+    """The entry of each of `levels` by label, a read-only :class:`_LevelIndex`, under the
+    e1 (lower, upper) label `pairs`, when they meet the structure rules; else a DatasetError
     of the list of their faults, in order.
 
     The rules, each stated here only: unique labels, a level at energy 0 if any, and each
     pair between declared levels, E1-allowed, at least MIN_GAP_CM upward (:func:`gap_fault`)
-    and new.  A level's couplings are one (element index, side of the partner's label in
-    it, E(partner) - E(level) in hartree) per element on it, in element order and in row
-    order, (partner j, gap, partner).
+    and new.  A level's entry is its couplings, one (element index, side of the partner's
+    label in it, E(partner) - E(level) in hartree) per element on it, in element order and
+    in row order, (partner j, gap, partner), then its position in `levels`.
 
     Kept for the last 16 accepted structures, so that datasets that differ only in values
     share one check.  Equal keys may hold unequal objects (an int energy 5 and 5.0, -0.0
-    and 0.0), so the entry holds no level, energy or message: a dataset reads those from
-    its own fields.  What it holds is the same for every equal key: labels are ints alone,
-    and each gap is bit-identical, as an e1 gap is at least MIN_GAP_CM, never a signed
-    zero, and int energies up to MAX_ENERGY_CM are exact floats.  A pair's gap g is
-    computed once, g for its lower level and -g for its upper one: subtraction is
+    and 0.0), so the entry holds no level, energy or message: a dataset reads its level at
+    the position, in its own fields.  The entry is the same for every equal key: labels and
+    positions are ints, and each gap is bit-identical, as an e1 gap is at least MIN_GAP_CM,
+    never a signed zero, and int energies up to MAX_ENERGY_CM are exact floats.  A pair's
+    gap g is computed once, g for its lower level and -g for its upper one: subtraction is
     sign-symmetric, so -g is the upper level's own difference, bit for bit.  A refusal is
     not kept, so its faults name the refused dataset's own labels and energies.
     """
-    # A label indexes its last level, as the dataset's label index does.
     index = {level.label: i for i, level in enumerate(levels)}
     energies = [level.energy_cm for level in levels]
     faults: list[str] = []
@@ -477,16 +474,16 @@ def _structure(levels: tuple[Level, ...], pairs: tuple[tuple[LevelLabel, LevelLa
         # ends every key and no two keys tie.
         keyed = sorted([(pairs[k][side].j2, gap, pairs[k][side], (k, side, gap))
                         for k, side, gap in walk])
-        structure[label] = (tuple(walk), tuple([key[3] for key in keyed]))
+        structure[label] = (tuple(walk), tuple([key[3] for key in keyed]), index[label])
     return MappingProxyType(structure)
 
 
 def _term_faults(core: Quantity, tails: Mapping[tuple[LevelLabel, str], Quantity],
-                 by_label: Mapping[LevelLabel, Level]) -> tuple[str, ...]:
+                 declared: Collection[LevelLabel]) -> tuple[str, ...]:
     """The faults of core and tails, in order: a positive core in a0^3, each tail on a
-    declared level and multipole and in a0^3, then each term, core first, in the input
-    box.  The rules are stated here only; the result is a tuple, so a construction whose
-    terms meet them allocates none."""
+    `declared` level label and multipole and in a0^3, then each term, core first, in the
+    input box.  The rules are stated here only; the result is a tuple, so a construction
+    whose terms meet them allocates none."""
     faults = ()
     if not core.value > 0.0:
         faults += ("core polarizability must be positive",)
@@ -495,7 +492,7 @@ def _term_faults(core: Quantity, tails: Mapping[tuple[LevelLabel, str], Quantity
     outside = _box_fault(None, core)
     for key, q in tails.items():
         label, multipole = key
-        if label not in by_label:
+        if label not in declared:
             faults += (f"tail {label} {multipole}: unknown level {label}",)
         if multipole not in MULTIPOLES:
             faults += (f"tail {label}: bad multipole {multipole!r}",)
@@ -640,6 +637,6 @@ def energy_difference_au(ds: Dataset, a: LevelLabel, b: LevelLabel) -> Quantity:
 
     Experimental energies are treated as exact, so the uncertainty is zero.
     """
-    by_label = ds._by_label  # b is looked up first, so an unknown b is named first
-    gap_cm = by_label[b].energy_cm - by_label[a].energy_cm
+    # b is looked up first, so an unknown b is named first
+    gap_cm = ds.levels[ds._couplings[b][2]].energy_cm - ds.levels[ds._couplings[a][2]].energy_cm
     return Quantity(gap_cm / HARTREE_IN_CM, 0.0, DIMENSIONLESS)

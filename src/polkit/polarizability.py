@@ -76,9 +76,10 @@ def _tensor_angular(j2_v: int, j2_k: int) -> float:
     return -4.0 * tensor_prefactor_C(j2_v) * phase * wigner6j(j2_v, 2, j2_k, 2, j2_v, 4)
 
 
-def _main_rows(ds: Dataset, state: LevelLabel) -> tuple[Contribution, ...]:
-    """Build the rows of `state` in the dataset's row order, (partner j, gap, partner),
-    fold each multipole's sum on the way, and memoize both on `ds`."""
+def _main_rows(ds: Dataset, state: LevelLabel) -> tuple:
+    """Build the rows of `state` in the dataset's row order, (partner j, gap, partner), fold
+    each multipole's sum on the way, and return the entry memoized on `ds`: (rows, scalar
+    (value, unc), tensor (value, unc))."""
     # Each term is an angular factor times d^2/deltaE: 2/(3(2j_v+1)) for the
     # scalar part; the tensor part vanishes identically for j_v < 1.
     j2_v = state.j2
@@ -102,7 +103,7 @@ def _main_rows(ds: Dataset, state: LevelLabel) -> tuple[Contribution, ...]:
         # _tuple_new: the generated __new__ of a plain namedtuple checks nothing
         rows.append(_tuple_new(Contribution, (state, partner, d, alpha0, alpha2)))
     # setdefault: concurrent first readers of one state all get the one stored entry
-    return ds._rows.setdefault(state, (tuple(rows), (value0, unc0), (value2, unc2)))[0]
+    return ds._rows.setdefault(state, (tuple(rows), (value0, unc0), (value2, unc2)))
 
 
 def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> PolarizabilityBreakdown:
@@ -116,11 +117,7 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
     ds.level(state)  # raises UnknownLevelError
     if multipole == TENSOR and state.j2 < 2:
         raise ValueError(f"tensor polarizability vanishes for j={state.j2}/2")
-    memo = ds._rows.get(state)
-    if memo is None:
-        _main_rows(ds, state)
-        memo = ds._rows[state]
-    main = memo[0]
+    memo = ds._rows.get(state) or _main_rows(ds, state)
 
     tail = ds.tail(state, multipole)
     core = ds.core_alpha if multipole == SCALAR else ZERO_A0_CUBED
@@ -133,4 +130,4 @@ def assemble_breakdown(ds: Dataset, state: LevelLabel, multipole: str) -> Polari
         unc = hypot(unc, term.unc)
     total = Quantity(value, unc, A0_CUBED)
 
-    return _tuple_new(PolarizabilityBreakdown, (state, multipole, main, tail, core, total))
+    return _tuple_new(PolarizabilityBreakdown, (state, multipole, memo[0], tail, core, total))

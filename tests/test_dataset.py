@@ -32,9 +32,10 @@ from polkit import (
     extract_matrix_element,
     parse_dataset,
 )
-from polkit.dataset import MAX_ALPHA, MIN_GAP_CM, number_literal, parse_number, require_unit
-from polkit.dataset import _structure, e1_selection_ok
+from polkit.dataset import MAX_ALPHA, MIN_GAP_CM, NANOSECOND, number_literal, parse_number
+from polkit.dataset import _structure, e1_selection_ok, require_unit
 from polkit.polarizability import _main_rows
+from polkit.radiative import extract_pair
 
 # A number is an ASCII decimal literal with an optional exponent: no '_'
 # separators, no non-ASCII digits.  nan and inf are matched too: number_literal
@@ -896,7 +897,8 @@ class TestStructureMemo:
     def test_each_kept_gap_is_the_datasets_own_gap_bit_for_bit(self, fields, scale, form):
         """Cold, and warm from an equal structure of the other numeric form (int energies,
         or a -0.0 ground), in either direction, every stored gap in element and in row
-        order is energy_difference_au's float."""
+        order is energy_difference_au's float, and each label finds the dataset's own
+        level, never the one of the dataset that stored the structure."""
         levels, *rest = fields  # each energy a float of an int below 5, one of them 0.0
         levels = [Level(label, e * scale) for label, e in levels]
         if form == "int":
@@ -911,7 +913,9 @@ class TestStructureMemo:
             ds = Dataset(second, *rest)
             assert _structure.cache_info().hits == (first is not None)
             for level in ds.levels:
-                walk, rows = ds._couplings[level.label]
+                assert ds.level(level.label) is level
+                walk, rows, position = ds._couplings[level.label]
+                assert ds.levels[position] is level
                 assert sorted(rows) == sorted(walk)
                 for k, side, gap in walk:
                     partner = ds.elements[k][side]
@@ -967,6 +971,7 @@ class TestCouplings:
 
 
 S, G9, D20 = LevelLabel.parse("4s1/2"), LevelLabel.parse("9g9/2"), LevelLabel.parse("20d5/2")
+P1, TAU = LevelLabel.parse("4p1/2"), Quantity(7.0, 0.0, NANOSECOND)
 UNKNOWN_LEVEL_SITES = {
     "level": (lambda ds: ds.level(G9), "9g9/2"),
     "energy_cm": (lambda ds: ds.energy_cm(G9), "9g9/2"),
@@ -976,6 +981,8 @@ UNKNOWN_LEVEL_SITES = {
     "energy_difference_au-both-names-b": (lambda ds: energy_difference_au(ds, D20, G9), "9g9/2"),
     "assemble_breakdown": (lambda ds: assemble_breakdown(ds, G9, SCALAR), "9g9/2"),
     "decay_channels": (lambda ds: decay_channels(ds, G9), "9g9/2"),
+    "extract_pair-upper": (lambda ds: extract_pair(ds, G9, S, TAU), "9g9/2"),
+    "extract_pair-lower": (lambda ds: extract_pair(ds, P1, D20, TAU), "20d5/2"),
 }
 
 

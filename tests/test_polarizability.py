@@ -322,7 +322,7 @@ class TestRowBuild:
         ]
         ds = Dataset(levels, elements, golden.core_alpha, golden.tails)
         for level in levels:
-            rows = pol._main_rows(ds, level.label)
+            rows = pol._main_rows(ds, level.label)[0]
             assert all(type(row) is Contribution for row in rows)
             assert repr(rows) == repr(reference_rows(ds, level.label))
 
