@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``polarizability``, ``bbr``, ``lifetime``, ``extract``.
-The dataset is the file that ``--dataset``, else ``POLKIT_DATASET``, names, a regular
-file of at most ``MAX_DATASET_BYTES``, read at each call and parsed once per distinct
-text, else the packaged Ca+ file, parsed once per process.
+The dataset is the file that ``--dataset``, else ``POLKIT_DATASET``, names, read at each
+call by :func:`~polkit.dataset.read_dataset_text` and parsed once per distinct text, else
+the packaged Ca+ file, parsed once per process; the CLI itself opens no file.
 Each command reads its arguments and returns the :class:`~polkit.report.Report` of
 one builder of :mod:`polkit.report`; ``main`` writes it as a table or as JSON.  A flag
 is checked by the library call that owns its input (``LevelLabel.parse``,
@@ -17,24 +17,20 @@ Exit codes: 0 success, 1 usage error, 2 data validation error,
 
 from __future__ import annotations
 
-import codecs
-import errno
 import os
-import stat
 import sys
 from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
 from .bbr import BBRConditions
 from .dataset import SCALAR, TENSOR, Dataset, DatasetError, LevelLabel, UnknownLevelError
-from .dataset import MAX_DATASET_BYTES, builtin_dataset, number_literal, parse_dataset
-from .dataset import parse_number
+from .dataset import BUILTIN_DATASET, builtin_dataset, number_literal, parse_dataset
+from .dataset import parse_number, read_dataset_text
 from .radiative import measured_lifetime
 from .report import Report, bbr_report, extract_report, lifetime_report, polarizability_report
 from .report import render_table
 
 ENV_DATASET = "POLKIT_DATASET"
-BUILTIN_DATASET = "<builtin ca_plus.dat>"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,46 +42,12 @@ class UsageError(Exception):
     pass
 
 
-def _read_dataset(path: str) -> str:
-    """The text of the dataset file at `path`: a regular file of at most MAX_DATASET_BYTES
-    bytes of UTF-8, a byte-order mark allowed; anything else is a DatasetError."""
-    try:
-        # Bytes from the descriptor, no file object: the parser splits the lines.
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO with no writer opens at once
-        try:
-            info = os.fstat(fd)
-            if stat.S_ISDIR(info.st_mode):  # os.open opens one; refused in open()'s words
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            if not stat.S_ISREG(info.st_mode):
-                raise DatasetError(f"cannot read dataset {path!r}: not a regular file")
-            # read(n) allocates n bytes first, so read the stated size and one byte, and
-            # read on, to the bound and one byte in all, only while a file holds other
-            # than it states (/proc's).
-            data = os.read(fd, min(info.st_size, MAX_DATASET_BYTES) + 1)
-            while len(data) != info.st_size:
-                more = os.read(fd, MAX_DATASET_BYTES + 1 - len(data))
-                if not more:
-                    break
-                data += more
-        finally:
-            os.close(fd)
-        if len(data) > MAX_DATASET_BYTES:
-            raise DatasetError(
-                f"cannot read dataset {path!r}: larger than {MAX_DATASET_BYTES} bytes"
-            )
-        if data[:3] == codecs.BOM_UTF8:  # as utf-8-sig reads it, error positions included
-            data = data[3:]
-        return data.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"cannot read dataset {path!r}: {exc}") from exc
-
-
 def _load_dataset(args: SimpleNamespace) -> tuple[Dataset, str]:
     path = args.dataset
     if path is None:
         path = os.environ.get(ENV_DATASET) or None  # an empty variable is unset
     if path is not None:
-        return parse_dataset(_read_dataset(path)), path
+        return parse_dataset(read_dataset_text(path)), path
     return builtin_dataset(), BUILTIN_DATASET
 
 

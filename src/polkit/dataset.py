@@ -1,6 +1,6 @@
-"""Atomic data model: levels, reduced E1 matrix elements, dataset parsing.
+"""Atomic data model: levels, reduced E1 matrix elements, dataset files and parsing.
 
-A dataset is a line-oriented UTF-8 text file::
+A dataset file, read by :func:`read_dataset_text`, is line-oriented UTF-8 text::
 
     # comment
     level <label> <energy_cm>
@@ -16,21 +16,24 @@ refused: one shared Dataset, or the message that each later call raises anew; an
 :func:`builtin_dataset` is the packaged Ca+ dataset, parsed once per process.
 Each dataset rule is stated once, by the check that words its refusal; a record that also
 bounds its input tests the unit tag inside its one valid-path condition and calls
-:func:`require_unit`, the one wording of a unit refusal, only to word it, first.
+:func:`require_unit`, the one wording of a UnitMismatchError, only to word it, first.
 :func:`_structure` states the rules on a dataset's structure, what depends only on its
 levels and e1 label pairs, and checks and orders each of the last 16 structures once:
 datasets that differ only in values, as Monte-Carlo draws do, check only their core and
-tails, whose rules :func:`_term_faults` states.  A structure holds, by label, each level's
-couplings as element indices, sides and gaps in hartree, in element order for
-:meth:`Dataset.couplings` and the decay channels and in row order for the polarizability
-rows, then the level's position in the levels.  It is the dataset's one label index, a
-:class:`_LevelIndex`, whose lookup is the one refusal of an unknown label.
+tails, whose rules, units included, :func:`_term_faults` states.  A structure holds, by
+label, each level's couplings as element indices, sides and gaps in hartree, in element
+order for :meth:`Dataset.couplings` and the decay channels and in row order for the
+polarizability rows, then the level's position in the levels.  It is the dataset's one
+label index, a :class:`_LevelIndex`, whose lookup is the one refusal of an unknown label.
 """
 
 from __future__ import annotations
 
+import codecs
+import errno
 import functools
 import os
+import stat
 from collections import namedtuple
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from math import isfinite
@@ -56,7 +59,7 @@ DIMENSIONLESS = "1"
 
 # The input box: the physical bounds of every number that enters polkit, ends included,
 # and of the dataset file that holds them.  Each is checked where it enters: the file's
-# size by the CLI's reader, dataset numbers by Level, ReducedE1 and Dataset, CLI floats
+# size by read_dataset_text, dataset numbers by Level, ReducedE1 and Dataset, CLI floats
 # by the commands, library floats by the records, einstein_A, extraction and
 # clock_bbr_shift.  Inside it no term, sum, shift, rate or extraction over- or underflows
 # (README, "Input bounds").
@@ -169,7 +172,7 @@ _set_value, _set_unc, _set_unit = _setters(Quantity)
 
 
 def require_unit(q: Quantity, unit: str, what: str) -> None:
-    """The one wording of a unit refusal: raise UnitMismatchError unless `q` is in `unit`.
+    """The one wording of a UnitMismatchError: raise it unless `q` is in `unit`.
     A constructor or function that also bounds its input tests the tag in its one valid-path
     condition and calls this first in its refusal branch, so a wrong unit is named first."""
     if q.unit != unit:
@@ -620,10 +623,47 @@ parse_dataset.cache_clear = _outcome.cache_clear
 parse_dataset.__wrapped__ = _parse
 
 
+BUILTIN_DATASET = "<builtin ca_plus.dat>"  # the source that a report names for the packaged file
+
+
 def builtin_dataset_text() -> str:
     """The packaged Ca+ dataset's text, read by the package's loader (dir or zip)."""
     path = os.path.join(os.path.dirname(__file__), "data", "ca_plus.dat")
     return __spec__.loader.get_data(path).decode("utf-8")
+
+
+def read_dataset_text(path: str) -> str:
+    """The text of the dataset file at `path`: a regular file of at most MAX_DATASET_BYTES
+    bytes of UTF-8, a byte-order mark allowed; anything else is a DatasetError."""
+    try:
+        # Bytes from the descriptor, no file object: the parser splits the lines.
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO with no writer opens at once
+        try:
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):  # a directory opens too; refused in open()'s words
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if not stat.S_ISREG(info.st_mode):
+                raise DatasetError(f"cannot read dataset {path!r}: not a regular file")
+            # read(n) allocates n bytes first, so read the stated size and one byte, and
+            # read on, to the bound and one byte in all, only while a file holds other
+            # than it states (/proc's).
+            data = os.read(fd, min(info.st_size, MAX_DATASET_BYTES) + 1)
+            while len(data) != info.st_size:
+                more = os.read(fd, MAX_DATASET_BYTES + 1 - len(data))
+                if not more:
+                    break
+                data += more
+        finally:
+            os.close(fd)
+        if len(data) > MAX_DATASET_BYTES:
+            raise DatasetError(
+                f"cannot read dataset {path!r}: larger than {MAX_DATASET_BYTES} bytes"
+            )
+        if data[:3] == codecs.BOM_UTF8:  # as utf-8-sig reads it, error positions included
+            data = data[3:]
+        return data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read dataset {path!r}: {exc}") from exc
 
 
 @functools.cache

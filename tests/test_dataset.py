@@ -1,5 +1,10 @@
+import codecs
+import contextlib
 import math
+import os
+import pathlib
 import re
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +37,10 @@ from polkit import (
     extract_matrix_element,
     parse_dataset,
 )
-from polkit.dataset import MAX_ALPHA, MIN_GAP_CM, NANOSECOND, number_literal, parse_number
+import polkit.dataset
+from polkit.cli import main
+from polkit.dataset import MAX_ALPHA, MAX_DATASET_BYTES, MIN_GAP_CM, NANOSECOND, number_literal
+from polkit.dataset import parse_number, read_dataset_text
 from polkit.dataset import _structure, e1_selection_ok, require_unit
 from polkit.polarizability import _main_rows
 from polkit.radiative import extract_pair
@@ -566,6 +574,82 @@ class TestParseMemo:
         with pytest.raises(DatasetError):
             parse_dataset(refused[0])  # parsed again
         assert parse_dataset.cache_info().misses == 18 and parse_dataset(MINIMAL) is ds
+
+
+PACKAGED_FILE = pathlib.Path(polkit.dataset.__file__).with_name("data") / "ca_plus.dat"
+
+
+@contextlib.contextmanager
+def unblocked(seconds: float = 30.0):
+    """Fail a call that blocks, as opening a FIFO with no writer would block, rather than
+    hang: the alarm interrupts the open, and its handler fails the test."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def fail(signum, frame):
+        pytest.fail(f"blocked for {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def unreadable(tmp_path, case):
+    """The path of a dataset file that read_dataset_text refuses, and the refusal's words
+    after the path."""
+    path = tmp_path / f"{case}.dat"
+    if case == "missing":
+        with pytest.raises(FileNotFoundError) as info:
+            open(path, "rb")
+        return path, str(info.value)
+    if case == "directory":  # refused in open()'s words
+        with pytest.raises(IsADirectoryError) as info:
+            open(tmp_path, "rb")
+        return tmp_path, str(info.value)
+    if case == "fifo":
+        os.mkfifo(path)
+        return path, "not a regular file"
+    if case == "devnull":
+        return os.devnull, "not a regular file"
+    if case == "one-byte-over":
+        path.write_bytes(b"#" * MAX_DATASET_BYTES + b"\n")
+        return path, f"larger than {MAX_DATASET_BYTES} bytes"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(UnicodeDecodeError) as info:
+        b"\xff\xfe".decode("utf-8")
+    return path, str(info.value)
+
+
+class TestReadDatasetText:
+    """read_dataset_text reads a dataset file for the library and the CLI alike."""
+
+    @pytest.mark.parametrize(
+        "case", ["missing", "directory", "fifo", "devnull", "one-byte-over", "not-utf-8"]
+    )
+    def test_each_refusal_is_the_text_that_main_prints(self, tmp_path, capsys, case):
+        if case == "fifo" and not hasattr(os, "mkfifo"):
+            pytest.skip("needs a FIFO")
+        path, words = unreadable(tmp_path, case)
+        with unblocked(), pytest.raises(DatasetError) as info:
+            read_dataset_text(str(path))
+        assert type(info.value) is DatasetError
+        assert str(info.value) == f"cannot read dataset {str(path)!r}: {words}"
+        with unblocked():
+            assert main(["bbr", "--dataset", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"polkit: error: {info.value}\n")
+
+    def test_the_packaged_file_reads_as_the_packaged_text(self):
+        assert read_dataset_text(str(PACKAGED_FILE)) == builtin_dataset_text()
+
+    def test_a_byte_order_mark_is_read_past(self, tmp_path):
+        path = tmp_path / "bom.dat"
+        path.write_bytes(codecs.BOM_UTF8 + PACKAGED_FILE.read_bytes())
+        assert read_dataset_text(str(path)) == builtin_dataset_text()
 
 
 def refusal(levels, elements, core, tails):
