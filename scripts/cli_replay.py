@@ -10,8 +10,9 @@ commands and every dataset file a test writes), then a sweep of the packaged
 Ca+ dataset: every level through ``polarizability`` (scalar and tensor),
 ``lifetime`` and ``bbr --excited``, and ``extract`` for every E1 element, each
 as a table, a full-precision table and machine output.  A dataset file named
-by ``--dataset`` or ``POLKIT_DATASET`` is stored with the call, and a directory
-as a directory, which ``replay`` recreates empty; any other path is kept as is.
+by ``--dataset`` or ``POLKIT_DATASET`` is stored with the call, a directory as a
+directory, which ``replay`` recreates empty, and a FIFO as a FIFO, which ``replay``
+recreates with no writer, so its refusal replays too; any other path is kept as is.
 
 ``replay`` runs each recorded call against the ``polkit`` on ``sys.path`` and
 writes its exit code, stdout and stderr.  Replaying one CALLS file from two
@@ -28,6 +29,7 @@ import io
 import json
 import os
 import pathlib
+import stat
 import sys
 import tempfile
 
@@ -37,12 +39,16 @@ PLACEHOLDER = "<dataset>"
 
 
 def _stored(path: str | None) -> dict | None:
-    """A dataset path as the call saw it: the file's bytes, a directory, or the path itself."""
+    """A dataset path as the call saw it: the file's bytes, a directory, a FIFO, or the path
+    itself.  A FIFO is never opened: with no writer, a blocking open waits for one."""
     if path is None:
         return None
-    if os.path.isdir(path):  # a test's directory may be gone by the time of a replay
-        return {"dir": True}
     try:
+        mode = os.stat(path).st_mode
+        if stat.S_ISDIR(mode):  # a test's directory may be gone by the time of a replay
+            return {"dir": True}
+        if stat.S_ISFIFO(mode):
+            return {"fifo": True}
         return {"hex": pathlib.Path(path).read_bytes().hex()}
     except OSError:
         return {"path": path}
@@ -100,8 +106,9 @@ def record(calls_path: str) -> None:
 
 
 def _materialize(stored: dict | None, path: pathlib.Path) -> str | None:
-    """The path a replayed call reads: `path` holding the stored bytes, an empty
-    directory next to it for a stored directory, or the stored path itself."""
+    """The path a replayed call reads: `path` holding the stored bytes, an empty directory
+    or a FIFO with no writer next to it for a stored one, or the stored path itself.  The
+    directory and the FIFO have paths of their own, so that writing `path` opens neither."""
     if stored is None:
         return None
     if "path" in stored:
@@ -109,6 +116,10 @@ def _materialize(stored: dict | None, path: pathlib.Path) -> str | None:
     if "dir" in stored:
         path = path.with_suffix(".d")
         path.mkdir(exist_ok=True)
+    elif "fifo" in stored:
+        path = path.with_suffix(".fifo")
+        if not path.is_fifo():
+            os.mkfifo(path)
     else:
         path.write_bytes(bytes.fromhex(stored["hex"]))
     return str(path)

@@ -344,7 +344,10 @@ class Dataset(Record):
     """
 
     _fields = ("levels", "elements", "core_alpha", "tails")
-    __slots__ = (*_fields, "_couplings", "_rows")
+    # _report_rows: each state's polarizability report rows, which polkit.report sets on
+    # the dataset's first report; unset until then, so a dataset that builds no report pays
+    # nothing for it.
+    __slots__ = (*_fields, "_couplings", "_rows", "_report_rows")
 
     def __init__(
         self,
@@ -407,7 +410,7 @@ class Dataset(Record):
 
 
 (_set_levels, _set_elements, _set_core_alpha, _set_tails, _set_couplings,
- _set_rows) = _setters(Dataset)
+ _set_rows, _set_report_rows) = _setters(Dataset)
 
 
 _label_pair = itemgetter(0, 1)  # an element's (lower, upper)
@@ -632,9 +635,11 @@ def builtin_dataset_text() -> str:
     return __spec__.loader.get_data(path).decode("utf-8")
 
 
-def read_dataset_text(path: str) -> str:
+def read_dataset_text(path: str | bytes | os.PathLike) -> str:
     """The text of the dataset file at `path`: a regular file of at most MAX_DATASET_BYTES
-    bytes of UTF-8, a byte-order mark allowed; anything else is a DatasetError."""
+    bytes of UTF-8, a byte-order mark allowed; anything else is a DatasetError, which names
+    the path as a str, whatever its form."""
+    path = os.fsdecode(path)  # opened as this str too: it encodes back to a bytes path's bytes
     try:
         # Bytes from the descriptor, no file object: the parser splits the lines.
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO with no writer opens at once

@@ -10,8 +10,9 @@ built in one flat loop over its couplings in row order, (partner j, gap,
 partner), which the dataset's structure stores with each gap, so no element is
 scanned, no row sorted and no energy looked up; the same loop folds the scalar
 and tensor sums, and both are memoized on the dataset, so the scalar and tensor
-breakdowns of one state share them.  A row builds its term as a
-:class:`Quantity` only when a report asks for it.  The input bounds of
+breakdowns of one state share them.  A row builds its terms as
+:class:`Quantity` values only when a report asks for them, once per dataset and state:
+:mod:`polkit.report` keeps them for the scalar and tensor reports.  The input bounds of
 :mod:`polkit.dataset`, which every Dataset meets, keep every term and sum finite.
 """
 

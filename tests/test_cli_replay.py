@@ -3,11 +3,13 @@ read, and ``compare`` names every call whose output moved between two replays.""
 
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from test_dataset import unblocked
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "cli_replay.py"
 spec = importlib.util.spec_from_file_location("cli_replay", SCRIPT)
@@ -15,16 +17,21 @@ cli_replay = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(cli_replay)
 
 
-@pytest.mark.parametrize("kind", ["file", "directory", "missing"])
+@pytest.mark.parametrize("kind", ["file", "directory", "fifo", "missing"])
 def test_stored_dataset_replays_as_the_call_saw_it(tmp_path, kind):
+    if kind == "fifo" and not hasattr(os, "mkfifo"):
+        pytest.skip("needs a FIFO")
     source = tmp_path / "recorded" / "source.dat"
     source.parent.mkdir()
     if kind == "file":
         source.write_bytes(b"level 4s1/2 0\n\xff")
     elif kind == "directory":
         source.mkdir()
-    call = json.loads(json.dumps(cli_replay._capture(["lifetime", "--dataset", str(source)])))
-    if kind == "file":
+    elif kind == "fifo":
+        os.mkfifo(source)  # no writer: a blocking open of it would wait for one
+    with unblocked():  # a recorder that opens the FIFO fails here rather than hang
+        call = json.loads(json.dumps(cli_replay._capture(["lifetime", "--dataset", str(source)])))
+    if kind in ("file", "fifo"):
         source.unlink()
     elif kind == "directory":
         source.rmdir()  # as pytest deletes an old temporary directory
@@ -42,6 +49,9 @@ def test_stored_dataset_replays_as_the_call_saw_it(tmp_path, kind):
         assert pathlib.Path(path).read_bytes() == b"level 4s1/2 0\n\xff"
     if kind == "directory":
         assert pathlib.Path(path).is_dir() and not any(pathlib.Path(path).iterdir())
+    if kind == "fifo":
+        assert call["dataset"] == {"fifo": True} and pathlib.Path(path).is_fifo()
+        assert path != str(replay_dir / "flag.dat")  # a later call's flag.dat write opens a file
 
 
 def _replay_file(path, results):

@@ -643,8 +643,24 @@ class TestReadDatasetText:
             assert main(["bbr", "--dataset", str(path)]) == 2
         assert capsys.readouterr() == ("", f"polkit: error: {info.value}\n")
 
+    @pytest.mark.parametrize("form", [pathlib.Path, os.fsencode], ids=["Path", "bytes"])
+    @pytest.mark.parametrize(
+        "case", ["missing", "directory", "fifo", "devnull", "one-byte-over", "not-utf-8"]
+    )
+    def test_a_path_or_bytes_is_named_as_its_str(self, tmp_path, case, form):
+        if case == "fifo" and not hasattr(os, "mkfifo"):
+            pytest.skip("needs a FIFO")
+        path, words = unreadable(tmp_path, case)
+        with unblocked(), pytest.raises(DatasetError) as info:
+            read_dataset_text(form(path))
+        assert str(info.value) == f"cannot read dataset {str(path)!r}: {words}"
+
     def test_the_packaged_file_reads_as_the_packaged_text(self):
         assert read_dataset_text(str(PACKAGED_FILE)) == builtin_dataset_text()
+
+    @pytest.mark.parametrize("form", [pathlib.Path, os.fsencode], ids=["Path", "bytes"])
+    def test_a_path_or_bytes_reads_as_its_str(self, form):
+        assert read_dataset_text(form(PACKAGED_FILE)) == builtin_dataset_text()
 
     def test_a_byte_order_mark_is_read_past(self, tmp_path):
         path = tmp_path / "bom.dat"

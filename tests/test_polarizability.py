@@ -21,6 +21,7 @@ from polkit import (
     LevelLabel,
     Quantity,
     ReducedE1,
+    UnknownLevelError,
     assemble_breakdown,
     builtin_dataset_text,
     energy_difference_au,
@@ -30,6 +31,7 @@ from polkit import (
 )
 from polkit.cli import main
 from polkit.dataset import MAX_D
+from polkit.report import polarizability_report
 from test_dataset import dataset_fields
 
 lab = LevelLabel.parse
@@ -378,6 +380,67 @@ class TestRowMemo:
         assert other._rows == {}
         again = assemble_breakdown(other, lab("3d5/2"), SCALAR)
         assert again == warm and again.main is not warm.main
+
+
+class TestReportRowMemo:
+    """A dataset builds each state's report rows once; every report gets new row dicts."""
+
+    def test_two_reports_are_equal_and_a_mutated_row_reaches_neither(self, golden_text):
+        ds = copy.copy(parse_dataset(golden_text))  # cold: the shared dataset may hold rows
+        first = polarizability_report(ds, "x.dat", lab("3d5/2"), TENSOR)
+        second = polarizability_report(ds, "x.dat", lab("3d5/2"), TENSOR)
+        assert first == second and first.rows[0] is not second.rows[0]
+        kept = repr(second)
+        first.rows[0]["alpha2"] = Quantity(0.0, 0.0, A0_CUBED)
+        first.rows[1].clear()
+        third = polarizability_report(ds, "x.dat", lab("3d5/2"), TENSOR)
+        assert third == second and third != first and repr(second) == kept
+        assert list(third.rows[0]) == ["transition", "d", "alpha0", "alpha2"]
+
+    def test_scalar_and_tensor_reports_build_the_row_parts_once(self, golden_text, monkeypatch):
+        ds = copy.copy(parse_dataset(golden_text))
+        built = []
+        quantity = Contribution.quantity
+
+        def spy(contrib, multipole):
+            built.append(multipole)
+            return quantity(contrib, multipole)
+
+        monkeypatch.setattr(Contribution, "quantity", spy)
+        scalar = polarizability_report(ds, "x.dat", lab("3d5/2"), SCALAR)
+        tensor = polarizability_report(ds, "x.dat", lab("3d5/2"), TENSOR)
+        assert built == [SCALAR, TENSOR] * 21
+        assert scalar.rows == tensor.rows and scalar.totals != tensor.totals
+        polarizability_report(ds, "x.dat", lab("3d5/2"), SCALAR)
+        assert len(built) == 42
+        assert set(ds._report_rows) == {lab("3d5/2")}
+
+    def test_every_report_still_checks_its_state_and_multipole(self, golden_text):
+        ds = copy.copy(parse_dataset(golden_text))
+        polarizability_report(ds, "x.dat", lab("4s1/2"), SCALAR)
+        with pytest.raises(ValueError, match="tensor polarizability vanishes"):
+            polarizability_report(ds, "x.dat", lab("4s1/2"), TENSOR)
+        with pytest.raises(ValueError, match="bad multipole 'vector'"):
+            polarizability_report(ds, "x.dat", lab("4s1/2"), "vector")
+        with pytest.raises(UnknownLevelError):
+            polarizability_report(ds, "x.dat", lab("5d5/2"), SCALAR)
+
+    def test_a_rewritten_text_gets_rows_from_its_own_values(self, golden_text):
+        before = polarizability_report(parse_dataset(golden_text), "x.dat", lab("4s1/2"), SCALAR)
+        text = golden_text.replace("e1 4s1/2 4p1/2 2.8982", "e1 4s1/2 4p1/2 2.9982")
+        after = polarizability_report(parse_dataset(text), "x.dat", lab("4s1/2"), SCALAR)
+        assert before.rows[0]["transition"] == after.rows[0]["transition"] == "4s1/2-4p1/2"
+        assert (before.rows[0]["d"].value, after.rows[0]["d"].value) == (2.8982, 2.9982)
+        assert after.rows[0]["alpha0"].value > before.rows[0]["alpha0"].value
+        uncached = parse_dataset.__wrapped__(text)
+        assert after == polarizability_report(uncached, "x.dat", lab("4s1/2"), SCALAR)
+
+    def test_a_dataset_that_builds_no_report_holds_no_report_rows(self, golden_text):
+        ds = copy.copy(parse_dataset(golden_text))
+        assemble_breakdown(ds, lab("3d5/2"), TENSOR)  # as a Monte-Carlo draw does
+        assert not hasattr(ds, "_report_rows")
+        polarizability_report(ds, "x.dat", lab("3d5/2"), TENSOR)
+        assert not hasattr(copy.copy(ds), "_report_rows")  # a copy starts cold
 
 
 def test_tensor_angular_calls_the_module_level_kernels(golden_text, monkeypatch):

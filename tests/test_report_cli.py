@@ -99,6 +99,33 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _equal_forms(x):
+    """`x` and the numbers equal to it that a memo key cannot tell apart: its int or float,
+    and the other signed zero."""
+    forms = [x, -x] if x == 0 else [x]
+    if isinstance(x, int):
+        forms.append(float(x))
+    elif x.is_integer():
+        forms.append(int(x))
+    return forms
+
+
+MEMO_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5.0, -76.0, 1e12, -5e9, 1.7976931348623157e308]),
+    st.integers(-10**7, 10**7),
+    st.integers(-10**7, 10**7).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+MEMO_UNCS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.0004999, 0.0005, 1.0, 3.0, 100.0, 1e6]),
+    st.floats(min_value=0.0, max_value=0.0005),  # no digit at three decimals
+    st.floats(min_value=5e-324, max_value=2.2e-308),  # subnormal
+    st.floats(min_value=1e6, max_value=1.7976931348623157e308),  # the exponent form
+    st.integers(0, 10**7),
+    st.floats(min_value=0.0, max_value=1e7),
+)
+
+
 class TestFormatting:
     @pytest.mark.parametrize(
         "value,unc,expected",
@@ -140,8 +167,25 @@ class TestFormatting:
         [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf)],
     )
     def test_non_finite_rejected(self, value, unc):
-        with pytest.raises(ValueError, match="non-finite"):
-            format_value_unc(value, unc)
+        """At every call: the memo keeps no refusal."""
+        messages = set()
+        for _ in range(3):
+            before = format_value_unc.cache_info()
+            with pytest.raises(ValueError, match="non-finite") as info:
+                format_value_unc(value, unc)
+            messages.add(str(info.value))
+            after = format_value_unc.cache_info()
+            assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+        assert len(messages) == 1
+
+    @given(value=MEMO_VALUES, unc=MEMO_UNCS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_the_memo_prints_the_text_of_every_equal_key(self, value, unc):
+        """The first form of a key fills the memo; every equal form then reads that entry
+        and must get the text that formatting it afresh gives."""
+        for v in _equal_forms(value):
+            for u in _equal_forms(unc):
+                assert format_value_unc(v, u) == format_value_unc.__wrapped__(v, u), (v, u)
 
 
 class TestReportModel:
