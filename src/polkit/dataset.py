@@ -21,10 +21,10 @@ bounds its input tests the unit tag inside its one valid-path condition and call
 levels and e1 label pairs, and checks and orders each of the last 16 structures once:
 datasets that differ only in values, as Monte-Carlo draws do, check only their core and
 tails, whose rules, units included, :func:`_term_faults` states.  A structure holds, by
-label, each level's couplings as element indices, sides and gaps in hartree, in element
-order for :meth:`Dataset.couplings` and the decay channels and in row order for the
-polarizability rows, then the level's position in the levels.  It is the dataset's one
-label index, a :class:`_LevelIndex`, whose lookup is the one refusal of an unknown label.
+label, each level's couplings as element indices, sides and gaps in hartree, in the one
+order that every reader walks, (partner j, gap, partner), so no report depends on the
+order of the e1 lines, then the level's position.  It is the dataset's one label index,
+a :class:`_LevelIndex`, whose lookup is the one refusal of an unknown label.
 """
 
 from __future__ import annotations
@@ -378,10 +378,10 @@ class Dataset(Record):
         return type(self), (self.levels, self.elements, self.core_alpha, dict(self.tails))
 
     def level(self, label: LevelLabel) -> Level:
-        return self.levels[self._couplings[label][2]]
+        return self.levels[self._couplings[label][1]]
 
     def energy_cm(self, label: LevelLabel) -> float:
-        return self.levels[self._couplings[label][2]].energy_cm
+        return self.levels[self._couplings[label][1]].energy_cm
 
     def tail(self, label: LevelLabel, multipole: str) -> Quantity:
         """Tail term for (state, multipole); 0(0) when none is declared."""
@@ -389,8 +389,8 @@ class Dataset(Record):
 
     def couplings(self, label: LevelLabel) -> Iterator[tuple[LevelLabel, ReducedE1, float]]:
         """(partner, element, E(partner) - E(label) in hartree) per element on `label`, in
-        element order: the gap is the structure's, bit-identical to
-        :func:`energy_difference_au`'s, so no energy is looked up."""
+        the structure's one order, (partner j, gap, partner): the gap is the structure's,
+        bit-identical to :func:`energy_difference_au`'s, so no energy is looked up."""
         elements = self.elements
         for k, side, gap in self._couplings[label][0]:
             el = elements[k]
@@ -426,8 +426,8 @@ def _structure(levels: tuple[Level, ...], pairs: tuple[tuple[LevelLabel, LevelLa
     The rules, each stated here only: unique labels, a level at energy 0 if any, and each
     pair between declared levels, E1-allowed, at least MIN_GAP_CM upward (:func:`gap_fault`)
     and new.  A level's entry is its couplings, one (element index, side of the partner's
-    label in it, E(partner) - E(level) in hartree) per element on it, in element order and
-    in row order, (partner j, gap, partner), then its position in `levels`.
+    label in it, E(partner) - E(level) in hartree) per element on it, in row order, (partner
+    j, gap, partner), whatever the order of the pairs, then its position in `levels`.
 
     Kept for the last 16 accepted structures, so that datasets that differ only in values
     share one check.  Equal keys may hold unequal objects (an int energy 5 and 5.0, -0.0
@@ -450,7 +450,10 @@ def _structure(levels: tuple[Level, ...], pairs: tuple[tuple[LevelLabel, LevelLa
             labels.add(level.label)
     if energies and min(energies) != 0.0:
         faults.append("no ground level with energy 0")
-    walks: dict[LevelLabel, list[tuple[int, int, float]]] = {label: [] for label in index}
+    # Per label, one (partner j, gap, partner, coupling) per pair on it: its row key, then
+    # the coupling.  The key's gap is the coupling's own float; a pair has one element, so
+    # the partner ends every key and no two keys tie.
+    walks: dict[LevelLabel, list[tuple]] = {label: [] for label in index}
     seen: set[tuple[LevelLabel, LevelLabel]] = set()
     for k, pair in enumerate(pairs):
         lower, upper = pair
@@ -470,17 +473,13 @@ def _structure(levels: tuple[Level, ...], pairs: tuple[tuple[LevelLabel, LevelLa
             faults.append(f"e1 {lower}-{upper}: duplicate matrix element for this pair")
         seen.add(key)
         gap /= HARTREE_IN_CM
-        walks[lower].append((k, 1, gap))
-        walks[upper].append((k, 0, -gap))
+        walks[lower].append((upper.j2, gap, upper, (k, 1, gap)))
+        walks[upper].append((lower.j2, -gap, lower, (k, 0, -gap)))
     if faults:
         raise DatasetError(faults)
     structure = _LevelIndex()
     for label, walk in walks.items():
-        # The key's gap is the rows' own float; a pair has one element, so the partner
-        # ends every key and no two keys tie.
-        keyed = sorted([(pairs[k][side].j2, gap, pairs[k][side], (k, side, gap))
-                        for k, side, gap in walk])
-        structure[label] = (tuple(walk), tuple([key[3] for key in keyed]), index[label])
+        structure[label] = (tuple([keyed[3] for keyed in sorted(walk)]), index[label])
     return MappingProxyType(structure)
 
 
@@ -683,5 +682,5 @@ def energy_difference_au(ds: Dataset, a: LevelLabel, b: LevelLabel) -> Quantity:
     Experimental energies are treated as exact, so the uncertainty is zero.
     """
     # b is looked up first, so an unknown b is named first
-    gap_cm = ds.levels[ds._couplings[b][2]].energy_cm - ds.levels[ds._couplings[a][2]].energy_cm
+    gap_cm = ds.levels[ds._couplings[b][1]].energy_cm - ds.levels[ds._couplings[a][1]].energy_cm
     return Quantity(gap_cm / HARTREE_IN_CM, 0.0, DIMENSIONLESS)

@@ -89,7 +89,7 @@ def _main_rows(ds: Dataset, state: LevelLabel) -> tuple:
     # Each multipole's (value, unc): terms summed by +=, their uncertainties chained by hypot.
     value0 = unc0 = value2 = unc2 = 0.0
     alpha2 = None
-    for k, side, de in ds._couplings[state][1]:  # de: the structure's gap in hartree
+    for k, side, de in ds._couplings[state][0]:  # de: the structure's gap in hartree
         el = elements[k]
         partner, d = el[side], el.d
         # d.relative_unc() and _sigma, inlined bit for bit: d >= MIN_D > 0, so |d| is d

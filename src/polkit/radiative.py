@@ -1,9 +1,9 @@
 """Einstein A-coefficients, radiative lifetimes, and inverse extraction.
 
 The A-coefficient convention divides by the statistical weight 2j+1 of the
-UPPER state.  Rates are in MHz and lifetimes in ns.  Rate uncertainties add in
-quadrature by ``math.hypot``, and the relative uncertainty of a lifetime or an
-extracted matrix element is formed from relative terms of the rates it sums.
+UPPER state.  Rates are in MHz and lifetimes in ns.  Rates sum exactly, by ``math.fsum``,
+in any order on every interpreter, and their uncertainties in quadrature by ``math.hypot``;
+a lifetime's or extracted element's relative uncertainty is formed from the rates' terms.
 ``einstein_A``, ``DecayChannel``, ``measured_lifetime`` and ``extract_matrix_element``
 check their inputs against the bounds of :mod:`polkit.dataset`, inside which no rate, sum
 or uncertainty over- or underflows.  ``extract_pair`` checks the pair that an extraction
@@ -84,8 +84,8 @@ def decay_channels(ds: Dataset, upper: LevelLabel) -> list[DecayChannel]:
 
 
 def _rate_sums(channels: Sequence[DecayChannel]) -> tuple[float, float]:
-    """The channels' summed rate and quadrature-summed uncertainty in MHz."""
-    return sum([ch.A.value for ch in channels]), math.hypot(*[ch.A.unc for ch in channels])
+    """The channels' exactly summed rate and quadrature-summed uncertainty in MHz."""
+    return math.fsum([ch.A.value for ch in channels]), math.hypot(*[ch.A.unc for ch in channels])
 
 
 def lifetime(channels: Sequence[DecayChannel]) -> Quantity:

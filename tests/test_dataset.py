@@ -969,12 +969,14 @@ class TestStructureMemo:
 
     def test_the_pairs_and_their_order_are_part_of_the_structure(self):
         """The same levels with fewer pairs, or with the pairs in another order, are
-        other structures: each dataset walks its own elements."""
+        other structures: each dataset walks its own elements, in row order whatever
+        the order of its pairs."""
         _structure.cache_clear()
-        levels, elements, core, tails = self.fields()
+        levels, elements, core, tails = self.fields()  # 4p1/2's row order: 4s1/2, 3d3/2
         for variant in (elements, elements[:1], elements[::-1]):
             ds = Dataset(levels, variant, core, tails)
-            assert [el for _, el, _ in ds.couplings(self.P)] == variant
+            rows = [el for el in elements if el in variant]
+            assert [el for _, el, _ in ds.couplings(self.P)] == rows
         assert _structure.cache_info()[:2] == (0, 3)
 
     @pytest.mark.parametrize("energies, gap", [((0.0, 150.0, 100.0), "-50.0"),
@@ -996,9 +998,9 @@ class TestStructureMemo:
            form=st.sampled_from(["int", "-0.0"]))
     def test_each_kept_gap_is_the_datasets_own_gap_bit_for_bit(self, fields, scale, form):
         """Cold, and warm from an equal structure of the other numeric form (int energies,
-        or a -0.0 ground), in either direction, every stored gap in element and in row
-        order is energy_difference_au's float, and each label finds the dataset's own
-        level, never the one of the dataset that stored the structure."""
+        or a -0.0 ground), in either direction, every stored gap is energy_difference_au's
+        float, each element on a level is walked once, and each label finds the dataset's
+        own level, never the one of the dataset that stored the structure."""
         levels, *rest = fields  # each energy a float of an int below 5, one of them 0.0
         levels = [Level(label, e * scale) for label, e in levels]
         if form == "int":
@@ -1014,10 +1016,11 @@ class TestStructureMemo:
             assert _structure.cache_info().hits == (first is not None)
             for level in ds.levels:
                 assert ds.level(level.label) is level
-                walk, rows, position = ds._couplings[level.label]
+                rows, position = ds._couplings[level.label]
                 assert ds.levels[position] is level
-                assert sorted(rows) == sorted(walk)
-                for k, side, gap in walk:
+                on_level = [k for k, el in enumerate(ds.elements) if level.label in el[:2]]
+                assert sorted(k for k, _, _ in rows) == on_level
+                for k, side, gap in rows:
                     partner = ds.elements[k][side]
                     want = energy_difference_au(ds, level.label, partner).value
                     assert gap.hex() == want.hex()
@@ -1060,11 +1063,14 @@ class TestEnergyDifference:
 
 class TestCouplings:
     def test_walk_yields_each_element_on_the_level_with_its_partner_and_gap(self, golden):
+        """Once each, in row order, (partner j, gap, partner)."""
         for level in golden.levels:
             label = level.label
             walk = list(golden.couplings(label))
             on_label = [el for el in golden.elements if label in (el.lower, el.upper)]
-            assert [el for _, el, _ in walk] == on_label
+            assert sorted(el for _, el, _ in walk) == sorted(on_label)
+            keys = [(partner.j2, gap, partner) for partner, _, gap in walk]
+            assert keys == sorted(keys)
             for partner, el, gap in walk:
                 assert partner == (el.upper if el.lower == label else el.lower)
                 assert gap == energy_difference_au(golden, label, partner).value

@@ -282,12 +282,16 @@ class TestOverflowIsRefusedAtTheGates:
 
 
 def reference_rows(ds, state):
-    """`state`'s rows as the sum over states defines them, from Dataset.couplings alone:
-    sorted by (partner j, gap, partner), each term an angular factor times d^2/gap."""
+    """`state`'s rows as the sum over states defines them, from Dataset.couplings alone,
+    which walks them in row order, (partner j, gap, partner): each term an angular factor
+    times d^2/gap."""
     j2_v = state.j2
     scalar = 2.0 / (3.0 * (j2_v + 1))
     rows = []
-    for partner, el, de in sorted(ds.couplings(state), key=lambda c: (c[0].j2, c[2], c[0])):
+    couplings = list(ds.couplings(state))
+    keys = [(partner.j2, de, partner) for partner, _, de in couplings]
+    assert keys == sorted(keys)
+    for partner, el, de in couplings:
         d2 = el.d.value**2
         alpha2 = None
         if j2_v >= 2:

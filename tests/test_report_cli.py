@@ -20,9 +20,12 @@ import polkit
 import polkit.cli
 import polkit.dataset
 from polkit import (
+    E_A0,
     MEGAHERTZ,
     BBRConditions,
+    Dataset,
     DecayChannel,
+    Level,
     LevelLabel,
     Quantity,
     Report,
@@ -38,7 +41,7 @@ from polkit import (
 from polkit.cli import BUILTIN_DATASET, main
 from polkit.dataset import MAX_DATASET_BYTES, parse_number
 from polkit.report import bbr_report, extract_report, lifetime_report, polarizability_report
-from test_dataset import NUMBER_PATTERN
+from test_dataset import NUMBER_PATTERN, dataset_fields
 
 README_COMMANDS = [
     ["polarizability", "--state", "4s1/2", "--multipole", "scalar"],
@@ -673,7 +676,7 @@ def test_lifetime_answers_or_refuses_a_channel_outside_the_box(rates):
         return
     tau = lifetime(channels)
     assert math.isfinite(tau.value) and math.isfinite(tau.unc)
-    total = sum(ch.A.value for ch in channels)
+    total = math.fsum(ch.A.value for ch in channels)
     rel = math.hypot(*(ch.A.unc for ch in channels)) / total
     assert tau.value == 1000.0 / total
     assert tau.unc == pytest.approx(tau.value * rel, rel=1e-9, abs=1e-300)
@@ -931,6 +934,53 @@ class TestFuzz:
         argv = data.draw(argvs(dataset_paths))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def order_path(tmp_path_factory):
+    """One dataset file, rewritten with each line order."""
+    return tmp_path_factory.mktemp("order") / "order.dat"
+
+
+def machine_outputs(path, text, calls):
+    """(exit code, stdout, stderr) of each of `calls` in machine form, on `text` written to
+    `path`."""
+    path.write_text(text, encoding="utf-8")
+    outputs = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--dataset", str(path), "--format", "machine"])
+        outputs.append((code, out.getvalue(), err.getvalue()))
+    return outputs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_reports_do_not_depend_on_the_order_of_the_dataset_lines(order_path, data):
+    """A valid dataset whose e1 lines carry distinct d values, and the same lines in a drawn
+    order: every polarizability, bbr, lifetime and extract call prints the same bytes, so a
+    decay channel's row and a rate sum depend on the physics alone."""
+    levels, elements, core, tails = data.draw(dataset_fields(kinds=()))
+    levels = [Level(label, energy * 5000.0) for label, energy in levels]  # optical gaps
+    values = data.draw(st.lists(st.floats(0.01, 10.0), min_size=len(elements),
+                                max_size=len(elements), unique=True))
+    elements = [el._replace(d=Quantity(d, d / 100.0, E_A0)) for el, d in zip(elements, values)]
+    ds = Dataset(levels, elements, core, tails)
+    labels = [str(level.label) for level in levels]
+    calls = [["bbr", "--ground", labels[0], "--excited", labels[1]]]
+    for label in labels:
+        calls += [["polarizability", "--state", label, "--multipole", m]
+                  for m in ("scalar", "tensor")]
+        calls.append(["lifetime", "--state", label])
+    for el in elements:  # tau: the upper level's own lifetime, so the element's d comes back
+        tau = lifetime(decay_channels(ds, el.upper))
+        calls.append(["extract", "--upper", str(el.upper), "--lower", str(el.lower),
+                      "--tau-ns", repr(tau.value), "--tau-unc-ns", repr(tau.unc)])
+    text = ds.to_text()
+    permuted = "\n".join(data.draw(st.permutations(text.splitlines()))) + "\n"
+    assert machine_outputs(order_path, permuted, calls) == machine_outputs(order_path, text,
+                                                                           calls)
 
 
 JUNK = ["--temp", "--form", "--full", "--eta=-1e-3", "--state=4s1/2", "--", "-", "-x", "", "x",
